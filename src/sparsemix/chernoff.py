@@ -19,6 +19,7 @@ import numpy as np
 from scipy.stats import beta as _beta_dist
 
 from . import rng
+from .errors import SparsemixError
 from .model import NoiseProfile, Setting, SparseSignal
 
 __all__ = [
@@ -247,13 +248,12 @@ def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
             continue
         if best is None or lb < best.log_bound:
             best = OptimalTheta(theta=t, log_bound=lb)
-    assert best is not None  # the relaxed point is always feasible
+    if best is None:
+        raise SparsemixError("relaxed theta fell outside the MGF domain")
     return best
 
 
 _BATCH = 4096
-_X_STREAM = 1
-_NOISE_STREAM = 2
 
 
 def empirical_misrank(
@@ -266,12 +266,27 @@ def empirical_misrank(
 ) -> MisrankEstimate:
     """Monte Carlo probability that a candidate support outscores the truth.
 
-    Each trial draws a fresh design and noise vector from its own
-    substream derive(seed, trial) and counts loss(candidate) <=
-    loss(true support) under the requested setting's loss. Only design
-    columns appearing in either support are materialized; the others
-    cannot affect either loss. The half-width ci95 is the exact binomial
-    (Clopper-Pearson) 95% interval's.
+    Each trial draws from its own substream derive(seed, trial) and counts
+    loss(candidate) <= loss(true support) under the requested setting's
+    loss (row weights w_i = 1, or 1/sigma_i^2 when informed). No design
+    is materialized: with c = beta - 1_cand and c' = beta - 1_true, row
+    i's residuals are r = x.c + z and r' = x.c' + z, and
+
+        loss(cand) - loss(true) = sum_i w_i d_i t_i,
+        d_i = r - r' = x.(c - c'),   t_i = r + r' = x.(c + c') + 2 z,
+
+    where (d_i, t_i) is a centered 2-D Gaussian with
+
+        Var d = |c - c'|^2,   Cov(d, t) = |c|^2 - |c'|^2,
+        Var t = |c + c'|^2 + 4 sigma_b^2   (sigma_b^2 the row's block).
+
+    Each row is drawn from 2 standard normals through the Cholesky factor
+    of that covariance, so the count has exactly the law of the full-design
+    count. The factor's residual variance Var t - Cov^2 / Var d is taken
+    in Lagrange-identity form, a sum of squares that cannot go negative
+    and is exactly 0 when c and c' are parallel. A candidate equal to the
+    truth gives d = 0 and an estimate of exactly 1. The half-width ci95 is
+    the exact binomial (Clopper-Pearson) 95% interval's.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -284,38 +299,37 @@ def empirical_misrank(
         raise ValueError("informed loss requires positive variances")
 
     union = sorted(set(cand) | set(signal.support))
-    beta_u = np.zeros(len(union))
-    for j, v in zip(signal.support, signal.values):
-        beta_u[union.index(j)] = v
-    ind_cand = np.zeros(len(union))
-    ind_true = np.zeros(len(union))
-    for j in cand:
-        ind_cand[union.index(j)] = 1.0
-    for j in signal.support:
-        ind_true[union.index(j)] = 1.0
-    coef_cand = beta_u - ind_cand
-    coef_true = beta_u - ind_true
-
-    n, u = noise.n, len(union)
-    sig = np.sqrt(noise.row_variances())
-    if setting is Setting.INFORMED:
-        w = 1.0 / noise.row_variances()
+    values = dict(zip(signal.support, signal.values))
+    beta_u = np.array([values.get(j, 0.0) for j in union])
+    coef_cand = beta_u - np.isin(union, cand)
+    coef_true = beta_u - np.isin(union, signal.support)
+    diff = coef_cand - coef_true
+    total = coef_cand + coef_true
+    var_d = float(diff @ diff)
+    if var_d > 0.0:
+        d_scale = math.sqrt(var_d)
+        t_from_d = float(diff @ total) / d_scale
+        # |a|^2 |b|^2 - (a.b)^2 = sum_{i<j} (a_i b_j - a_j b_i)^2
+        wedge = np.outer(diff, total)
+        wedge -= wedge.T
+        t_resid = 0.5 * float(np.sum(wedge * wedge)) / var_d
     else:
-        w = np.ones(n)
+        d_scale = t_from_d = t_resid = 0.0
+    n = noise.n
+    row_var = noise.row_variances()
+    t_own = np.sqrt(t_resid + 4.0 * row_var)
+    w = 1.0 / row_var if setting is Setting.INFORMED else np.ones(n)
 
     successes = 0
     for start in range(0, trials, _BATCH):
         stop = min(start + _BATCH, trials)
-        t_arr = np.arange(start, stop, dtype=np.uint64)
-        st = rng.derive_vec(seed, t_arr)
-        xu = rng.normals_grid(rng.derive_vec(st, _X_STREAM), n * u)
-        z = rng.normals_grid(rng.derive_vec(st, _NOISE_STREAM), n) * sig[None, :]
-        xu = xu.reshape(len(t_arr), n, u)
-        resid_cand = xu @ coef_cand + z
-        resid_true = xu @ coef_true + z
-        loss_cand = np.add.reduce(w[None, :] * resid_cand * resid_cand, axis=1)
-        loss_true = np.add.reduce(w[None, :] * resid_true * resid_true, axis=1)
-        successes += int(np.count_nonzero(loss_cand <= loss_true))
+        st = rng.derive_vec(seed, np.arange(start, stop, dtype=np.uint64))
+        g = rng.normals_grid(st, 2 * n)
+        g1 = g[:, :n]
+        d = d_scale * g1
+        t = t_from_d * g1 + t_own * g[:, n:]
+        delta_loss = np.add.reduce(w * d * t, axis=1)
+        successes += int(np.count_nonzero(delta_loss <= 0.0))
 
     estimate = successes / trials
     lo = 0.0 if successes == 0 else float(

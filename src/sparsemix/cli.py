@@ -186,10 +186,10 @@ def _cmd_lasso(args: argparse.Namespace) -> int:
             raise ValueError("dataset has no ground truth; pass --lam")
         lam = lasso.lambda_schedule(
             dataset.noise.sigma_avg_sq,
-            dataset.p,
-            dataset.signal.s,
-            dataset.n,
-            dataset.signal.rho,
+            p=dataset.p,
+            s=dataset.signal.s,
+            n=dataset.n,
+            rho=dataset.signal.rho,
         )
     sol = lasso.solve_lasso(
         dataset, lasso.LassoConfig(lam=lam, tol=args.tol, max_sweeps=args.max_sweeps)

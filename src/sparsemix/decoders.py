@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import rng
-from .errors import ResourceCapError
+from .errors import ResourceCapError, SparsemixError
 from .model import MixedDataset, Setting
 
 __all__ = [
@@ -165,7 +165,8 @@ def decode_exhaustive(
                 t = block[int(k)]
                 if best_support is None or t < best_support:
                     best_support = t
-    assert best_support is not None
+    if best_support is None:
+        raise SparsemixError("exhaustive scan: every candidate loss is NaN")
     return DecodeResult(
         support=best_support, loss=best_loss, scanned=total, exhaustive=True
     )
@@ -254,7 +255,8 @@ def decode_local_search(
         ):
             best_loss = cur_loss
             best_support = cur
-    assert best_support is not None
+    if best_support is None:
+        raise SparsemixError("local search: every restart ended on a NaN loss")
     return DecodeResult(
         support=best_support, loss=best_loss, scanned=scanned, exhaustive=False
     )

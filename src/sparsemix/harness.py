@@ -175,7 +175,7 @@ def _lasso_penalty(config: ExperimentConfig, noise: NoiseProfile) -> float:
     if config.lambda_rule == "fixed":
         return float(config.lambda_value)
     return lasso.lambda_schedule(
-        noise.sigma_avg_sq, config.p, config.s, noise.n, config.rho
+        noise.sigma_avg_sq, p=config.p, s=config.s, n=noise.n, rho=config.rho
     )
 
 

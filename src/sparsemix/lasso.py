@@ -209,7 +209,7 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
 
 
 def lambda_schedule(
-    sigma_avg_sq: float, p: int, s: int, n: int, rho: float
+    sigma_avg_sq: float, *, p: int, s: int, n: int, rho: float
 ) -> float:
     """Penalty level lam = (sigma_avg_sq ln(p-s) / ((1 + s/rho^2) n))^(1/4).
 
@@ -230,6 +230,7 @@ def lambda_schedule(
 
 def noise_scaling_ok(
     sigma_avg_sq: float,
+    *,
     p: int,
     s: int,
     n: int,

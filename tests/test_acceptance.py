@@ -357,7 +357,7 @@ def test_a09_witness_matches_solver():
             n1=n1, n2=n2, sigma1_sq=float(lo), sigma2_sq=float(hi)
         )
         dataset = sm.generate_dataset(signal, noise, seed=5000 + i)
-        lam = sm.lambda_schedule(noise.sigma_avg_sq, n, s, p, 1.0)
+        lam = sm.lambda_schedule(noise.sigma_avg_sq, p=p, s=s, n=n, rho=1.0)
         try:
             solution = sm.solve_lasso(dataset, sm.LassoConfig(lam=lam))
             witness = sm.kkt_recovery_witness(dataset, signal, lam)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binomtest
 
 from sparsemix import (
     ChernoffQuery,
@@ -11,6 +12,7 @@ from sparsemix import (
     Setting,
     SparseSignal,
     block_mgf,
+    chernoff,
     chernoff_bound,
     chernoff_log_bound,
     empirical_misrank,
@@ -221,6 +223,48 @@ def test_empirical_misrank_informed_setting():
         setting=Setting.INFORMED, n1=8, n2=8, sigma1_sq=1.0, sigma2_sq=4.0, m=4
     )
     assert est.estimate <= chernoff_bound(q) + 3.0 * est.ci95
+
+
+def _full_design_misrank(signal, noise, candidate, trials, seed, setting):
+    """Reference estimate: materialize X and z, compare the two losses directly."""
+    gen = np.random.default_rng(seed)
+    beta = signal.dense()
+    sig = np.sqrt(noise.row_variances())
+    w = 1.0 / noise.row_variances() if setting is Setting.INFORMED else np.ones(noise.n)
+    cand, true = list(candidate), list(signal.support)
+    hits = 0
+    for start in range(0, trials, 5000):
+        batch = min(5000, trials - start)
+        X = gen.standard_normal((batch, noise.n, signal.p))
+        y = X @ beta + gen.standard_normal((batch, noise.n)) * sig
+        loss_cand = ((y - X[:, :, cand].sum(axis=2)) ** 2) @ w
+        loss_true = ((y - X[:, :, true].sum(axis=2)) ** 2) @ w
+        hits += int(np.count_nonzero(loss_cand <= loss_true))
+    ci = binomtest(hits, trials).proportion_ci(confidence_level=0.95, method="exact")
+    return hits / trials, (ci.high - ci.low) / 2.0
+
+
+@pytest.mark.parametrize("setting", [Setting.AGNOSTIC, Setting.INFORMED])
+@pytest.mark.parametrize("candidate", [(1, 2, 4), (3, 4, 5)])
+def test_empirical_misrank_matches_full_design_reference(setting, candidate):
+    sig = SparseSignal(p=7, support=(0, 1, 2), values=(1.3, -0.7, 2.0))
+    noise = NoiseProfile(n1=5, n2=7, sigma1_sq=0.5, sigma2_sq=2.0)
+    trials = 20000
+    est = empirical_misrank(sig, noise, candidate, trials, seed=17, setting=setting)
+    ref, ref_ci = _full_design_misrank(sig, noise, candidate, trials, 23, setting)
+    assert 0.01 < ref < 0.99
+    assert abs(est.estimate - ref) <= est.ci95 + ref_ci
+
+
+def test_empirical_misrank_independent_of_batch_size(monkeypatch):
+    sig = SparseSignal(p=7, support=(0, 1, 2), values=(1.3, -0.7, 2.0))
+    noise = NoiseProfile(n1=5, n2=7, sigma1_sq=0.5, sigma2_sq=2.0)
+    for setting in (Setting.AGNOSTIC, Setting.INFORMED):
+        whole = empirical_misrank(sig, noise, (1, 2, 4), 3000, seed=4, setting=setting)
+        monkeypatch.setattr(chernoff, "_BATCH", 7)
+        split = empirical_misrank(sig, noise, (1, 2, 4), 3000, seed=4, setting=setting)
+        monkeypatch.undo()
+        assert split == whole
 
 
 def test_empirical_misrank_validates_candidate():

@@ -152,34 +152,43 @@ def test_lasso_config_validation():
 def test_lambda_schedule_frozen_value():
     # (sigma_avg_sq * ln(p-s) / ((1+s/rho^2) n))^(1/4)
     # at (2, p=152, s=4, n=1000, rho=1): (2 ln 148 / 5000)^(1/4)
-    lam = lambda_schedule(2.0, 152, 4, 1000, 1.0)
+    lam = lambda_schedule(2.0, p=152, s=4, n=1000, rho=1.0)
     assert math.isclose(lam, 0.2114447699070308, rel_tol=1e-12)
 
 
 def test_lambda_schedule_scaling_laws():
-    base = lambda_schedule(1.0, 100, 4, 500, 1.0)
-    assert math.isclose(lambda_schedule(16.0, 100, 4, 500, 1.0), 2.0 * base, rel_tol=1e-12)
+    base = lambda_schedule(1.0, p=100, s=4, n=500, rho=1.0)
+    quad = lambda_schedule(16.0, p=100, s=4, n=500, rho=1.0)
+    assert math.isclose(quad, 2.0 * base, rel_tol=1e-12)
     # huge rho removes the 1 + s/rho^2 factor
-    loose = lambda_schedule(1.0, 100, 1, 500, 1e9)
+    loose = lambda_schedule(1.0, p=100, s=1, n=500, rho=1e9)
     assert math.isclose(loose, (math.log(99.0) / 500.0) ** 0.25, rel_tol=1e-6)
     with pytest.raises(ValueError):
-        lambda_schedule(1.0, 5, 4, 500, 1.0)
+        lambda_schedule(1.0, p=5, s=4, n=500, rho=1.0)
     with pytest.raises(ValueError):
-        lambda_schedule(1.0, 100, 4, 500, 0.0)
+        lambda_schedule(1.0, p=100, s=4, n=500, rho=0.0)
 
 
 def test_noise_scaling_frozen_example():
-    res = noise_scaling_ok(0.25, 512, 8, 220, 1.0)
+    res = noise_scaling_ok(0.25, p=512, s=8, n=220, rho=1.0)
     assert res.ok
     assert math.isclose(res.ratio, 0.06363998455982083, rel_tol=1e-12)
-    assert noise_scaling_ok(0.0, 512, 8, 220, 1.0).ok
+    assert noise_scaling_ok(0.0, p=512, s=8, n=220, rho=1.0).ok
     # ratio exactly one fails any margin below one
     n, p, s, rho = 220, 512, 8, 1.0
     avg = n / ((1.0 + s / rho**2) * math.log(p - s))
-    res_one = noise_scaling_ok(avg, p, s, n, rho)
+    res_one = noise_scaling_ok(avg, p=p, s=s, n=n, rho=rho)
     assert math.isclose(res_one.ratio, 1.0, rel_tol=1e-12)
     assert not res_one.ok
-    assert noise_scaling_ok(avg, p, s, n, rho, margin=1.5).ok
+    assert noise_scaling_ok(avg, p=p, s=s, n=n, rho=rho, margin=1.5).ok
+
+
+def test_schedule_counts_are_keyword_only():
+    # p and n are both ints, so a positional swap would pass silently
+    with pytest.raises(TypeError):
+        lambda_schedule(1.0, 100, 4, 500, 1.0)
+    with pytest.raises(TypeError):
+        noise_scaling_ok(0.25, 512, 8, 220, 1.0)
 
 
 def test_classify_sample_size_frozen_boundaries():
@@ -253,7 +262,7 @@ def test_witness_agrees_with_solver_verdict():
         s1 = float(rng.uniform(0.1, 1.0)) * s2
         noise = NoiseProfile(n1=n1, n2=n - n1, sigma1_sq=s1, sigma2_sq=s2)
         ds = generate_dataset(sig, noise, seed=1000 + trial)
-        lam = lambda_schedule(noise.sigma_avg_sq, p, s, n, 1.0)
+        lam = lambda_schedule(noise.sigma_avg_sq, p=p, s=s, n=n, rho=1.0)
         rep = kkt_recovery_witness(ds, sig, lam)
         if rep.boundary:
             continue
