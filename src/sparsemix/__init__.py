@@ -26,6 +26,7 @@ from .model import (
     generate_dataset,
     load_dataset,
     save_dataset,
+    sign_mismatches,
     signed_support_match,
     snr_report,
     support_error,

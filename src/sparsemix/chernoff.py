@@ -12,7 +12,7 @@ polished by two Newton steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -233,17 +233,7 @@ def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
 
     best: OptimalTheta | None = None
     for t in candidates:
-        lb = chernoff_log_bound(
-            ChernoffQuery(
-                setting=Setting.AGNOSTIC,
-                n1=n1,
-                n2=n2,
-                sigma1_sq=query.sigma1_sq,
-                sigma2_sq=query.sigma2_sq,
-                m=m,
-                theta=t,
-            )
-        )
+        lb = chernoff_log_bound(replace(query, theta=t))
         if math.isinf(lb):
             continue
         if best is None or lb < best.log_bound:

@@ -390,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="phase-transition experiment from JSON config")
     sw.add_argument("--config", required=True)
     sw.add_argument("--out", default="out")
-    sw.add_argument("--threads", type=int, default=1)
+    sw.add_argument("--threads", type=int, default=1, help="trials run serially")
     sw.add_argument("--formats", default="csv")
     sw.add_argument("--master-seed", type=int, default=None)
     sw.set_defaults(func=_cmd_sweep)

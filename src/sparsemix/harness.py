@@ -1,9 +1,9 @@
 """Monte Carlo phase-transition experiments over (n1, n2) grids.
 
 Every trial is a pure function of (config, grid point index, trial
-index): its seed is derive(master_seed, point, trial), so reruns and any
-thread count produce identical records apart from wall-clock times,
-which never enter summary.csv.
+index): its seed is derive(master_seed, point, trial), so reruns produce
+identical records apart from wall-clock times, which never enter
+summary.csv.
 """
 
 from __future__ import annotations
@@ -12,20 +12,17 @@ import enum
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, fields
 
 from . import decoders, lasso, planner, rng
 from .errors import SparsemixError
 from .model import (
-    MixedDataset,
     NoiseProfile,
     Setting,
     SparseSignal,
+    fmt_float,
     generate_dataset,
-    signed_support_match,
+    sign_mismatches,
     support_error,
 )
 
@@ -118,6 +115,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial's outcome.
+
+    error_count is on the decoder's own scale: the support symmetric
+    difference for the scan decoders (one swapped index counts 2), twice
+    model.sign_mismatches for the Lasso (one swapped index counts 4).
+    """
+
     point: int
     n1: int
     n2: int
@@ -179,16 +183,6 @@ def _lasso_penalty(config: ExperimentConfig, noise: NoiseProfile) -> float:
     )
 
 
-def _sign_mismatches(beta: np.ndarray, truth: SparseSignal, zero_tol: float) -> int:
-    est = np.zeros(truth.p, dtype=np.int64)
-    est[beta > zero_tol] = 1
-    est[beta < -zero_tol] = -1
-    true = np.zeros(truth.p, dtype=np.int64)
-    for j, v in zip(truth.support, truth.values):
-        true[j] = 1 if v > 0 else -1
-    return int(np.count_nonzero(est != true))
-
-
 def _run_one(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
     n1, n2 = config.grid[point]
     trial_seed = rng.derive(config.master_seed, point, trial)
@@ -205,11 +199,10 @@ def _run_one(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
         if config.decoder is DecoderKind.LASSO:
             lam = _lasso_penalty(config, noise)
             sol = lasso.solve_lasso(dataset, lasso.LassoConfig(lam=lam))
-            if not sol.converged:
-                failed = True
-            mism = _sign_mismatches(sol.beta, signal, zero_tol=1e-9)
-            error_count = 2 * mism
-            recovered = (not failed) and signed_support_match(sol.beta, signal)
+            failed = not sol.converged
+            mismatches = sign_mismatches(sol.beta, signal)
+            error_count = 2 * mismatches
+            recovered = sol.converged and mismatches == 0
         else:
             if config.decoder is DecoderKind.AGNOSTIC_SCAN:
                 res = decoders.decode_exhaustive(dataset, config.s, Setting.AGNOSTIC)
@@ -225,9 +218,8 @@ def _run_one(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
                 )
             error_count = support_error(res.support, signal.support)
             recovered = error_count < 2.0 * config.delta * config.s
-    except (SparsemixError, AssertionError, ValueError):
+    except (SparsemixError, ValueError):
         failed = True
-        recovered = False
     wall_ms = (time.perf_counter() - start) * 1000.0
     return TrialRecord(
         point=point,
@@ -243,24 +235,20 @@ def _run_one(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[TrialRecord]:
-    """Run every (grid point, trial) job; deterministic up to wall_ms.
+    """Run every (grid point, trial) serially in grid-then-trial order.
 
-    Jobs are independent, each seeded by derive(master_seed, point,
-    trial), so the thread count changes only the schedule, never any
-    recorded value. Solver failures mark the trial failed rather than
-    aborting the sweep.
+    Each trial is seeded by derive(master_seed, point, trial), so records
+    are deterministic up to wall_ms. Solver failures mark the trial failed
+    rather than aborting the sweep. threads must be >= 1 but selects
+    nothing: every trial runs in the calling thread.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    jobs = [
-        (point, trial)
+    return [
+        _run_one(config, point, trial)
         for point in range(len(config.grid))
         for trial in range(config.trials)
     ]
-    if threads == 1:
-        return [_run_one(config, g, t) for g, t in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda j: _run_one(config, *j), jobs))
 
 
 def summarize(config: ExperimentConfig, records: list[TrialRecord]) -> list[SummaryRow]:
@@ -303,15 +291,27 @@ def summarize(config: ExperimentConfig, records: list[TrialRecord]) -> list[Summ
     return rows
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line)
             fh.write("\n")
+
+
+def _cell(column: str, value: object) -> str:
+    if column == "wall_ms":  # timing, not data: microseconds are enough
+        return "%.3f" % value
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return fmt_float(value) if isinstance(value, float) else str(value)
+
+
+def _csv_lines(row_type: type, rows: list) -> list[str]:
+    # A trial's grid point index is implied by its (n1, n2) columns.
+    columns = [f.name for f in fields(row_type) if f.name != "point"]
+    return [",".join(columns)] + [
+        ",".join(_cell(c, getattr(row, c)) for c in columns) for row in rows
+    ]
 
 
 def _phase_svg(summary: list[SummaryRow]) -> list[str]:
@@ -387,52 +387,15 @@ def emit_outputs(
         if f not in ("csv", "svg"):
             raise ValueError(f"unknown output format: {f!r}")
     os.makedirs(out_dir, exist_ok=True)
-    manifest = []
+    outputs = {}
     if "csv" in formats:
-        s_path = os.path.join(out_dir, "summary.csv")
-        lines = ["n1,n2,n,trials,recovered,recovery_rate,ci95,mean_error,n_star,n_inf,n_alg"]
-        for r in summary:
-            lines.append(
-                ",".join(
-                    [
-                        str(r.n1),
-                        str(r.n2),
-                        str(r.n),
-                        str(r.trials),
-                        str(r.recovered),
-                        _fmt(r.recovery_rate),
-                        _fmt(r.ci95),
-                        _fmt(r.mean_error),
-                        _fmt(r.n_star),
-                        _fmt(r.n_inf),
-                        _fmt(r.n_alg),
-                    ]
-                )
-            )
-        _write_lines(s_path, lines)
-        manifest.append(s_path)
-
-        t_path = os.path.join(out_dir, "trials.csv")
-        lines = ["n1,n2,trial,seed,recovered,error_count,wall_ms,failed"]
-        for rec in records:
-            lines.append(
-                ",".join(
-                    [
-                        str(rec.n1),
-                        str(rec.n2),
-                        str(rec.trial),
-                        str(rec.seed),
-                        "1" if rec.recovered else "0",
-                        str(rec.error_count),
-                        "%.3f" % rec.wall_ms,
-                        "1" if rec.failed else "0",
-                    ]
-                )
-            )
-        _write_lines(t_path, lines)
-        manifest.append(t_path)
+        outputs["summary.csv"] = _csv_lines(SummaryRow, summary)
+        outputs["trials.csv"] = _csv_lines(TrialRecord, records)
     if "svg" in formats:
-        p_path = os.path.join(out_dir, "phase.svg")
-        _write_lines(p_path, _phase_svg(summary))
-        manifest.append(p_path)
+        outputs["phase.svg"] = _phase_svg(summary)
+    manifest = []
+    for name, lines in outputs.items():
+        path = os.path.join(out_dir, name)
+        _write_lines(path, lines)
+        manifest.append(path)
     return manifest

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInstanceError
+from .errors import DegenerateInstanceError, SparsemixError
 from .model import MixedDataset, SparseSignal
 from .planner import Growth, RegimeSpec, ThresholdKind, recovery_threshold
 
@@ -120,9 +120,9 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
 
     Coordinates are visited in index order; each step solves its
     one-dimensional problem exactly, so the objective never increases
-    across sweeps (asserted). Convergence is declared when no coordinate
-    moves more than tol in a full sweep. Hitting the sweep budget sets
-    converged=False on the result instead of raising.
+    across sweeps (a rise raises SparsemixError). Convergence is declared
+    when no coordinate moves more than tol in a full sweep. Hitting the
+    sweep budget sets converged=False on the result instead of raising.
     """
     X, Y = dataset.X, dataset.Y
     n, p = X.shape
@@ -191,9 +191,10 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
                 resid = Y - X @ beta
         obj = objective_fast()
         slack = 1e-10 * (1.0 + abs(prev_obj))
-        assert obj <= prev_obj + slack, (
-            f"objective rose from {prev_obj!r} to {obj!r} on sweep {sweeps}"
-        )
+        if obj > prev_obj + slack:
+            raise SparsemixError(
+                f"objective rose from {prev_obj!r} to {obj!r} on sweep {sweeps}"
+            )
         prev_obj = obj
         if max_delta < tol:
             converged = True

@@ -32,6 +32,7 @@ __all__ = [
     "snr_report",
     "classify_regime",
     "support_error",
+    "sign_mismatches",
     "signed_support_match",
     "save_dataset",
     "load_dataset",
@@ -290,32 +291,37 @@ def support_error(estimated: "set[int] | tuple[int, ...] | list[int]", truth) ->
     return len(set(estimated) ^ set(truth))
 
 
-def signed_support_match(
+def sign_mismatches(
     estimate: np.ndarray, truth: SparseSignal, zero_tol: float = 1e-9
-) -> bool:
-    """Whether an estimated vector has exactly the true signed support.
+) -> int:
+    """Number of coordinates whose sign differs from the true signed support.
 
-    Coordinates within zero_tol of zero count as zero; every true support
-    coordinate must match the sign of the true value and every off-support
-    coordinate must be (numerically) zero.
+    Coordinates within zero_tol of zero count as zero, so a flipped sign,
+    a missing support index and an extra nonzero each count 1.
     """
     estimate = np.asarray(estimate, dtype=np.float64)
     if estimate.shape != (truth.p,):
         raise DataError("estimate must be a length-p vector")
-    est_sign = np.zeros(truth.p, dtype=np.int64)
-    est_sign[estimate > zero_tol] = 1
-    est_sign[estimate < -zero_tol] = -1
-    true_sign = np.zeros(truth.p, dtype=np.int64)
-    for j, v in zip(truth.support, truth.values):
-        true_sign[j] = 1 if v > 0 else -1
-    return bool(np.array_equal(est_sign, true_sign))
+    est_sign = np.where(np.abs(estimate) > zero_tol, np.sign(estimate), 0.0)
+    return int(np.count_nonzero(est_sign != np.sign(truth.dense())))
+
+
+def signed_support_match(
+    estimate: np.ndarray, truth: SparseSignal, zero_tol: float = 1e-9
+) -> bool:
+    """Whether an estimated vector has exactly the true signed support."""
+    return sign_mismatches(estimate, truth, zero_tol) == 0
+
+
+def fmt_float(x: float) -> str:
+    """CSV float text: 17 significant digits round-trip IEEE doubles exactly."""
+    return "%.17g" % x
 
 
 def _write_matrix_csv(path: str, arr: np.ndarray) -> None:
-    # 17 significant digits round-trips IEEE doubles exactly.
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in np.atleast_2d(arr):
-            fh.write(",".join("%.17g" % v for v in row))
+            fh.write(",".join(map(fmt_float, row)))
             fh.write("\n")
 
 
@@ -347,7 +353,7 @@ def save_dataset(dataset: MixedDataset, directory: str) -> list[str]:
     _write_matrix_csv(x_path, dataset.X)
     with open(y_path, "w", encoding="utf-8", newline="\n") as fh:
         for v in dataset.Y:
-            fh.write("%.17g\n" % v)
+            fh.write(fmt_float(v) + "\n")
     return [meta_path, x_path, y_path]
 
 

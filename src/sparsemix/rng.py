@@ -2,9 +2,8 @@
 
 Every value produced here is a pure function of a 64-bit seed and a
 counter position, so any slice of a stream can be generated independently
-of the rest. That is what makes trial-level parallelism reproducible:
-worker threads never share generator state, they just evaluate disjoint
-counter ranges.
+of the rest, and a trial's draws depend only on its derived seed, never on
+which trials ran before it.
 
 Definitions (all arithmetic mod 2**64):
 

@@ -134,6 +134,8 @@ def test_sweep_deterministic_across_runs_and_threads():
     c = run_sweep(cfg, threads=4)
     assert [record_key(r) for r in a] == [record_key(r) for r in b]
     assert [record_key(r) for r in a] == [record_key(r) for r in c]
+    with pytest.raises(ValueError):
+        run_sweep(cfg, threads=0)
 
 
 def test_sweep_order_matches_grid_then_trial():

@@ -13,6 +13,7 @@ from sparsemix import (
     NoiseProfile,
     SampleSizeVerdict,
     SparseSignal,
+    SparsemixError,
     classify_sample_size,
     generate_dataset,
     kkt_recovery_witness,
@@ -136,6 +137,13 @@ def test_gram_and_residual_paths_agree(monkeypatch):
     assert via_gram.converged and via_resid.converged
     assert np.abs(via_gram.beta - via_resid.beta).max() < 1e-10
     assert math.isclose(via_gram.objective, via_resid.objective, rel_tol=1e-10)
+
+
+def test_objective_rise_raises_typed_error(monkeypatch):
+    ds, _ = random_dataset(40, 20, seed=12)
+    monkeypatch.setattr(lasso_mod, "_soft", lambda x, t: 2 * x)
+    with pytest.raises(SparsemixError, match="objective rose"):
+        solve_lasso(ds, LassoConfig(lam=0.06))
 
 
 def test_lasso_config_validation():

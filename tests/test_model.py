@@ -18,6 +18,7 @@ from sparsemix import (
     generate_dataset,
     load_dataset,
     save_dataset,
+    sign_mismatches,
     signed_support_match,
     snr_report,
     support_error,
@@ -197,18 +198,23 @@ def test_signed_support_match():
     good[1] = 0.3
     good[4] = -5.0
     assert signed_support_match(good, sig)
+    assert sign_mismatches(good, sig) == 0
     flipped = good.copy()
     flipped[4] = 5.0
     assert not signed_support_match(flipped, sig)
+    assert sign_mismatches(flipped, sig) == 1
     extra = good.copy()
     extra[7] = 1e-3
     assert not signed_support_match(extra, sig)
+    assert sign_mismatches(extra, sig) == 1
     tiny = good.copy()
     tiny[7] = 1e-12
     assert signed_support_match(tiny, sig)
+    assert sign_mismatches(tiny, sig) == 0
     missing = good.copy()
     missing[1] = 0.0
     assert not signed_support_match(missing, sig)
+    assert sign_mismatches(missing, sig) == 1
 
 
 def test_dataset_round_trip(tmp_path):
