@@ -14,6 +14,7 @@ from .errors import (
     SparsemixError,
 )
 from .model import (
+    MAX_DESIGN_ENTRIES,
     REGIME_HIGH,
     REGIME_LOW,
     MixedDataset,

@@ -2,12 +2,15 @@
 
 Both decoders minimize a residual loss over size-s supports: the agnostic
 scan uses the plain squared norm, the informed variant rescales each row
-by its noise variance first. Losses are evaluated through one canonical
-routine, so a support's loss is the same float no matter which code path
-produced it: panels of 8192 rows are each reduced with numpy's pairwise
-summation and the panel partials are combined with Kahan compensation,
-which keeps long sums (n above ten thousand) stable enough for
-reproducible tie ordering.
+by its noise variance first. Candidates are ranked by (loss, support),
+so an exact tie goes to the lexicographically smallest sorted index
+tuple; the exhaustive scan visits supports in lexicographic order and
+local search applies the same rule to its swaps and restarts. Losses are
+evaluated through one canonical routine, so a support's loss is the same
+float no matter which code path produced it: panels of 8192 rows are
+each reduced with numpy's pairwise summation and the panel partials are
+combined with Kahan compensation, which keeps long sums (n above ten
+thousand) stable enough for reproducible tie ordering.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -35,6 +38,8 @@ EXHAUSTIVE_CAP = 2_000_000
 
 _PANEL = 8192  # rows per compensated-summation panel
 _CHUNK_ENTRIES = 1 << 21  # float64 budget per gathered candidate block
+
+_Best = tuple[float, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -76,19 +81,37 @@ def _row_sums(sq: np.ndarray) -> np.ndarray:
     return total
 
 
-def _losses(resid: np.ndarray, n1: int, w1: float, w2: float) -> np.ndarray:
+def _candidate_losses(resid: np.ndarray, n1: int, w1: float, w2: float) -> np.ndarray:
     """Weighted squared-residual losses for residual rows shaped (c, n)."""
     sq = resid * resid
     return w1 * _row_sums(sq[:, :n1]) + w2 * _row_sums(sq[:, n1:])
 
 
-def _candidate_losses(
-    dataset: MixedDataset, cands: np.ndarray, w1: float, w2: float
-) -> np.ndarray:
-    """Losses for a (c, s) block of sorted candidate supports."""
-    cols = dataset.X.T[cands]  # (c, s, n)
-    resid = dataset.Y[None, :] - np.add.reduce(cols, axis=1)
-    return _losses(resid, dataset.noise.n1, w1, w2)
+def _support_loss(
+    dataset: MixedDataset, support: tuple[int, ...], w1: float, w2: float
+) -> float:
+    """Canonical loss of one sorted support."""
+    resid = dataset.Y - np.add.reduce(dataset.X.T[list(support)], axis=0)
+    return float(_candidate_losses(resid[None, :], dataset.noise.n1, w1, w2)[0])
+
+
+def _fold_best(
+    best: _Best | None,
+    losses: np.ndarray,
+    support_of: Callable[[int], tuple[int, ...]],
+) -> _Best | None:
+    """The smaller of `best` and the (loss, support) minimum of a block.
+
+    support_of(k) gives the sorted support of flat entry k of `losses`;
+    it is called only for the entries tied at the block minimum. A block
+    whose minimum is NaN leaves `best` unchanged.
+    """
+    lo = losses.min()
+    if np.isnan(lo):
+        return best
+    tied = min(support_of(int(k)) for k in np.flatnonzero(losses == lo))
+    cand = (float(lo), tied)
+    return cand if best is None or cand < best else best
 
 
 def support_loss(
@@ -107,18 +130,7 @@ def support_loss(
         raise ValueError("support indices must be distinct")
     if idx[0] < 0 or idx[-1] >= dataset.p:
         raise ValueError("support indices must lie in [0, p)")
-    cands = np.asarray([idx], dtype=np.intp)
-    return float(_candidate_losses(dataset, cands, w1, w2)[0])
-
-
-def _colex_subsets(p: int, s: int) -> Iterator[tuple[int, ...]]:
-    """All sorted s-subsets of range(p) in colexicographic order."""
-    if s == 0:
-        yield ()
-        return
-    for top in range(s - 1, p):
-        for rest in _colex_subsets(top, s - 1):
-            yield rest + (top,)
+    return _support_loss(dataset, tuple(idx), w1, w2)
 
 
 def decode_exhaustive(
@@ -130,9 +142,9 @@ def decode_exhaustive(
 ) -> DecodeResult:
     """Scan every size-s support and return the loss minimizer.
 
-    Candidates are visited in colex order in fixed-size blocks; the
-    result is the candidate minimizing (loss, support) in lexicographic
-    order, so exact ties go to the smallest sorted index tuple and the
+    Candidates are visited in lexicographic order in fixed-size blocks;
+    the result is the candidate minimizing (loss, support), so exact ties
+    go to the lexicographically smallest sorted index tuple and the
     answer does not depend on block boundaries. Refuses instances with
     more than `cap` candidates; use decode_local_search for those.
     """
@@ -146,30 +158,23 @@ def decode_exhaustive(
             "use decode_local_search instead"
         )
     w1, w2 = _weights(setting, dataset)
+    n1 = dataset.noise.n1
+    Xt = dataset.X.T
     chunk = max(16, min(4096, _CHUNK_ENTRIES // max(1, s * dataset.n)))
-    best_loss = math.inf
-    best_support: tuple[int, ...] | None = None
-    gen = _colex_subsets(p, s)
-    while True:
-        block = list(itertools.islice(gen, chunk))
-        if not block:
-            break
-        cands = np.asarray(block, dtype=np.intp)
-        losses = _candidate_losses(dataset, cands, w1, w2)
-        lo = losses.min()
-        if lo < best_loss:
-            best_loss = float(lo)
-            best_support = None
-        if lo == best_loss:
-            for k in np.flatnonzero(losses == lo):
-                t = block[int(k)]
-                if best_support is None or t < best_support:
-                    best_support = t
-    if best_support is None:
+    entries = itertools.chain.from_iterable(itertools.combinations(range(p), s))
+    best: _Best | None = None
+    for start in range(0, total, chunk):
+        rows = min(chunk, total - start)
+        cands = np.fromiter(entries, np.intp, count=rows * s).reshape(rows, s)
+        resid = dataset.Y - np.add.reduce(Xt[cands], axis=1)
+        best = _fold_best(
+            best,
+            _candidate_losses(resid, n1, w1, w2),
+            lambda k: tuple(cands[k].tolist()),
+        )
+    if best is None:
         raise SparsemixError("exhaustive scan: every candidate loss is NaN")
-    return DecodeResult(
-        support=best_support, loss=best_loss, scanned=total, exhaustive=True
-    )
+    return DecodeResult(support=best[1], loss=best[0], scanned=total, exhaustive=True)
 
 
 def _random_support(seed: int, p: int, s: int) -> tuple[int, ...]:
@@ -191,9 +196,10 @@ def decode_local_search(
     Each restart draws a uniform size-s start from its own substream,
     then repeatedly applies the swap (one index out, one in) that lowers
     the loss most, until no swap improves; ties prefer the
-    lexicographically smallest resulting support. Deterministic in
-    (dataset, seed, restarts). The returned support is swap-locally
-    optimal but carries no global guarantee.
+    lexicographically smallest resulting support, within a step and
+    across restarts. Deterministic in (dataset, seed, restarts). The
+    returned support is swap-locally optimal but carries no global
+    guarantee.
     """
     p = dataset.p
     if not 1 <= s <= p:
@@ -203,60 +209,40 @@ def decode_local_search(
     w1, w2 = _weights(setting, dataset)
     n1 = dataset.noise.n1
     Xt = dataset.X.T
+    m = p - s  # swap-in choices per removed index
     scanned = 0
-    best_loss = math.inf
-    best_support: tuple[int, ...] | None = None
-
-    def canonical(sup: Sequence[int]) -> float:
-        cands = np.asarray([sorted(sup)], dtype=np.intp)
-        return float(_candidate_losses(dataset, cands, w1, w2)[0])
-
+    best: _Best | None = None
     for r in range(restarts):
         cur = _random_support(rng.derive(seed, r), p, s)
-        cur_loss = canonical(cur)
+        cur_loss = _support_loss(dataset, cur, w1, w2)
         scanned += 1
-        while True:
+        while m > 0:
             resid0 = dataset.Y - np.add.reduce(Xt[list(cur)], axis=0)
-            outs = np.asarray(
-                [j for j in range(p) if j not in set(cur)], dtype=np.intp
-            )
-            if len(outs) == 0:
-                break
-            step_loss = math.inf
-            step_support: tuple[int, ...] | None = None
-            for i in cur:
-                base = resid0 + Xt[i]
-                resid = base[None, :] - Xt[outs]
-                losses = _losses(resid, n1, w1, w2)
-                scanned += len(outs)
-                lo = losses.min()
-                if lo > step_loss:
-                    continue
-                for k in np.flatnonzero(losses == lo):
-                    cand = tuple(sorted(set(cur) - {i} | {int(outs[k])}))
-                    if float(lo) < step_loss or (
-                        float(lo) == step_loss
-                        and (step_support is None or cand < step_support)
-                    ):
-                        step_loss = float(lo)
-                        step_support = cand
-            if step_support is None or step_loss >= cur_loss:
+            outs = np.setdiff1d(np.arange(p), cur)
+            x_outs = Xt[outs]
+            losses = np.empty((s, m))
+            for row, i in enumerate(cur):
+                resid = (resid0 + Xt[i]) - x_outs
+                losses[row] = _candidate_losses(resid, n1, w1, w2)
+            scanned += losses.size
+
+            def swapped(k: int) -> tuple[int, ...]:
+                row, col = divmod(k, m)
+                return tuple(sorted(cur[:row] + cur[row + 1 :] + (int(outs[col]),)))
+
+            step = _fold_best(None, losses.ravel(), swapped)
+            if step is None or step[0] >= cur_loss:
                 break
             # The swap losses ride an incrementally built residual;
             # confirm the improvement on the canonical evaluation before
             # committing, so termination agrees with support_loss.
-            exact = canonical(step_support)
+            exact = _support_loss(dataset, step[1], w1, w2)
             if exact >= cur_loss:
                 break
-            cur, cur_loss = step_support, exact
-        if cur_loss < best_loss or (
-            cur_loss == best_loss
-            and (best_support is None or cur < best_support)
-        ):
-            best_loss = cur_loss
-            best_support = cur
-    if best_support is None:
+            cur, cur_loss = step[1], exact
+        best = _fold_best(best, np.array([cur_loss]), lambda _: cur)
+    if best is None:
         raise SparsemixError("local search: every restart ended on a NaN loss")
     return DecodeResult(
-        support=best_support, loss=best_loss, scanned=scanned, exhaustive=False
+        support=best[1], loss=best[0], scanned=scanned, exhaustive=False
     )

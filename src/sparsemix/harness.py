@@ -15,8 +15,9 @@ import time
 from dataclasses import dataclass, fields
 
 from . import decoders, lasso, planner, rng
-from .errors import SparsemixError
+from .errors import InvalidConfigError, ResourceCapError, SparsemixError
 from .model import (
+    MAX_DESIGN_ENTRIES,
     NoiseProfile,
     Setting,
     SparseSignal,
@@ -57,7 +58,11 @@ class ExperimentConfig:
     gets magnitude rho with per-trial random signs and lambda follows
     lambda_rule ("schedule" or "fixed" with lambda_value); combinatorial
     decoders use the all-ones signal and judge recovery by the delta
-    budget (symmetric difference below 2*delta*s).
+    budget (symmetric difference below 2*delta*s). A config that would
+    fail every trial is refused here: ResourceCapError when a grid point
+    needs more than model.MAX_DESIGN_ENTRIES design entries, and
+    InvalidConfigError when the Lasso schedule meets a grid point with
+    zero average noise variance.
     """
 
     decoder: DecoderKind
@@ -110,6 +115,21 @@ class ExperimentConfig:
                 raise ValueError(
                     "candidate count exceeds the exhaustive cap, "
                     "choose the LocalSearch decoder for this size"
+                )
+        schedule = self.decoder is DecoderKind.LASSO and self.lambda_rule == "schedule"
+        for n1, n2 in self.grid:
+            noise = NoiseProfile(
+                n1=n1, n2=n2, sigma1_sq=self.sigma1_sq, sigma2_sq=self.sigma2_sq
+            )
+            if noise.n * self.p > MAX_DESIGN_ENTRIES:
+                raise ResourceCapError(
+                    f"grid point ({n1}, {n2}) needs {noise.n * self.p} design "
+                    f"entries, above the cap of {MAX_DESIGN_ENTRIES}"
+                )
+            if schedule and noise.sigma_avg_sq == 0.0:
+                raise InvalidConfigError(
+                    f"grid point ({n1}, {n2}) has zero average noise variance, "
+                    "which the Lasso schedule cannot use; choose lambda_rule 'fixed'"
                 )
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "SnrReport",
     "REGIME_HIGH",
     "REGIME_LOW",
+    "MAX_DESIGN_ENTRIES",
     "generate_dataset",
     "snr_report",
     "classify_regime",
@@ -41,6 +42,9 @@ __all__ = [
 # Finite-size SNR cutoffs used only for regime labeling in reports.
 REGIME_HIGH = 10.0
 REGIME_LOW = 0.1
+
+# Default cap on n * p design entries that generate_dataset will allocate.
+MAX_DESIGN_ENTRIES = 100_000_000
 
 # Substream tags for generate_dataset (see rng.derive).
 _X_STREAM = 1
@@ -204,7 +208,7 @@ def generate_dataset(
     noise: NoiseProfile,
     seed: int,
     *,
-    max_entries: int = 100_000_000,
+    max_entries: int = MAX_DESIGN_ENTRIES,
 ) -> MixedDataset:
     """Draw X with iid standard normal entries and Y = X beta + noise.
 

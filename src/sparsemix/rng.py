@@ -50,6 +50,38 @@ def _mix(x: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:
         return x ^ (x >> np.uint64(31))
 
 
+def _fold(
+    h: np.uint64 | np.ndarray, w: np.uint64 | np.ndarray
+) -> np.uint64 | np.ndarray:
+    """One derive step: fold word(s) w into state(s) h, broadcasting."""
+    with np.errstate(over="ignore"):
+        return _mix((h ^ _mix(w * _GOLDEN)) + _GOLDEN)
+
+
+def _words(seeds: np.uint64 | np.ndarray, offset: int, count: int) -> np.ndarray:
+    """Counter words offset..offset+count-1 of each seed, along a new last axis."""
+    k = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return _mix(np.asarray(seeds)[..., None] + k * _GOLDEN)
+
+
+def _unit(w: np.ndarray) -> np.ndarray:
+    return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
+
+
+def _box_muller(
+    seeds: np.uint64 | np.ndarray, first_pair: int, npairs: int
+) -> np.ndarray:
+    """Normals at positions 2*first_pair onward, 2*npairs per seed."""
+    u = _unit(_words(seeds, 2 * first_pair, 2 * npairs))
+    r = np.sqrt(-2.0 * np.log(u[..., 0::2]))
+    a = (2.0 * np.pi) * u[..., 1::2]
+    block = np.empty(u.shape, dtype=np.float64)
+    block[..., 0::2] = r * np.cos(a)
+    block[..., 1::2] = r * np.sin(a)
+    return block
+
+
 def mix64(x: int) -> int:
     """Apply the splitmix64 finalizer to a 64-bit integer."""
     return int(_mix(np.uint64(x & _MASK)))
@@ -63,9 +95,8 @@ def derive(seed: int, *words: int) -> int:
     point, trial) combination its own independent counter stream.
     """
     h = np.uint64(seed & _MASK)
-    with np.errstate(over="ignore"):
-        for w in words:
-            h = _mix((h ^ _mix(np.uint64(w & _MASK) * _GOLDEN)) + _GOLDEN)
+    for w in words:
+        h = _fold(h, np.uint64(w & _MASK))
     return int(h)
 
 
@@ -79,19 +110,16 @@ def derive_vec(seeds, words) -> np.ndarray:
         seeds = np.uint64(int(seeds) & _MASK)
     if isinstance(words, (int, np.integer)):
         words = np.uint64(int(words) & _MASK)
-    h = np.asarray(seeds, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        w = _mix(np.asarray(words, dtype=np.uint64) * _GOLDEN)
-        return _mix((h ^ w) + _GOLDEN)
+    return _fold(
+        np.asarray(seeds, dtype=np.uint64), np.asarray(words, dtype=np.uint64)
+    )
 
 
 def raw_words(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Return `count` raw 64-bit words at counter positions offset..offset+count-1."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    k = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return _mix(np.uint64(seed & _MASK) + k * _GOLDEN)
+    return _words(np.uint64(seed & _MASK), offset, count)
 
 
 def uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
@@ -100,8 +128,7 @@ def uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
     The top 53 bits of each word are used, shifted to the open interval,
     so 0.0 and 1.0 never occur and log/endpoint handling stays safe.
     """
-    w = raw_words(seed, count, offset)
-    return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
+    return _unit(raw_words(seed, count, offset))
 
 
 def normals(seed: int, count: int, offset: int = 0) -> np.ndarray:
@@ -116,17 +143,9 @@ def normals(seed: int, count: int, offset: int = 0) -> np.ndarray:
     if count == 0:
         return np.empty(0, dtype=np.float64)
     first_pair = offset // 2
-    last_pair = (offset + count - 1) // 2
-    npairs = last_pair - first_pair + 1
-    u = uniforms(seed, 2 * npairs, offset=2 * first_pair)
-    u1 = u[0::2]
-    u2 = u[1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    a = (2.0 * np.pi) * u2
-    block = np.empty(2 * npairs, dtype=np.float64)
-    block[0::2] = r * np.cos(a)
-    block[1::2] = r * np.sin(a)
+    npairs = (offset + count - 1) // 2 - first_pair + 1
     lead = offset - 2 * first_pair
+    block = _box_muller(np.uint64(seed & _MASK), first_pair, npairs)
     return block[lead : lead + count]
 
 
@@ -142,16 +161,4 @@ def normals_grid(seeds: np.ndarray, count: int) -> np.ndarray:
         raise ValueError("count must be nonnegative")
     if count == 0:
         return np.empty((len(seeds), 0), dtype=np.float64)
-    npairs = (count + 1) // 2
-    k = np.arange(1, 2 * npairs + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        w = _mix(seeds[:, None] + k[None, :] * _GOLDEN)
-    u = ((w >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
-    u1 = u[:, 0::2]
-    u2 = u[:, 1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    a = (2.0 * np.pi) * u2
-    block = np.empty((len(seeds), 2 * npairs), dtype=np.float64)
-    block[:, 0::2] = r * np.cos(a)
-    block[:, 1::2] = r * np.sin(a)
-    return block[:, :count]
+    return _box_muller(seeds, 0, (count + 1) // 2)[:, :count]

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import sparsemix
 from sparsemix.cli import main
 
 
@@ -181,6 +182,27 @@ def test_sweep_rejects_unknown_config_keys(tmp_path, capsys):
     assert code == 2
 
 
+def test_sweep_refuses_configs_that_fail_every_trial(tmp_path, capsys):
+    base = {"p": 16, "s": 2, "rho": 1.0, "trials": 2}
+    cases = (
+        # the Lasso schedule needs a positive average noise variance
+        (2, dict(decoder="Lasso", sigma1_sq=0.0, sigma2_sq=0.5, grid=[[4, 4], [6, 0]])),
+        # 16 * 6_250_001 design entries exceed the default cap of 1e8
+        (3, dict(decoder="LocalSearch", sigma1_sq=0.1, sigma2_sq=0.5,
+                 grid=[[6_250_000, 1]])),
+    )
+    for want, over in cases:
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump({**base, **over}, fh)
+        out_dir = tmp_path / f"out{want}"
+        code, out = run_cli(capsys, "sweep", "--config", cfg_path,
+                            "--out", str(out_dir))
+        assert code == want
+        assert out == ""
+        assert not out_dir.exists()
+
+
 def test_master_seed_override_changes_results_deterministically(tmp_path, capsys):
     cfg = {"decoder": "Lasso", "p": 16, "s": 2, "rho": 1.0, "sigma1_sq": 0.3,
            "sigma2_sq": 0.9, "grid": [[10, 10]], "trials": 4, "master_seed": 1}
@@ -225,10 +247,14 @@ def test_exit_code_resource_cap(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
+    # the child interpreter must import the same sparsemix as this one
+    root = os.path.dirname(os.path.dirname(os.path.abspath(sparsemix.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=root + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "sparsemix.cli", "plan", "--p", "64", "--s", "4",
          "--sigma1-sq", "0.5", "--sigma2-sq", "2.0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)

@@ -17,7 +17,8 @@ from sparsemix import (
     generate_dataset,
     support_loss,
 )
-from sparsemix.decoders import _colex_subsets
+from sparsemix import decoders
+from sparsemix.rng import derive
 
 
 def binary_dataset(p, support, n1, n2, s1, s2, seed):
@@ -26,14 +27,38 @@ def binary_dataset(p, support, n1, n2, s1, s2, seed):
     return generate_dataset(sig, noise, seed=seed)
 
 
-def test_colex_enumeration_order():
-    got = list(_colex_subsets(4, 2))
-    assert got == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
-    # every subset appears exactly once for a larger case
-    all_5_3 = list(_colex_subsets(5, 3))
-    assert len(all_5_3) == math.comb(5, 3)
-    assert len(set(all_5_3)) == math.comb(5, 3)
-    assert set(all_5_3) == set(itertools.combinations(range(5), 3))
+def brute_force(ds, s, setting):
+    """Reference minimizer of (loss, support) over every size-s support."""
+    return min(
+        (support_loss(ds, c, setting), c)
+        for c in itertools.combinations(range(ds.p), s)
+    )
+
+
+def test_exhaustive_matches_brute_force_reference():
+    for seed in range(6):
+        ds = binary_dataset(9, (1, 4, 6), 10, 12, 0.5, 1.5, seed=seed)
+        for setting in (Setting.AGNOSTIC, Setting.INFORMED):
+            for s in (1, 2, 3):
+                res = decode_exhaustive(ds, s, setting)
+                assert (res.loss, res.support) == brute_force(ds, s, setting)
+
+
+def test_exhaustive_tie_across_block_boundary(monkeypatch):
+    # one-entry budget gives 16-row blocks; in lexicographic order (2, 5)
+    # is candidate 15 (last of block 0) and its exact twin (5, 7), with
+    # column 7 a copy of column 2, lies in block 1
+    monkeypatch.setattr(decoders, "_CHUNK_ENTRIES", 1)
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((11, 8))
+    X[:, 7] = X[:, 2]
+    Y = X[:, 2] + X[:, 5]
+    noise = NoiseProfile(n1=5, n2=6, sigma1_sq=0.5, sigma2_sq=2.0)
+    ds = MixedDataset(X=X, Y=Y, noise=noise)
+    for setting in (Setting.AGNOSTIC, Setting.INFORMED):
+        res = decode_exhaustive(ds, 2, setting)
+        assert (res.loss, res.support) == (0.0, (2, 5))
+        assert (res.loss, res.support) == brute_force(ds, 2, setting)
 
 
 def test_exhaustive_recovers_noiseless_support():
@@ -162,6 +187,46 @@ def test_local_search_returns_a_local_optimum():
                     continue
                 swapped = tuple(sorted((chosen - {out}) | {cand}))
                 assert support_loss(ds, swapped, Setting.AGNOSTIC) >= res.loss - 1e-9
+
+
+def test_local_search_swap_ties_go_to_smallest_support():
+    # small-integer data makes every sum exact, so mathematically equal
+    # losses tie bitwise, also between swaps that remove different indices;
+    # duplicated columns add ties the reference descent breaks by the
+    # smallest (loss, support)
+    def descend(ds, start):
+        cur, cur_loss = start, support_loss(ds, start, Setting.AGNOSTIC)
+        while True:
+            step = min(
+                (support_loss(ds, c, Setting.AGNOSTIC), c)
+                for c in {
+                    tuple(sorted(set(cur) - {i} | {j}))
+                    for i in cur
+                    for j in range(ds.p)
+                    if j not in cur
+                }
+            )
+            if step[0] >= cur_loss:
+                return cur_loss, cur
+            cur_loss, cur = step
+
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(-1, 2, size=(12, 9)).astype(float)
+        X[:, 6] = X[:, 1]
+        X[:, 8] = X[:, 3]
+        Y = X[:, [1, 3, 4]].sum(axis=1) + rng.integers(-1, 2, size=12)
+        noise = NoiseProfile(n1=6, n2=6, sigma1_sq=1.0, sigma2_sq=1.0)
+        ds = MixedDataset(X=X, Y=Y, noise=noise)
+        for restarts in (1, 3):
+            res = decode_local_search(
+                ds, 3, Setting.AGNOSTIC, restarts=restarts, seed=seed
+            )
+            want = min(
+                descend(ds, decoders._random_support(derive(seed, r), 9, 3))
+                for r in range(restarts)
+            )
+            assert (res.loss, res.support) == want
 
 
 def test_local_search_deterministic_and_seed_sensitive():

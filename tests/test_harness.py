@@ -10,6 +10,8 @@ import pytest
 from sparsemix import (
     DecoderKind,
     ExperimentConfig,
+    InvalidConfigError,
+    ResourceCapError,
     emit_outputs,
     run_sweep,
     summarize,
@@ -109,6 +111,19 @@ def test_combinatorial_configs_respect_the_exhaustive_cap():
         decoder="LocalSearch", p=30, s=15, rho=1.0, sigma1_sq=0.5,
         sigma2_sq=1.0, grid=[(20, 20)], trials=1,
     )
+
+
+def test_configs_that_fail_every_trial_are_refused():
+    with pytest.raises(InvalidConfigError):
+        tiny_config(decoder="Lasso", grid=[(3, 3)])
+    with pytest.raises(InvalidConfigError):
+        tiny_config(decoder="Lasso", sigma2_sq=1.0, grid=[(3, 3), (4, 0)])
+    # the fixed rule needs no variance, and one noisy block is enough
+    tiny_config(decoder="Lasso", lambda_rule="fixed", lambda_value=0.1)
+    tiny_config(decoder="Lasso", sigma2_sq=1.0, grid=[(3, 3), (0, 4)])
+    with pytest.raises(ResourceCapError):
+        tiny_config(decoder="LocalSearch", p=1000, grid=[(3, 3), (60_000, 40_001)])
+    tiny_config(decoder="LocalSearch", p=1000, grid=[(60_000, 40_000)])
 
 
 def test_zero_noise_sweep_recovers_everywhere():
