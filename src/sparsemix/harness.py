@@ -59,10 +59,11 @@ class ExperimentConfig:
     lambda_rule ("schedule" or "fixed" with lambda_value); combinatorial
     decoders use the all-ones signal and judge recovery by the delta
     budget (symmetric difference below 2*delta*s). A config that would
-    fail every trial is refused here: ResourceCapError when a grid point
-    needs more than model.MAX_DESIGN_ENTRIES design entries, and
-    InvalidConfigError when the Lasso schedule meets a grid point with
-    zero average noise variance.
+    fail every trial is refused here: ResourceCapError when a scan
+    decoder meets more than decoders.EXHAUSTIVE_CAP candidates or a grid
+    point needs more than model.MAX_DESIGN_ENTRIES design entries, and
+    InvalidConfigError when the Lasso schedule meets p - s < 2 or a grid
+    point with zero average noise variance.
     """
 
     decoder: DecoderKind
@@ -112,11 +113,15 @@ class ExperimentConfig:
             raise ValueError("restarts must be >= 1")
         if self.decoder in (DecoderKind.AGNOSTIC_SCAN, DecoderKind.INFORMED_MLE):
             if math.comb(self.p, self.s) > decoders.EXHAUSTIVE_CAP:
-                raise ValueError(
+                raise ResourceCapError(
                     "candidate count exceeds the exhaustive cap, "
                     "choose the LocalSearch decoder for this size"
                 )
         schedule = self.decoder is DecoderKind.LASSO and self.lambda_rule == "schedule"
+        if schedule and self.p - self.s < 2:
+            raise InvalidConfigError(
+                "the Lasso schedule needs p - s >= 2; choose lambda_rule 'fixed'"
+            )
         for n1, n2 in self.grid:
             noise = NoiseProfile(
                 n1=n1, n2=n2, sigma1_sq=self.sigma1_sq, sigma2_sq=self.sigma2_sq

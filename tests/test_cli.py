@@ -190,6 +190,11 @@ def test_sweep_refuses_configs_that_fail_every_trial(tmp_path, capsys):
         # 16 * 6_250_001 design entries exceed the default cap of 1e8
         (3, dict(decoder="LocalSearch", sigma1_sq=0.1, sigma2_sq=0.5,
                  grid=[[6_250_000, 1]])),
+        # the Lasso schedule takes log(p - s), so it needs p - s >= 2
+        (2, dict(decoder="Lasso", p=3, sigma1_sq=0.1, sigma2_sq=0.5, grid=[[4, 4]])),
+        # C(30, 15) candidates exceed the exhaustive cap, the exit code of `solve`
+        (3, dict(decoder="AgnosticScan", p=30, s=15, sigma1_sq=0.1, sigma2_sq=0.5,
+                 grid=[[4, 4]])),
     )
     for want, over in cases:
         cfg_path = str(tmp_path / "cfg.json")

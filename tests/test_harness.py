@@ -105,7 +105,7 @@ def test_config_validation():
 
 
 def test_combinatorial_configs_respect_the_exhaustive_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceCapError):
         tiny_config(decoder="AgnosticScan", p=30, s=15, grid=[(20, 20)])
     ExperimentConfig(
         decoder="LocalSearch", p=30, s=15, rho=1.0, sigma1_sq=0.5,
@@ -124,6 +124,14 @@ def test_configs_that_fail_every_trial_are_refused():
     with pytest.raises(ResourceCapError):
         tiny_config(decoder="LocalSearch", p=1000, grid=[(3, 3), (60_000, 40_001)])
     tiny_config(decoder="LocalSearch", p=1000, grid=[(60_000, 40_000)])
+
+
+def test_lasso_schedule_needs_two_off_support_columns():
+    # lambda_schedule takes log(p - s), so p - s = 1 would fail every trial
+    with pytest.raises(InvalidConfigError, match="p - s >= 2"):
+        tiny_config(decoder="Lasso", p=3, s=2, sigma2_sq=1.0)
+    tiny_config(decoder="Lasso", p=4, s=2, sigma2_sq=1.0)
+    tiny_config(decoder="Lasso", p=3, s=2, lambda_rule="fixed", lambda_value=0.1)
 
 
 def test_zero_noise_sweep_recovers_everywhere():

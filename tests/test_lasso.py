@@ -139,6 +139,89 @@ def test_gram_and_residual_paths_agree(monkeypatch):
     assert math.isclose(via_gram.objective, via_resid.objective, rel_tol=1e-10)
 
 
+def full_sweep_lasso(X, Y, lam, tol=1e-8):
+    """Reference: cyclic coordinate descent over every coordinate each sweep."""
+    n, p = X.shape
+    beta = np.zeros(p)
+    resid = Y.copy()
+    diag = np.einsum("ij,ij->j", X, X) / n
+    for _ in range(100_000):
+        max_delta = 0.0
+        for j in range(p):
+            rho = float(X[:, j] @ resid) / n + diag[j] * beta[j]
+            new = math.copysign(max(abs(rho) - lam, 0.0), rho) / diag[j]
+            d = new - beta[j]
+            if d != 0.0:
+                resid -= X[:, j] * d
+                beta[j] = new
+                max_delta = max(max_delta, abs(d))
+        if max_delta < tol:
+            return beta
+    raise AssertionError("reference did not converge")
+
+
+def a01_instance(n1, seed):
+    """A trial at the reference Lasso sweep's shape: p=512, s=8, schedule lam."""
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=8)
+    sig = SparseSignal(p=512, support=tuple(range(8)), values=tuple(signs))
+    noise = NoiseProfile(n1=n1, n2=n1, sigma1_sq=0.1, sigma2_sq=0.4)
+    lam = lambda_schedule(noise.sigma_avg_sq, p=512, s=8, n=2 * n1, rho=1.0)
+    return generate_dataset(sig, noise, seed=seed), lam
+
+
+def assert_matches_full_sweep_reference(ds, lam):
+    sol = solve_lasso(ds, LassoConfig(lam=lam))
+    ref = full_sweep_lasso(ds.X, ds.Y, lam)
+    assert sol.converged
+    assert np.array_equal(np.sign(sol.beta), np.sign(ref))
+    assert math.isclose(sol.objective, objective(ds, ref, lam), rel_tol=1e-9)
+    grad = ds.X.T @ (ds.Y - ds.X @ sol.beta) / len(ds.Y)
+    on = sol.beta != 0.0
+    assert np.abs(grad[on] - lam * np.sign(sol.beta[on])).max() < 1e-6
+    assert np.abs(grad[~on]).max() <= lam + 1e-6
+
+
+@pytest.mark.parametrize("n1,seed", [(27, 1), (27, 2), (109, 3), (109, 4)])
+def test_working_set_solver_matches_full_sweep_reference(n1, seed):
+    assert_matches_full_sweep_reference(*a01_instance(n1, seed))
+
+
+@pytest.mark.parametrize("n1,seed", [(27, 5), (109, 6)])
+def test_residual_path_matches_full_sweep_reference(monkeypatch, n1, seed):
+    monkeypatch.setattr(lasso_mod, "_GRAM_LIMIT", 0)
+    assert_matches_full_sweep_reference(*a01_instance(n1, seed))
+
+
+def test_sign_breaking_finish_falls_back_to_descent(monkeypatch):
+    ds, lam = a01_instance(27, 0)
+    tried = []
+    real = lasso_mod._sign_pattern_solution
+
+    def spy(X, Y, signs, lam):
+        tried.append((signs.copy(), real(X, Y, signs, lam)))
+        return tried[-1][1]
+
+    monkeypatch.setattr(lasso_mod, "_sign_pattern_solution", spy)
+    assert_matches_full_sweep_reference(ds, lam)
+    # the first pattern's stationarity solution is nonsingular but flips a sign
+    signs, first = tried[0]
+    assert first is None
+    cols = np.flatnonzero(signs)
+    xa = ds.X[:, cols]
+    beta_a = np.linalg.solve(xa.T @ xa, xa.T @ ds.Y - len(ds.Y) * lam * signs[cols])
+    assert not np.array_equal(np.sign(beta_a), signs[cols])
+    assert tried[-1][1] is not None
+
+
+def test_finish_that_would_raise_the_objective_is_skipped(monkeypatch):
+    ds, lam = a01_instance(109, 3)
+    # keeps every sign of the pattern but lands far from the minimizer
+    monkeypatch.setattr(
+        lasso_mod, "_sign_pattern_solution", lambda X, Y, signs, lam: 3.0 * signs
+    )
+    assert_matches_full_sweep_reference(ds, lam)
+
+
 def test_objective_rise_raises_typed_error(monkeypatch):
     ds, _ = random_dataset(40, 20, seed=12)
     monkeypatch.setattr(lasso_mod, "_soft", lambda x, t: 2 * x)
