@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from . import rng
 from .errors import SparsemixError
@@ -151,14 +151,11 @@ def lq_domain_limit(query: ChernoffQuery) -> float:
     its informed rescaling) at the larger variance, whose domain is
     contained in the other block's.
     """
-    m = query.m
-    if query.setting is Setting.AGNOSTIC:
-        v = query.sigma2_sq
-        # 2 m v t^2 - m t - 1/2 = 0
-        return (m + math.sqrt(m * m + 4.0 * m * v)) / (4.0 * m * v)
-    # informed: m(-t + 2 t^2)/v = 1/2  =>  2 m t^2 - m t - v/2 = 0
-    v = query.sigma2_sq
-    return (m + math.sqrt(m * m + 4.0 * m * v)) / (4.0 * m)
+    m, v = query.m, query.sigma2_sq
+    # agnostic: 2 m v t^2 - m t - 1/2 = 0; informed: m(-t + 2 t^2)/v = 1/2,
+    # i.e. 2 m t^2 - m t - v/2 = 0; same root up to the factor v
+    scale = v if query.setting is Setting.AGNOSTIC else 1.0
+    return (m + math.sqrt(m * m + 4.0 * m * v)) / (4.0 * m * scale)
 
 
 def _cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
@@ -323,9 +320,9 @@ def empirical_misrank(
 
     estimate = successes / trials
     lo = 0.0 if successes == 0 else float(
-        _beta_dist.ppf(0.025, successes, trials - successes + 1)
+        betaincinv(successes, trials - successes + 1, 0.025)
     )
     hi = 1.0 if successes == trials else float(
-        _beta_dist.ppf(0.975, successes + 1, trials - successes)
+        betaincinv(successes + 1, trials - successes, 0.975)
     )
     return MisrankEstimate(estimate=estimate, ci95=(hi - lo) / 2.0)

@@ -7,9 +7,9 @@ The objective throughout is
 minimized by working-set coordinate descent with exact soft-threshold
 steps and an exact finish on a stable sign pattern (glmnet active sets,
 Friedman et al. 2010; Celer working sets, Massias et al. 2018). The
-correlations come from a precomputed Gram matrix (covariance updates)
-for moderate column counts and from a maintained residual beyond; the
-choice is a pure function of the problem shape, so results reproduce.
+correlations come from one maintained residual r, with X^T r recomputed
+at every check. No Gram matrix is built: a pass touches only the working
+set, so an n p^2 Gram build would cost more than the passes it speeds up.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "kkt_recovery_witness",
 ]
 
-_GRAM_LIMIT = 4096  # widest design granted a precomputed Gram matrix
 _REFRESH_SWEEPS = 64  # check and rebuild this often even while passes still move
 _GRAM_CONDITION_LIMIT = 1e12
 
@@ -117,46 +116,6 @@ def _soft(x: float, t: float) -> float:
     return 0.0
 
 
-class _GramSource:
-    """Correlations xty - gram @ beta, kept current by covariance updates."""
-
-    def __init__(self, X: np.ndarray, Y: np.ndarray) -> None:
-        self.xty = (X.T @ Y) / len(Y)
-        self.gram = (X.T @ X) / len(Y)  # bitwise symmetric: row j is column j
-        self.diag = self.gram.diagonal().copy()
-        self.corr = self.xty.copy()
-
-    def at(self, j: int) -> float:
-        return self.corr[j]
-
-    def move(self, j: int, d: float) -> None:
-        self.corr -= self.gram[j] * d
-
-    def refresh(self, beta: np.ndarray) -> np.ndarray:
-        self.corr = self.xty - self.gram @ beta
-        return self.corr
-
-
-class _ResidualSource:
-    """Correlations X^T resid / n from a maintained residual, for wide designs."""
-
-    def __init__(self, X: np.ndarray, Y: np.ndarray) -> None:
-        self.X, self.Y, self.n = X, Y, len(Y)
-        self.xf = np.asfortranarray(X)
-        self.diag = np.einsum("ij,ij->j", X, X) / self.n
-        self.resid = Y.copy()
-
-    def at(self, j: int) -> float:
-        return float(self.xf[:, j] @ self.resid) / self.n
-
-    def move(self, j: int, d: float) -> None:
-        self.resid -= self.xf[:, j] * d
-
-    def refresh(self, beta: np.ndarray) -> np.ndarray:
-        self.resid = self.Y - self.X @ beta
-        return (self.X.T @ self.resid) / self.n
-
-
 def _objective(X: np.ndarray, Y: np.ndarray, beta: np.ndarray, lam: float) -> float:
     on = np.flatnonzero(beta)
     resid = Y - X[:, on] @ beta[on]
@@ -186,10 +145,12 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
 
     Pass 1 visits every coordinate with a nonzero column, later passes the
     nonzeros of beta plus the coordinates the last check admitted, all in
-    index order, each step solving its one-coordinate problem exactly. A
-    pass that moves nothing by tol, and every 64th pass, is followed by a
-    vectorized check that admits the coordinates outside the pass with
-    |corr| > lam; none after a pass that moved nothing by tol converges.
+    index order, each step solving its one-coordinate problem exactly.
+    Correlations come from one maintained residual r = Y - X beta, updated
+    after every step. A pass that moves nothing by tol, and every 64th
+    pass, is followed by a check that rebuilds r, recomputes X^T r / n and
+    admits the coordinates outside the pass with |corr| > lam; none after
+    a pass that moved nothing by tol converges.
     A signed active set unchanged over two passes gets one exact finish:
     the next pass solves its stationarity equations and takes the result
     unless a sign breaks or the objective would rise, then runs the check.
@@ -197,9 +158,11 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
     counts against max_sweeps, and hitting it sets converged=False.
     """
     X, Y, lam, tol = dataset.X, dataset.Y, config.lam, config.tol
+    n = len(Y)
     beta = np.zeros(X.shape[1])
-    src = _GramSource(X, Y) if len(beta) <= _GRAM_LIMIT else _ResidualSource(X, Y)
-    at, move, diag = src.at, src.move, src.diag
+    xf = np.asfortranarray(X)  # contiguous columns for the coordinate steps
+    diag = np.einsum("ij,ij->j", X, X) / n
+    resid = Y.copy()
     coords = np.flatnonzero(diag > 0.0).tolist()
     admitted = np.zeros(len(beta), dtype=bool)
     prev_obj = _objective(X, Y, beta, lam)
@@ -212,15 +175,14 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
             tried, max_delta = signs, math.inf
             if exact is not None and _objective(X, Y, exact, lam) <= prev_obj:
                 beta, max_delta, coords = exact, 0.0, np.flatnonzero(exact)
-                src.refresh(beta)
         else:
             for j in coords:
                 a = diag[j]
                 old = beta[j]
-                new = _soft(at(j) + a * old, lam) / a
+                new = _soft(float(xf[:, j] @ resid) / n + a * old, lam) / a
                 d = new - old
                 if d != 0.0:
-                    move(j, d)
+                    resid -= xf[:, j] * d
                     beta[j] = new
                     max_delta = max(max_delta, abs(d))
         obj = _objective(X, Y, beta, lam)
@@ -230,7 +192,8 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
             )
         prev_obj = obj
         if max_delta < tol or sweeps % _REFRESH_SWEEPS == 0:
-            admitted = np.abs(src.refresh(beta)) > lam  # zero columns have corr 0
+            resid = Y - X @ beta
+            admitted = np.abs((X.T @ resid) / n) > lam  # zero columns have corr 0
             admitted[coords] = False
             if max_delta < tol and not admitted.any():
                 converged = True

@@ -251,16 +251,30 @@ def test_exit_code_resource_cap(tmp_path, capsys):
     assert code == 3
 
 
-def test_module_entry_point_runs():
+def child_env():
     # the child interpreter must import the same sparsemix as this one
     root = os.path.dirname(os.path.dirname(os.path.abspath(sparsemix.__file__)))
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=root + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=root + (os.pathsep + path if path else ""))
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "sparsemix.cli", "plan", "--p", "64", "--s", "4",
          "--sigma1-sq", "0.5", "--sigma2-sq", "2.0"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert "n_star" in payload
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats dominates start-up time and nothing in the package needs it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sparsemix; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
