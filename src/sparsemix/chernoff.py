@@ -4,7 +4,8 @@ The bounded event: a candidate support S at symmetric-difference size m
 from the truth scores a loss no worse than the truth's. Each sample row
 contributes one moment-generating-function factor per noise block, so
 the bound is M1(theta)^n1 * M2(theta)^n2, minimized over theta inside
-the MGF domain. Everything is accumulated in log space; the agnostic
+the MGF domain. A block with no rows contributes neither a factor nor a
+domain limit. Everything is accumulated in log space; the agnostic
 optimum is the positive root of a cubic, solved in closed form and
 polished by two Newton steps.
 """
@@ -121,37 +122,46 @@ def block_mgf(query: ChernoffQuery, block: int) -> float:
     return (1.0 - 2.0 * g) ** -0.5
 
 
+def _block_log_mgf(query: ChernoffQuery, theta: float, n: int, v: float) -> float:
+    """n ln(1 - 2 g) of n rows at variance v; 0 if n = 0, -inf off-domain."""
+    if n == 0:
+        return 0.0
+    g = _mgf_arg(query.setting, theta, query.m, v)
+    return n * math.log1p(-2.0 * g) if g < 0.5 else -math.inf
+
+
 def chernoff_log_bound(query: ChernoffQuery) -> float:
     """ln of the misranking bound at the query's theta; +inf off-domain."""
     theta = query.theta if query.theta is not None else query.default_theta()
-    g1 = _mgf_arg(query.setting, theta, query.m, query.sigma1_sq)
-    g2 = _mgf_arg(query.setting, theta, query.m, query.sigma2_sq)
-    if g1 >= 0.5 or g2 >= 0.5:
-        return math.inf
-    return -0.5 * (query.n1 * math.log1p(-2.0 * g1) + query.n2 * math.log1p(-2.0 * g2))
+    return -0.5 * (
+        _block_log_mgf(query, theta, query.n1, query.sigma1_sq)
+        + _block_log_mgf(query, theta, query.n2, query.sigma2_sq)
+    )
 
 
 def chernoff_bound(query: ChernoffQuery) -> float:
     """Misranking probability bound in (0, 1] at the query's theta.
 
     At the default theta both exponent arguments are negative, so the
-    bound is always finite and at most 1; a caller-supplied theta outside
-    the MGF domain yields +inf, the useless-bound marker.
+    bound is always finite and at most 1; a caller-supplied theta off the
+    MGF domain, or past the float range, yields +inf, the useless marker.
     """
-    lb = chernoff_log_bound(query)
-    if math.isinf(lb):
+    try:
+        return math.exp(chernoff_log_bound(query))
+    except OverflowError:
         return math.inf
-    return math.exp(lb)
 
 
 def lq_domain_limit(query: ChernoffQuery) -> float:
-    """Supremum of feasible theta > 0; the low-quality block binds.
+    """Supremum of feasible theta > 0; the noisiest nonempty block binds.
 
     Solves m(-theta + 2 theta^2 v) = 1/2 for the agnostic argument (or
-    its informed rescaling) at the larger variance, whose domain is
-    contained in the other block's.
+    its informed rescaling) at v = sigma2_sq, or sigma1_sq when block 2
+    has no rows; a query without rows has no limit, +inf.
     """
-    m, v = query.m, query.sigma2_sq
+    if query.n1 + query.n2 == 0:
+        return math.inf
+    m, v = query.m, (query.sigma2_sq if query.n2 else query.sigma1_sq)
     # agnostic: 2 m v t^2 - m t - 1/2 = 0; informed: m(-t + 2 t^2)/v = 1/2,
     # i.e. 2 m t^2 - m t - v/2 = 0; same root up to the factor v
     scale = v if query.setting is Setting.AGNOSTIC else 1.0
@@ -169,14 +179,14 @@ def _cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]
     shift = a / 3.0
     disc = -4.0 * p**3 - 27.0 * q * q
     roots: list[float] = []
-    if disc > 0.0:
-        # three distinct real roots
+    if disc > 0.0 or (disc == 0.0 and p < 0.0):
+        # three real roots; at disc = 0 two of them coincide
         r = math.sqrt(-p / 3.0)
         phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (2.0 * p * r))))
         for k in range(3):
             roots.append(2.0 * r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift)
     else:
-        # one real root (Cardano); the duplicated-root edge lands here too
+        # one real root (Cardano), or a triple root when p = q = 0
         half_q = q / 2.0
         inner = half_q * half_q + p**3 / 27.0
         if inner >= 0.0:
@@ -220,7 +230,8 @@ def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
 
     limit = lq_domain_limit(query)
     candidates = [query.default_theta()]
-    for t in _cubic_real_roots(c3, c2, c1, c0):
+    # without rows every coefficient is 0 and the bound is 1 at any theta
+    for t in _cubic_real_roots(c3, c2, c1, c0) if n1 + n2 else ():
         for _ in range(2):
             d = dpoly(t)
             if d != 0.0:

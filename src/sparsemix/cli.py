@@ -295,7 +295,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.master_seed is not None:
         raw["master_seed"] = args.master_seed
     config = harness.ExperimentConfig(**raw)
-    records = harness.run_sweep(config, threads=args.threads)
+    records = harness.run_sweep(config)
     summary = harness.summarize(config, records)
     formats = tuple(args.formats.split(","))
     manifest = harness.emit_outputs(summary, records, args.out, formats)
@@ -390,7 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="phase-transition experiment from JSON config")
     sw.add_argument("--config", required=True)
     sw.add_argument("--out", default="out")
-    sw.add_argument("--threads", type=int, default=1, help="trials run serially")
     sw.add_argument("--formats", default="csv")
     sw.add_argument("--master-seed", type=int, default=None)
     sw.set_defaults(func=_cmd_sweep)

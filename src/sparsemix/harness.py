@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, fields
@@ -25,6 +26,7 @@ from .model import (
     generate_dataset,
     sign_mismatches,
     support_error,
+    write_lines,
 )
 
 __all__ = [
@@ -54,16 +56,16 @@ class DecoderKind(str, enum.Enum):
 class ExperimentConfig:
     """Everything needed to reproduce a sweep, and nothing else.
 
-    grid lists (n1, n2) sample splits. For the Lasso decoder the signal
-    gets magnitude rho with per-trial random signs and lambda follows
+    grid lists integer (n1, n2) sample splits. For the Lasso decoder the
+    signal gets magnitude rho with per-trial random signs and lambda follows
     lambda_rule ("schedule" or "fixed" with lambda_value); combinatorial
     decoders use the all-ones signal and judge recovery by the delta
     budget (symmetric difference below 2*delta*s). A config that would
     fail every trial is refused here: ResourceCapError when a scan
     decoder meets more than decoders.EXHAUSTIVE_CAP candidates or a grid
     point needs more than model.MAX_DESIGN_ENTRIES design entries, and
-    InvalidConfigError when the Lasso schedule meets p - s < 2 or a grid
-    point with zero average noise variance.
+    InvalidConfigError when lasso.lambda_schedule refuses a grid point
+    (p - s < 2, or zero average noise variance).
     """
 
     decoder: DecoderKind
@@ -81,21 +83,21 @@ class ExperimentConfig:
     restarts: int = 8
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "grid", tuple((int(a), int(b)) for a, b in self.grid)
-        )
+        try:
+            grid = tuple((operator.index(a), operator.index(b)) for a, b in self.grid)
+        except TypeError:
+            raise ValueError(f"grid entries must be integers: {self.grid!r}") from None
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "decoder", DecoderKind(self.decoder))
-        if self.p < 2 or not 1 <= self.s < self.p:
-            raise ValueError("need p >= 2 and 1 <= s < p")
+        planner.RegimeSpec(growth=planner.Growth.SUBLINEAR, p=self.p, s=self.s)
         if not (math.isfinite(self.rho) and self.rho > 0.0):
             raise ValueError("rho must be positive")
-        if not 0.0 <= self.sigma1_sq <= self.sigma2_sq:
-            raise ValueError("need 0 <= sigma1_sq <= sigma2_sq")
         if not self.grid:
             raise ValueError("grid must be nonempty")
-        for n1, n2 in self.grid:
-            if n1 < 0 or n2 < 0 or n1 + n2 < 1:
-                raise ValueError("each grid point needs n1, n2 >= 0 and n1 + n2 >= 1")
+        noises = [
+            NoiseProfile(n1, n2, sigma1_sq=self.sigma1_sq, sigma2_sq=self.sigma2_sq)
+            for n1, n2 in grid
+        ]
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0.0 < self.delta < 1.0:
@@ -117,25 +119,20 @@ class ExperimentConfig:
                     "candidate count exceeds the exhaustive cap, "
                     "choose the LocalSearch decoder for this size"
                 )
-        schedule = self.decoder is DecoderKind.LASSO and self.lambda_rule == "schedule"
-        if schedule and self.p - self.s < 2:
-            raise InvalidConfigError(
-                "the Lasso schedule needs p - s >= 2; choose lambda_rule 'fixed'"
-            )
-        for n1, n2 in self.grid:
-            noise = NoiseProfile(
-                n1=n1, n2=n2, sigma1_sq=self.sigma1_sq, sigma2_sq=self.sigma2_sq
-            )
+        for noise in noises:
+            point = (noise.n1, noise.n2)
             if noise.n * self.p > MAX_DESIGN_ENTRIES:
                 raise ResourceCapError(
-                    f"grid point ({n1}, {n2}) needs {noise.n * self.p} design "
+                    f"grid point {point} needs {noise.n * self.p} design "
                     f"entries, above the cap of {MAX_DESIGN_ENTRIES}"
                 )
-            if schedule and noise.sigma_avg_sq == 0.0:
-                raise InvalidConfigError(
-                    f"grid point ({n1}, {n2}) has zero average noise variance, "
-                    "which the Lasso schedule cannot use; choose lambda_rule 'fixed'"
-                )
+            if self.decoder is DecoderKind.LASSO:
+                try:
+                    _lasso_penalty(self, noise)
+                except ValueError as exc:
+                    raise InvalidConfigError(
+                        f"grid point {point}: {exc}; choose lambda_rule 'fixed'"
+                    ) from exc
 
 
 @dataclass(frozen=True)
@@ -316,13 +313,6 @@ def summarize(config: ExperimentConfig, records: list[TrialRecord]) -> list[Summ
     return rows
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
-
-
 def _cell(column: str, value: object) -> str:
     if column == "wall_ms":  # timing, not data: microseconds are enough
         return "%.3f" % value
@@ -421,6 +411,6 @@ def emit_outputs(
     manifest = []
     for name, lines in outputs.items():
         path = os.path.join(out_dir, name)
-        _write_lines(path, lines)
+        write_lines(path, lines)
         manifest.append(path)
     return manifest

@@ -40,6 +40,9 @@ __all__ = [
 
 _REFRESH_SWEEPS = 64  # check and rebuild this often even while passes still move
 _GRAM_CONDITION_LIMIT = 1e12
+_NOISE_SCALING_MARGIN = 0.1  # noise_scaling_ok accepts ratios up to this
+_STRICT_MARGIN = 1e-9  # KKT witness: each support slack must exceed this
+_EQ_TOL = 1e-9  # KKT witness: each off-support margin may fall this far below 0
 
 
 @dataclass(frozen=True)
@@ -92,11 +95,11 @@ class KktWitnessReport:
 
     on_support_slack[i] = |beta_i| - |U_i| over the support in ascending
     index order; off_support_margin[j] = lam - |V_j| over the complement.
-    condition1 needs every slack strictly positive, condition2 every
-    margin nonnegative (within eq_tol); recovery is their conjunction.
-    boundary flags reports whose smallest slack or margin sits within ten
-    times the tolerance, where the verdict should not be trusted to
-    agree with a finite-precision solver.
+    condition1 needs every slack above _STRICT_MARGIN, condition2 every
+    margin at least -_EQ_TOL; recovery is their conjunction. boundary
+    flags reports whose smallest |slack| or |margin| sits within ten times
+    its tolerance, where the verdict should not be trusted to agree with
+    a finite-precision solver.
     """
 
     on_support_slack: np.ndarray
@@ -204,6 +207,15 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
     return LassoSolution(beta, prev_obj, sweeps, converged)
 
 
+def _check_schedule_shape(*, p: int, s: int, n: int, rho: float) -> None:
+    if p - s < 2:
+        raise ValueError("schedule requires p - s >= 2")
+    if s < 1 or n < 1:
+        raise ValueError("s and n must be positive")
+    if rho <= 0.0:
+        raise ValueError("rho must be positive")
+
+
 def lambda_schedule(
     sigma_avg_sq: float, *, p: int, s: int, n: int, rho: float
 ) -> float:
@@ -213,45 +225,27 @@ def lambda_schedule(
     leave the smallest coefficient visible. Requires p - s >= 2 so the
     logarithm is positive.
     """
-    if p - s < 2:
-        raise ValueError("schedule requires p - s >= 2")
-    if s < 1 or n < 1:
-        raise ValueError("s and n must be positive")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    _check_schedule_shape(p=p, s=s, n=n, rho=rho)
     if sigma_avg_sq <= 0.0:
         raise ValueError("sigma_avg_sq must be positive")
     return (sigma_avg_sq * math.log(p - s) / ((1.0 + s / rho**2) * n)) ** 0.25
 
 
 def noise_scaling_ok(
-    sigma_avg_sq: float,
-    *,
-    p: int,
-    s: int,
-    n: int,
-    rho: float,
-    margin: float = 0.1,
+    sigma_avg_sq: float, *, p: int, s: int, n: int, rho: float
 ) -> NoiseScaling:
     """Whether the noise level is small enough for the schedule to work.
 
     Computes ratio = sigma_avg_sq (1 + s/rho^2) ln(p-s) / n and accepts
-    when it is at most margin. The ratio is the square of the schedule's
-    lam over the crude scale rho-independent planning uses, so values
-    near 1 mean the penalty would drown the smallest coefficients.
+    it up to _NOISE_SCALING_MARGIN. The ratio is the square of the
+    schedule's lam over the crude scale rho-independent planning uses, so
+    values near 1 mean the penalty would drown the smallest coefficients.
     """
-    if p - s < 2:
-        raise ValueError("requires p - s >= 2")
-    if s < 1 or n < 1:
-        raise ValueError("s and n must be positive")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    _check_schedule_shape(p=p, s=s, n=n, rho=rho)
     if sigma_avg_sq < 0.0:
         raise ValueError("sigma_avg_sq must be nonnegative")
-    if margin <= 0.0:
-        raise ValueError("margin must be positive")
     ratio = sigma_avg_sq * (1.0 + s / rho**2) * math.log(p - s) / n
-    return NoiseScaling(ok=ratio <= margin, ratio=ratio)
+    return NoiseScaling(ok=ratio <= _NOISE_SCALING_MARGIN, ratio=ratio)
 
 
 def classify_sample_size(n: int, p: int, s: int, epsilon: float) -> SampleSizeVerdict:
@@ -279,9 +273,6 @@ def kkt_recovery_witness(
     dataset: MixedDataset,
     truth: SparseSignal,
     lam: float,
-    *,
-    strict_margin: float = 1e-9,
-    eq_tol: float = 1e-9,
 ) -> KktWitnessReport:
     """Primal-dual certificate for signed-support recovery at penalty lam.
 
@@ -293,9 +284,9 @@ def kkt_recovery_witness(
 
     where P projects onto the support columns. The Lasso recovers the
     signed support iff |U_i| < |beta_i| on the support and |V_j| <= lam
-    off it. Factorization is by SVD; a support Gram condition number
-    above 1e12 raises DegenerateInstanceError rather than certifying
-    anything.
+    off it, up to the tolerances in KktWitnessReport. Factorization is by
+    SVD; a support Gram condition number above 1e12 raises
+    DegenerateInstanceError rather than certifying anything.
     """
     if lam < 0.0 or not math.isfinite(lam):
         raise ValueError("lam must be finite and nonnegative")
@@ -337,19 +328,17 @@ def kkt_recovery_witness(
 
     slack = np.abs(beta_s) - np.abs(u_vec)
     margin = lam - np.abs(v_vec)
-    condition1 = bool(slack.min() > strict_margin) if s else True
-    condition2 = bool(margin.min() >= -eq_tol) if off else True
-    near = False
-    if s and np.abs(slack).min() < 10.0 * strict_margin:
-        near = True
-    if off and np.abs(margin).min() < 10.0 * eq_tol:
-        near = True
+    condition1 = bool(slack.min() > _STRICT_MARGIN)
+    condition2 = bool(margin.min() >= -_EQ_TOL) if off else True
+    boundary = bool(np.abs(slack).min() < 10.0 * _STRICT_MARGIN)
+    if off and np.abs(margin).min() < 10.0 * _EQ_TOL:
+        boundary = True
     return KktWitnessReport(
         on_support_slack=slack,
         off_support_margin=margin,
         condition1=condition1,
         condition2=condition2,
         recovery=condition1 and condition2,
-        boundary=near,
+        boundary=boundary,
         gram_condition=gram_condition,
     )

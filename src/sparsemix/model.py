@@ -13,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -45,6 +46,8 @@ REGIME_LOW = 0.1
 
 # Default cap on n * p design entries that generate_dataset will allocate.
 MAX_DESIGN_ENTRIES = 100_000_000
+
+_ZERO_TOL = 1e-9  # sign checks count estimate entries this close to 0 as 0
 
 # Substream tags for generate_dataset (see rng.derive).
 _X_STREAM = 1
@@ -250,22 +253,13 @@ def classify_regime(snr1: float, snr2: float) -> Regime:
     return Regime.INTERMEDIATE
 
 
-def snr_report(arg: MixedDataset | int, noise: NoiseProfile | None = None) -> SnrReport:
-    """Summarize signal-to-noise ratios for a dataset or an (s, noise) pair.
+def snr_report(s: int, noise: NoiseProfile) -> SnrReport:
+    """Summarize signal-to-noise ratios for sparsity s under a noise layout.
 
     SNR is sparsity over variance: snr1 = s / sigma1_sq, snr2 = s /
     sigma2_sq, and the headline number uses the sample-weighted average
     variance. Zero variances produce infinite ratios.
     """
-    if isinstance(arg, MixedDataset):
-        if arg.signal is None:
-            raise ValueError("dataset carries no ground-truth signal")
-        s = arg.signal.s
-        noise = arg.noise
-    else:
-        s = int(arg)
-        if noise is None:
-            raise ValueError("noise profile required when passing sparsity directly")
     if s < 1:
         raise ValueError("sparsity must be >= 1")
 
@@ -284,37 +278,27 @@ def snr_report(arg: MixedDataset | int, noise: NoiseProfile | None = None) -> Sn
     )
 
 
-def support_error(estimated: "set[int] | tuple[int, ...] | list[int]", truth) -> int:
-    """Size of the symmetric difference between two supports.
-
-    The truth argument may be an index collection or a SparseSignal,
-    in which case its support is used.
-    """
-    if isinstance(truth, SparseSignal):
-        truth = truth.support
+def support_error(estimated: Iterable[int], truth: Iterable[int]) -> int:
+    """Size of the symmetric difference between two index collections."""
     return len(set(estimated) ^ set(truth))
 
 
-def sign_mismatches(
-    estimate: np.ndarray, truth: SparseSignal, zero_tol: float = 1e-9
-) -> int:
+def sign_mismatches(estimate: np.ndarray, truth: SparseSignal) -> int:
     """Number of coordinates whose sign differs from the true signed support.
 
-    Coordinates within zero_tol of zero count as zero, so a flipped sign,
+    Coordinates within _ZERO_TOL of zero count as zero, so a flipped sign,
     a missing support index and an extra nonzero each count 1.
     """
     estimate = np.asarray(estimate, dtype=np.float64)
     if estimate.shape != (truth.p,):
         raise DataError("estimate must be a length-p vector")
-    est_sign = np.where(np.abs(estimate) > zero_tol, np.sign(estimate), 0.0)
+    est_sign = np.where(np.abs(estimate) > _ZERO_TOL, np.sign(estimate), 0.0)
     return int(np.count_nonzero(est_sign != np.sign(truth.dense())))
 
 
-def signed_support_match(
-    estimate: np.ndarray, truth: SparseSignal, zero_tol: float = 1e-9
-) -> bool:
+def signed_support_match(estimate: np.ndarray, truth: SparseSignal) -> bool:
     """Whether an estimated vector has exactly the true signed support."""
-    return sign_mismatches(estimate, truth, zero_tol) == 0
+    return sign_mismatches(estimate, truth) == 0
 
 
 def fmt_float(x: float) -> str:
@@ -322,10 +306,11 @@ def fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
-def _write_matrix_csv(path: str, arr: np.ndarray) -> None:
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write UTF-8 text, one line each, with Unix newlines."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in np.atleast_2d(arr):
-            fh.write(",".join(map(fmt_float, row)))
+        for line in lines:
+            fh.write(line)
             fh.write("\n")
 
 
@@ -351,13 +336,9 @@ def save_dataset(dataset: MixedDataset, directory: str) -> list[str]:
     meta_path = os.path.join(directory, "meta.json")
     x_path = os.path.join(directory, "X.csv")
     y_path = os.path.join(directory, "Y.csv")
-    with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_matrix_csv(x_path, dataset.X)
-    with open(y_path, "w", encoding="utf-8", newline="\n") as fh:
-        for v in dataset.Y:
-            fh.write(fmt_float(v) + "\n")
+    write_lines(meta_path, [json.dumps(meta, indent=2, sort_keys=True)])
+    write_lines(x_path, (",".join(map(fmt_float, row)) for row in dataset.X))
+    write_lines(y_path, map(fmt_float, dataset.Y))
     return [meta_path, x_path, y_path]
 
 

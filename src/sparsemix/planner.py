@@ -132,18 +132,13 @@ class FrontierPoint:
     n2_continuous: float
 
 
-def binary_entropy(x: float, boundary_ok: bool = False) -> float:
-    """Natural-log binary entropy -x ln x - (1-x) ln(1-x).
+def binary_entropy(x: float) -> float:
+    """Natural-log binary entropy -x ln x - (1-x) ln(1-x) on the open (0, 1).
 
-    The endpoints 0 and 1 are limits, not interior values; they return
-    0.0 only when the caller opts in with boundary_ok.
+    The endpoints 0 and 1 are limits, not interior values, and raise.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("entropy argument must lie in [0, 1]")
-    if x == 0.0 or x == 1.0:
-        if boundary_ok:
-            return 0.0
-        raise ValueError("entropy endpoint reached; pass boundary_ok=True for the limit")
+    if not 0.0 < x < 1.0:
+        raise ValueError("entropy argument must lie in (0, 1)")
     return -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
 
 
@@ -178,6 +173,14 @@ def _validate_inputs(s: int, delta: float, epsilon: float) -> None:
         raise ValueError("epsilon must be nonnegative")
 
 
+def _n_star(s: int, delta: float, epsilon: float, regime: RegimeSpec) -> float:
+    """Validate a planning query and return its n_star; s must be regime.s."""
+    _validate_inputs(s, delta, epsilon)
+    if s != regime.s:
+        raise ValueError(f"sparsity {s} disagrees with the regime's s = {regime.s}")
+    return recovery_threshold(ThresholdKind.N_STAR, regime)
+
+
 def _validate_variances(sigma1_sq: float, sigma2_sq: float) -> None:
     if sigma1_sq <= 0.0 or sigma2_sq <= 0.0:
         raise ValueError("variances must be positive")
@@ -210,12 +213,6 @@ def pair_coefficients(
     return a1, a2
 
 
-def _general_term(setting: Setting, v: float, vmax: float, s: int, delta: float) -> float:
-    if setting is Setting.AGNOSTIC:
-        return math.log1p(delta * (2.0 * vmax - v) * s / (2.0 * vmax**2))
-    return math.log1p(delta * s / (2.0 * v))
-
-
 def check_sufficient(
     setting: Setting,
     n1: int | None,
@@ -234,10 +231,9 @@ def check_sufficient(
     form: pass sigma_sq_seq, one variance per sample, and leave the block
     arguments as None; per-sample terms are then reported individually
     and summed into lhs. A two-valued sequence reproduces the two-block
-    result exactly.
+    result exactly. s must equal regime.s.
     """
-    _validate_inputs(s, delta, epsilon)
-    n_star = recovery_threshold(ThresholdKind.N_STAR, regime)
+    n_star = _n_star(s, delta, epsilon, regime)
     target = (1.0 + epsilon) * n_star
 
     if sigma_sq_seq is not None:
@@ -248,8 +244,9 @@ def check_sufficient(
             raise ValueError("sigma_sq_seq must be nonempty")
         if any(v <= 0.0 for v in seq):
             raise ValueError("variances must be positive")
+        # each sample's term is the clean-block coefficient against the noisiest
         vmax = max(seq)
-        terms = tuple(_general_term(setting, v, vmax, s, delta) for v in seq)
+        terms = tuple(pair_coefficients(setting, v, vmax, s, delta)[0] for v in seq)
         lhs = math.fsum(terms)
         return SufficiencyCheck(
             setting=setting,
@@ -354,11 +351,11 @@ def sample_frontier(
 
     Each point carries both the integer n2 (the smallest count whose
     check passes) and the continuous crossing value it was ceiled from.
-    Along an increasing n1 grid the n2 values are nonincreasing.
+    Along an increasing n1 grid the n2 values are nonincreasing. s must
+    equal regime.s.
     """
-    _validate_inputs(s, delta, epsilon)
+    target = (1.0 + epsilon) * _n_star(s, delta, epsilon, regime)
     a1, a2 = pair_coefficients(setting, sigma1_sq, sigma2_sq, s, delta)
-    target = (1.0 + epsilon) * recovery_threshold(ThresholdKind.N_STAR, regime)
     points = []
     for n1 in n1_grid:
         n1 = int(n1)

@@ -89,6 +89,40 @@ def test_log_bound_consistency_and_underflow_safety():
     assert chernoff_bound(huge) == 0.0
 
 
+@pytest.mark.parametrize("s2", [2.0, 3.0, 4.0, 9.0])
+def test_empty_block_contributes_no_factor_and_no_domain(s2):
+    lone = query(n1=10, n2=0, s1=1.0, s2=s2, m=2)
+    # only the clean block counts: its domain, and its optimum 1/(4 sigma1_sq)
+    clean_only = query(n1=10, n2=10, s1=1.0, s2=1.0, m=2)
+    assert lq_domain_limit(lone) == lq_domain_limit(clean_only)
+    best = optimal_theta_agnostic(lone)
+    assert math.isclose(best.theta, 0.25, rel_tol=1e-12)
+    assert math.isclose(best.log_bound, -5.0 * math.log1p(0.5), rel_tol=1e-12)
+    # theta = 0.45 is off the empty block's domain but inside the clean one's
+    at = query(n1=10, n2=0, s1=1.0, s2=s2, m=2, theta=0.45)
+    assert math.isinf(block_mgf(at, 2))
+    want = -5.0 * math.log1p(0.18)
+    assert math.isclose(chernoff_log_bound(at), want, rel_tol=1e-12)
+    # with the clean block empty instead, the noisy block alone binds
+    noisy = query(n1=0, n2=10, s1=1.0, s2=s2, m=2)
+    both = query(n1=10, n2=10, s1=1.0, s2=s2, m=2)
+    assert lq_domain_limit(noisy) == lq_domain_limit(both)
+    assert optimal_theta_agnostic(noisy).theta == noisy.default_theta()
+
+
+def test_query_without_rows_bounds_by_one_at_any_theta():
+    empty = query(n1=0, n2=0, s1=1.0, s2=4.0, m=2)
+    assert lq_domain_limit(empty) == math.inf
+    assert optimal_theta_agnostic(empty) == (empty.default_theta(), 0.0)
+    assert chernoff_bound(query(n1=0, n2=0, theta=100.0)) == 1.0
+
+
+def test_bound_beyond_float_range_is_the_useless_marker():
+    q = query(n1=0, n2=100_000, s1=1.0, s2=1.0, m=2, theta=0.6)
+    assert 709.0 < chernoff_log_bound(q) < math.inf
+    assert chernoff_bound(q) == math.inf
+
+
 def test_informed_bound_dominates_agnostic():
     for m in (2, 6, 12):
         for s2 in (0.5, 2.0, 8.0):

@@ -162,7 +162,7 @@ def test_sweep_subcommand_writes_outputs(tmp_path, capsys):
         json.dump(cfg, fh)
     out_dir = str(tmp_path / "results")
     code, out = run_cli(capsys, "sweep", "--config", cfg_path, "--out", out_dir,
-                        "--threads", "2", "--formats", "csv,svg")
+                        "--formats", "csv,svg")
     assert code == 0
     res = json.loads(out)
     assert len(res["written"]) == 3
@@ -267,6 +267,38 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert "n_star" in payload
+
+
+EDGE_CASES = {
+    # no rows: the bound is 1 and every theta is optimal
+    "empty-optimize": (0, ["bound", "--n1", "0", "--n2", "0", "--m", "2",
+                           "--sigma1-sq", "1", "--sigma2-sq", "4", "--optimize"]),
+    # a bound above the float range is reported as +inf
+    "overflowing-theta": (0, ["bound", "--n1", "0", "--n2", "100000", "--m", "2",
+                              "--sigma1-sq", "1", "--sigma2-sq", "1", "--theta", "0.6"]),
+    "fractional-grid": (2, ["sweep", "--config", "{fractional}", "--out", "{out}"]),
+    "unknown-threads-flag": (2, ["sweep", "--config", "{valid}", "--out", "{out}",
+                                 "--threads", "2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_edge_inputs_exit_with_a_documented_code(tmp_path, case):
+    want, argv = EDGE_CASES[case]
+    base = {"decoder": "AgnosticScan", "p": 8, "s": 2, "rho": 1.0,
+            "sigma1_sq": 0.0, "sigma2_sq": 0.0, "grid": [[3, 3]], "trials": 1}
+    paths = {"out": str(tmp_path / "out")}
+    for name, grid in (("valid", [[3, 3]]), ("fractional", [[3.9, 2.2]])):
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump({**base, "grid": grid}, fh)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparsemix.cli"] + [a.format(**paths) for a in argv],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode in (0, 2, 3, 4)
+    assert proc.returncode == want, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_import_does_not_load_scipy_stats():

@@ -85,6 +85,8 @@ def test_config_validation():
         tiny_config(grid=[])
     with pytest.raises(ValueError):
         tiny_config(grid=[(0, 0)])
+    with pytest.raises(ValueError, match="integers"):
+        tiny_config(grid=[[3.9, 2.2]])
     with pytest.raises(ValueError):
         tiny_config(p=4, s=4)
     with pytest.raises(ValueError):

@@ -261,7 +261,6 @@ def test_noise_scaling_frozen_example():
     res_one = noise_scaling_ok(avg, p=p, s=s, n=n, rho=rho)
     assert math.isclose(res_one.ratio, 1.0, rel_tol=1e-12)
     assert not res_one.ok
-    assert noise_scaling_ok(avg, p=p, s=s, n=n, rho=rho, margin=1.5).ok
 
 
 def test_schedule_counts_are_keyword_only():

@@ -44,9 +44,7 @@ def test_binary_entropy_boundaries():
     with pytest.raises(ValueError):
         binary_entropy(1.0)
     with pytest.raises(ValueError):
-        binary_entropy(-0.1, boundary_ok=True)
-    assert binary_entropy(0.0, boundary_ok=True) == 0.0
-    assert binary_entropy(1.0, boundary_ok=True) == 0.0
+        binary_entropy(-0.1)
 
 
 def test_regime_spec_validation():
@@ -179,6 +177,20 @@ def test_check_sufficient_general_sequence_rejects_mixed_arguments():
             Setting.AGNOSTIC, 3, None, 1.0, 4.0, 8, 0.5, 0.0,
             SUBLINEAR_100_8, sigma_sq_seq=[1.0, 2.0],
         )
+
+
+def test_sparsity_must_match_the_regime():
+    with pytest.raises(ValueError, match="disagrees"):
+        check_sufficient(
+            Setting.AGNOSTIC, 40, 40, 1.0, 4.0, 7, 0.5, 0.0, SUBLINEAR_100_8
+        )
+    with pytest.raises(ValueError, match="disagrees"):
+        check_sufficient(
+            Setting.INFORMED, None, None, None, None, 9, 0.5, 0.0,
+            SUBLINEAR_100_8, sigma_sq_seq=[1.0, 4.0],
+        )
+    with pytest.raises(ValueError, match="disagrees"):
+        sample_frontier(Setting.AGNOSTIC, 1.0, 4.0, 4, 0.5, 0.0, SUBLINEAR_100_8, [0])
 
 
 def test_homogeneous_high_noise_budget_implies_mixed_budget():
