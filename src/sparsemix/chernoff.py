@@ -4,10 +4,11 @@ The bounded event: a candidate support S at symmetric-difference size m
 from the truth scores a loss no worse than the truth's. Each sample row
 contributes one moment-generating-function factor per noise block, so
 the bound is M1(theta)^n1 * M2(theta)^n2, minimized over theta inside
-the MGF domain. A block with no rows contributes neither a factor nor a
-domain limit. Everything is accumulated in log space; the agnostic
-optimum is the positive root of a cubic, solved in closed form and
-polished by two Newton steps.
+the MGF domain, where each nonempty block's exponent argument is below
+1/2; an empty block contributes neither a factor nor a domain limit.
+Everything is accumulated in log space; the agnostic optimum is a
+positive root of a cubic with three real roots, solved in trigonometric
+form and polished by two Newton steps.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ class ChernoffQuery:
 
     m is the size of the symmetric difference between the candidate and
     true supports (equal-cardinality supports always give an even m).
-    theta overrides the setting's default evaluation point when given.
+    theta overrides the setting's default evaluation point when given;
+    a query built without one holds default_theta().
     """
 
     setting: Setting
@@ -65,6 +67,8 @@ class ChernoffQuery:
             not math.isfinite(self.theta) or self.theta < 0.0
         ):
             raise ValueError("theta must be a finite nonnegative real when given")
+        if self.theta is None:
+            object.__setattr__(self, "theta", self.default_theta())
 
     def default_theta(self) -> float:
         """Relaxed agnostic point 1/(4 sigma2_sq); exact informed point 1/4."""
@@ -114,12 +118,8 @@ def block_mgf(query: ChernoffQuery, block: int) -> float:
     """
     if block not in (1, 2):
         raise ValueError("block must be 1 or 2")
-    theta = query.theta if query.theta is not None else query.default_theta()
     sigma_sq = query.sigma1_sq if block == 1 else query.sigma2_sq
-    g = _mgf_arg(query.setting, theta, query.m, sigma_sq)
-    if g >= 0.5:
-        return math.inf
-    return (1.0 - 2.0 * g) ** -0.5
+    return math.exp(-0.5 * _block_log_mgf(query, query.theta, 1, sigma_sq))
 
 
 def _block_log_mgf(query: ChernoffQuery, theta: float, n: int, v: float) -> float:
@@ -132,10 +132,9 @@ def _block_log_mgf(query: ChernoffQuery, theta: float, n: int, v: float) -> floa
 
 def chernoff_log_bound(query: ChernoffQuery) -> float:
     """ln of the misranking bound at the query's theta; +inf off-domain."""
-    theta = query.theta if query.theta is not None else query.default_theta()
     return -0.5 * (
-        _block_log_mgf(query, theta, query.n1, query.sigma1_sq)
-        + _block_log_mgf(query, theta, query.n2, query.sigma2_sq)
+        _block_log_mgf(query, query.theta, query.n1, query.sigma1_sq)
+        + _block_log_mgf(query, query.theta, query.n2, query.sigma2_sq)
     )
 
 
@@ -153,23 +152,29 @@ def chernoff_bound(query: ChernoffQuery) -> float:
 
 
 def lq_domain_limit(query: ChernoffQuery) -> float:
-    """Supremum of feasible theta > 0; the noisiest nonempty block binds.
+    """Supremum of feasible theta > 0: the smallest per-block domain root.
 
-    Solves m(-theta + 2 theta^2 v) = 1/2 for the agnostic argument (or
-    its informed rescaling) at v = sigma2_sq, or sigma1_sq when block 2
-    has no rows; a query without rows has no limit, +inf.
+    A nonempty block at variance v reaches g = 1/2 at the positive root
+    (m + sqrt(m^2 + 4 m v)) / (4 m v) agnostic, or / (4 m) informed, so
+    the noisiest block binds agnostic and the cleanest informed. A query
+    without rows has no limit, +inf.
     """
-    if query.n1 + query.n2 == 0:
-        return math.inf
-    m, v = query.m, (query.sigma2_sq if query.n2 else query.sigma1_sq)
-    # agnostic: 2 m v t^2 - m t - 1/2 = 0; informed: m(-t + 2 t^2)/v = 1/2,
-    # i.e. 2 m t^2 - m t - v/2 = 0; same root up to the factor v
-    scale = v if query.setting is Setting.AGNOSTIC else 1.0
-    return (m + math.sqrt(m * m + 4.0 * m * v)) / (4.0 * m * scale)
+    m, agnostic = query.m, query.setting is Setting.AGNOSTIC
+    roots = [
+        (m + math.sqrt(m * m + 4.0 * m * v)) / (4.0 * m * (v if agnostic else 1.0))
+        for n, v in ((query.n1, query.sigma1_sq), (query.n2, query.sigma2_sq))
+        if n
+    ]
+    return min(roots, default=math.inf)
 
 
 def _cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
-    """Real roots of a cubic by the closed-form trigonometric/Cardano split."""
+    """The roots of a cubic with three real, not all equal roots.
+
+    Depressed to t^3 + p t + q it has p < 0 and roots 2 r cos((phi -
+    2 pi k)/3), r = sqrt(-p/3); clamping cos(phi) to [-1, 1] keeps both
+    roots of a double root under rounding.
+    """
     a = c2 / c3
     b = c1 / c3
     c = c0 / c3
@@ -177,26 +182,9 @@ def _cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]
     p = b - a * a / 3.0
     q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
     shift = a / 3.0
-    disc = -4.0 * p**3 - 27.0 * q * q
-    roots: list[float] = []
-    if disc > 0.0 or (disc == 0.0 and p < 0.0):
-        # three real roots; at disc = 0 two of them coincide
-        r = math.sqrt(-p / 3.0)
-        phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (2.0 * p * r))))
-        for k in range(3):
-            roots.append(2.0 * r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift)
-    else:
-        # one real root (Cardano), or a triple root when p = q = 0
-        half_q = q / 2.0
-        inner = half_q * half_q + p**3 / 27.0
-        if inner >= 0.0:
-            su = math.sqrt(inner)
-            u = math.copysign(abs(-half_q + su) ** (1.0 / 3.0), -half_q + su)
-            v = math.copysign(abs(-half_q - su) ** (1.0 / 3.0), -half_q - su)
-            roots.append(u + v - shift)
-        else:  # pragma: no cover - disc <= 0 implies inner >= 0
-            roots.append(-shift)
-    return roots
+    r = math.sqrt(-p / 3.0)
+    phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (2.0 * p * r))))
+    return [2.0 * r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
 
 
 def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
@@ -207,10 +195,14 @@ def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
         n1 (4 s1 t - 1)(1 - 2m(-t + 2 t^2 s2))
       + n2 (4 s2 t - 1)(1 - 2m(-t + 2 t^2 s1)) = 0
 
-    (s_b the block variances). Roots come from the closed form, get two
-    Newton polish steps each, are filtered to the feasible interval, and
-    compete against the relaxed point 1/(4 s2), which is always feasible;
-    the smallest log-bound wins, so the result never loses to the
+    (s_b the block variances). With rows it has three real roots: the
+    roots of 1 - 2 g_b order as r_1^- <= r_2^- < 0 < r_2^+ <= r_1^+ and
+    the cubic changes sign on (r_1^-, r_2^-), (0, r_2^+), (r_2^+, r_1^+);
+    with a block empty or s1 = s2 it is (4 s t - 1) times a quadratic
+    with roots of opposite signs. Each root gets two Newton steps; the
+    positive ones compete against the always feasible relaxed point
+    1/(4 s2), a root off the MGF domain having an infinite log-bound.
+    The smallest log-bound wins, so the result never loses to the
     relaxed bound.
     """
     if query.setting is not Setting.AGNOSTIC:
@@ -228,7 +220,6 @@ def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
     def dpoly(t: float) -> float:
         return (3.0 * c3 * t + 2.0 * c2) * t + c1
 
-    limit = lq_domain_limit(query)
     candidates = [query.default_theta()]
     # without rows every coefficient is 0 and the bound is 1 at any theta
     for t in _cubic_real_roots(c3, c2, c1, c0) if n1 + n2 else ():
@@ -236,7 +227,7 @@ def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
             d = dpoly(t)
             if d != 0.0:
                 t -= poly(t) / d
-        if 0.0 < t < limit:
+        if t > 0.0:
             candidates.append(t)
 
     best: OptimalTheta | None = None
@@ -293,8 +284,7 @@ def empirical_misrank(
         raise ValueError("candidate support must hold s distinct indices")
     if cand[0] < 0 or cand[-1] >= signal.p:
         raise ValueError("candidate indices must lie in [0, p)")
-    if setting is Setting.INFORMED and noise.sigma1_sq <= 0.0:
-        raise ValueError("informed loss requires positive variances")
+    w = np.repeat(noise.block_weights(setting), (noise.n1, noise.n2))
 
     union = sorted(set(cand) | set(signal.support))
     values = dict(zip(signal.support, signal.values))
@@ -316,7 +306,6 @@ def empirical_misrank(
     n = noise.n
     row_var = noise.row_variances()
     t_own = np.sqrt(t_resid + 4.0 * row_var)
-    w = 1.0 / row_var if setting is Setting.INFORMED else np.ones(n)
 
     successes = 0
     for start in range(0, trials, _BATCH):

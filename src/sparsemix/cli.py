@@ -47,12 +47,6 @@ def _setting(name: str) -> Setting:
     return {"agnostic": Setting.AGNOSTIC, "informed": Setting.INFORMED}[name]
 
 
-def _jsonable(x):
-    if isinstance(x, float) and math.isnan(x):
-        return None
-    return x
-
-
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2, sort_keys=True, default=str)
     sys.stdout.write("\n")
@@ -86,9 +80,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "snr": {
                 "sigma_avg_sq": report.sigma_avg_sq,
-                "snr": _jsonable(report.snr),
-                "snr1": _jsonable(report.snr1),
-                "snr2": _jsonable(report.snr2),
+                "snr": report.snr,
+                "snr1": report.snr1,
+                "snr2": report.snr2,
                 "regime": report.regime.value,
             },
         }
@@ -111,7 +105,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     out["price_of_quality"] = planner.price_of_quality(
         setting, args.sigma1_sq, args.sigma2_sq, args.s, args.delta
     )
-    if args.n1 is not None and args.n2 is not None:
+    if (args.n1 is None) != (args.n2 is None):
+        raise ValueError("pass both --n1 and --n2, or neither")
+    if args.n1 is not None:
         chk = planner.check_sufficient(
             setting,
             args.n1,
@@ -242,7 +238,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     )
     out: dict = {
         "m": m,
-        "theta": query.theta if query.theta is not None else query.default_theta(),
+        "theta": query.theta,
         "bound": chernoff.chernoff_bound(query),
         "log_bound": chernoff.chernoff_log_bound(query),
     }
@@ -259,11 +255,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         if m % 2 != 0:
             raise ValueError("Monte Carlo checks need an even m")
         s = args.s if args.s is not None else m
-        if s < m // 2:
-            raise ValueError("need s >= m/2 to build supports at distance m")
         p = args.p if args.p is not None else s + m // 2
-        if p < s + m // 2:
-            raise ValueError("need p >= s + m/2")
         signal = SparseSignal(
             p=p, support=tuple(range(s)), values=(1.0,) * s
         )
@@ -366,8 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     la = sub.add_parser("lasso", help="penalized solve, optionally with witness")
     la.add_argument("--data", required=True)
     la.add_argument("--lam", type=float, default=None)
-    la.add_argument("--tol", type=float, default=1e-8)
-    la.add_argument("--max-sweeps", type=int, default=100_000)
+    la.add_argument("--tol", type=float, default=lasso.LassoConfig.tol)
+    la.add_argument("--max-sweeps", type=int, default=lasso.LassoConfig.max_sweeps)
     la.add_argument("--witness", action="store_true")
     la.set_defaults(func=_cmd_lasso)
 

@@ -56,17 +56,6 @@ class DecodeResult:
     exhaustive: bool
 
 
-def _weights(setting: Setting, dataset: MixedDataset) -> tuple[float, float]:
-    if setting is Setting.AGNOSTIC:
-        return 1.0, 1.0
-    if setting is Setting.INFORMED:
-        s1, s2 = dataset.noise.sigma1_sq, dataset.noise.sigma2_sq
-        if s1 <= 0.0 or s2 <= 0.0:
-            raise ValueError("informed decoding requires positive block variances")
-        return 1.0 / s1, 1.0 / s2
-    raise ValueError(f"unknown setting: {setting!r}")
-
-
 def _row_sums(sq: np.ndarray) -> np.ndarray:
     """Sum each row of a C-contiguous (c, n) array, panel-compensated."""
     n = sq.shape[1]
@@ -122,7 +111,7 @@ def support_loss(
     Agnostic: squared norm of Y - X 1_S. Informed: same residual with
     each row weighted by the reciprocal of its block variance.
     """
-    w1, w2 = _weights(setting, dataset)
+    w1, w2 = dataset.noise.block_weights(setting)
     idx = sorted(int(i) for i in support)
     if len(idx) == 0:
         raise ValueError("support must be nonempty")
@@ -157,7 +146,7 @@ def decode_exhaustive(
             f"{total} candidate supports exceed the cap of {cap}; "
             "use decode_local_search instead"
         )
-    w1, w2 = _weights(setting, dataset)
+    w1, w2 = dataset.noise.block_weights(setting)
     n1 = dataset.noise.n1
     Xt = dataset.X.T
     chunk = max(16, min(4096, _CHUNK_ENTRIES // max(1, s * dataset.n)))
@@ -206,7 +195,7 @@ def decode_local_search(
         raise ValueError("sparsity must satisfy 1 <= s <= p")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    w1, w2 = _weights(setting, dataset)
+    w1, w2 = dataset.noise.block_weights(setting)
     n1 = dataset.noise.n1
     Xt = dataset.X.T
     m = p - s  # swap-in choices per removed index

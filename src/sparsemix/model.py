@@ -161,6 +161,21 @@ class NoiseProfile:
         out[self.n1 :] = self.sigma2_sq
         return out
 
+    def block_weights(self, setting: Setting) -> tuple[float, float]:
+        """Per-row loss weights of the two blocks under a setting.
+
+        Agnostic losses weight every row by 1; informed losses weight a
+        row by the reciprocal of its block variance, which needs both
+        variances positive.
+        """
+        if setting is Setting.AGNOSTIC:
+            return 1.0, 1.0
+        if setting is Setting.INFORMED:
+            if self.sigma1_sq <= 0.0:  # sigma1_sq <= sigma2_sq
+                raise ValueError("informed loss requires positive block variances")
+            return 1.0 / self.sigma1_sq, 1.0 / self.sigma2_sq
+        raise ValueError(f"unknown setting: {setting!r}")
+
 
 @dataclass(frozen=True)
 class MixedDataset:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from scipy.stats import binomtest
 
 from sparsemix import (
@@ -162,6 +163,56 @@ def test_domain_limit_marks_the_mgf_boundary():
             assert math.isfinite(block_mgf(inside, 1))
 
 
+@pytest.mark.parametrize("setting", [Setting.AGNOSTIC, Setting.INFORMED])
+def test_domain_limit_is_where_the_bound_turns_infinite(setting):
+    # informed, the clean block's domain ends first; agnostic, the noisy one's
+    rng = np.random.default_rng(8)
+    cases = [(10, 10, 1.0, 4.0, 8), (10, 0, 1.0, 4.0, 2), (0, 10, 1.0, 4.0, 2),
+             (5, 7, 2.0, 2.0, 6)]
+    for _ in range(200):
+        s2 = float(np.exp(rng.uniform(-3.0, 3.0)))
+        s1 = s2 * float(np.exp(rng.uniform(-7.0, 0.0)))
+        n1, n2 = (int(n) for n in rng.integers(0, 2000, size=2))
+        cases.append((n1, n2 or 1, s1, s2, int(rng.integers(1, 200))))
+    for n1, n2, s1, s2, m in cases:
+        lim = lq_domain_limit(query(setting, n1, n2, s1, s2, m))
+        inside = query(setting, n1, n2, s1, s2, m, theta=lim * (1.0 - 1e-9))
+        outside = query(setting, n1, n2, s1, s2, m, theta=lim * (1.0 + 1e-9))
+        assert math.isfinite(chernoff_log_bound(inside))
+        assert chernoff_log_bound(outside) == math.inf
+
+
+def _stationarity_cubic(n1, n2, s1, s2, m):
+    """Ascending coefficients of optimal_theta_agnostic's documented cubic."""
+
+    def one_minus_2g(v):  # 1 - 2 m (-t + 2 t^2 v)
+        return [1.0, 2.0 * m, -4.0 * m * v]
+
+    return n1 * P.polymul([-1.0, 4.0 * s1], one_minus_2g(s2)) + n2 * P.polymul(
+        [-1.0, 4.0 * s2], one_minus_2g(s1)
+    )
+
+
+def test_stationarity_cubic_has_three_real_roots():
+    # empty blocks, equal variances and the double root at n1=10, n2=0,
+    # sigma^2=(1, 4), m=2 are the degenerate layouts
+    rng = np.random.default_rng(61)
+    cases = [(10, 0, 1.0, 4.0, 2), (0, 10, 1.0, 4.0, 2), (10, 0, 1.0, 1.0, 2),
+             (7, 9, 2.0, 2.0, 6)]
+    for _ in range(300):
+        s2 = float(rng.uniform(0.3, 8.0))
+        s1 = s2 if rng.uniform() < 0.2 else s2 * float(rng.uniform(0.05, 1.0))
+        n1, n2 = (int(n) for n in rng.integers(0, 40, size=2))
+        cases.append((n1, n2 or 1, s1, s2, int(rng.integers(1, 25))))
+    for case in cases:
+        c = _stationarity_cubic(*case)
+        roots = chernoff._cubic_real_roots(c[3], c[2], c[1], c[0])
+        assert len(roots) == 3
+        for t in roots:
+            scale = sum(abs(ck) * abs(t) ** k for k, ck in enumerate(c))
+            assert abs(P.polyval(t, c)) <= 1e-9 * scale, (case, t)
+
+
 def test_optimal_theta_equal_variances_closed_form():
     for v in (0.25, 1.0, 2.0, 7.5):
         q = query(s1=v, s2=v, m=4)
@@ -310,6 +361,9 @@ def test_empirical_misrank_validates_candidate():
         empirical_misrank(sig, noise, (0, 1, 2, 9), 100, seed=0)
     with pytest.raises(ValueError):
         empirical_misrank(sig, noise, (0, 1, 2, 3), 0, seed=0)
+    silent = NoiseProfile(n1=8, n2=8, sigma1_sq=0.0, sigma2_sq=4.0)
+    with pytest.raises(ValueError):
+        empirical_misrank(sig, silent, (2, 3, 4, 5), 100, seed=0, setting=Setting.INFORMED)
 
 
 def test_query_validation():

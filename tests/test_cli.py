@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -277,6 +278,9 @@ EDGE_CASES = {
     "overflowing-theta": (0, ["bound", "--n1", "0", "--n2", "100000", "--m", "2",
                               "--sigma1-sq", "1", "--sigma2-sq", "1", "--theta", "0.6"]),
     "fractional-grid": (2, ["sweep", "--config", "{fractional}", "--out", "{out}"]),
+    # a design needs both block sizes; one alone must not be dropped silently
+    "plan-n1-without-n2": (2, ["plan", "--p", "64", "--s", "4", "--sigma1-sq", "0.5",
+                               "--sigma2-sq", "2.0", "--n1", "40"]),
     "unknown-threads-flag": (2, ["sweep", "--config", "{valid}", "--out", "{out}",
                                  "--threads", "2"]),
 }
@@ -299,6 +303,17 @@ def test_edge_inputs_exit_with_a_documented_code(tmp_path, case):
     assert proc.returncode in (0, 2, 3, 4)
     assert proc.returncode == want, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_python_examples_run():
+    # the blocks build on each other, so they share one namespace
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), flags=re.DOTALL)
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
 
 
 def test_import_does_not_load_scipy_stats():

@@ -13,6 +13,7 @@ from sparsemix import (
     NoiseProfile,
     Regime,
     ResourceCapError,
+    Setting,
     SparseSignal,
     classify_regime,
     generate_dataset,
@@ -77,6 +78,18 @@ def test_noise_profile_validation_and_average():
         NoiseProfile(n1=2, n2=2, sigma1_sq=4.0, sigma2_sq=1.0)
     with pytest.raises(ValueError):
         NoiseProfile(n1=2, n2=2, sigma1_sq=-1.0, sigma2_sq=1.0)
+
+
+def test_block_weights_per_setting():
+    prof = NoiseProfile(n1=3, n2=5, sigma1_sq=0.5, sigma2_sq=4.0)
+    assert prof.block_weights(Setting.AGNOSTIC) == (1.0, 1.0)
+    assert prof.block_weights(Setting.INFORMED) == (2.0, 0.25)
+    silent = NoiseProfile(n1=2, n2=2, sigma1_sq=0.0, sigma2_sq=1.0)
+    assert silent.block_weights(Setting.AGNOSTIC) == (1.0, 1.0)
+    with pytest.raises(ValueError):
+        silent.block_weights(Setting.INFORMED)
+    with pytest.raises(ValueError):
+        prof.block_weights("Informed-ish")
 
 
 def test_generate_dataset_shapes_and_determinism():
