@@ -8,7 +8,7 @@ the MGF domain, where each nonempty block's exponent argument is below
 1/2; an empty block contributes neither a factor nor a domain limit.
 Everything is accumulated in log space; the agnostic optimum is a
 positive root of a cubic with three real roots, solved in trigonometric
-form and polished by two Newton steps.
+form and polished by Newton steps until a step stops shrinking.
 """
 
 from __future__ import annotations
@@ -199,11 +199,13 @@ def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
     roots of 1 - 2 g_b order as r_1^- <= r_2^- < 0 < r_2^+ <= r_1^+ and
     the cubic changes sign on (r_1^-, r_2^-), (0, r_2^+), (r_2^+, r_1^+);
     with a block empty or s1 = s2 it is (4 s t - 1) times a quadratic
-    with roots of opposite signs. Each root gets two Newton steps; the
-    positive ones compete against the always feasible relaxed point
-    1/(4 s2), a root off the MGF domain having an infinite log-bound.
-    The smallest log-bound wins, so the result never loses to the
-    relaxed bound.
+    with roots of opposite signs. The trigonometric roots lose relative
+    accuracy to cancellation when the roots lie far apart (a tiny
+    variance ratio), so each is polished by Newton steps until a step no
+    longer shrinks in magnitude, at most 100. The positive roots then
+    compete against the always feasible relaxed point 1/(4 s2), a root
+    off the MGF domain having an infinite log-bound. The smallest
+    log-bound wins, so the result never loses to the relaxed bound.
     """
     if query.setting is not Setting.AGNOSTIC:
         raise ValueError("theta optimization applies to the agnostic setting")
@@ -223,10 +225,14 @@ def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
     candidates = [query.default_theta()]
     # without rows every coefficient is 0 and the bound is 1 at any theta
     for t in _cubic_real_roots(c3, c2, c1, c0) if n1 + n2 else ():
-        for _ in range(2):
+        last = math.inf
+        for _ in range(100):
             d = dpoly(t)
-            if d != 0.0:
-                t -= poly(t) / d
+            step = poly(t) / d if d != 0.0 else 0.0
+            if not abs(step) < abs(last):
+                break
+            t -= step
+            last = step
         if t > 0.0:
             candidates.append(t)
 

@@ -264,6 +264,17 @@ def test_optimal_theta_matches_grid_scan():
         assert best.log_bound <= min(vals) + 1e-12
 
 
+def test_optimal_theta_reaches_the_optimum_on_an_ill_conditioned_query():
+    # a variance ratio near 2e-9 puts the cubic's roots far apart, so the
+    # trigonometric roots need more than a fixed two Newton steps
+    layout = dict(n1=634, n2=14, s1=2.657e-13, s2=1.155e-4, m=576)
+    best = optimal_theta_agnostic(query(**layout))
+    grid_best = chernoff_log_bound(query(**layout, theta=4237.446737))
+    assert best.log_bound <= -4962.92
+    assert best.log_bound <= grid_best
+    assert abs(best.theta - 4237.45) < 0.1
+
+
 def test_m_for_error_budget():
     assert m_for_error_budget(0.25, 4) == 2
     assert m_for_error_budget(0.1, 40) == 8

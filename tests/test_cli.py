@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import ast
 import json
 import math
 import os
@@ -314,6 +315,44 @@ def test_readme_python_examples_run():
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def _opens_for_writing(call):
+    func = call.func
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        return True
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[1:2]
+    mode = modes[0] if modes else ast.Constant("r")
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def test_only_write_lines_opens_files_for_writing():
+    # one writer keeps the in-place rewrite: opening with "w" truncates an
+    # existing file to zero, which ext4 flushes to disk on close
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "sparsemix")
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        allowed = set()
+        if name == "model.py":
+            writer = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "write_lines")
+            allowed = {id(node) for node in ast.walk(writer)}
+        offenders += [
+            f"{name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in allowed
+            and _opens_for_writing(node)
+        ]
+    assert offenders == []
 
 
 def test_import_does_not_load_scipy_stats():

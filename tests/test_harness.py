@@ -261,6 +261,24 @@ def test_emit_outputs_optional_svg(tmp_path):
         emit_outputs(rows, records, out, formats=("csv", "pdf"))
 
 
+def test_emit_outputs_into_an_existing_directory_matches_a_fresh_emit(tmp_path):
+    out = str(tmp_path / "run")
+    big = tiny_config(sigma1_sq=0.2, sigma2_sq=0.8, trials=6)
+    big_records = run_sweep(big)
+    emit_outputs(summarize(big, big_records), big_records, out, formats=("csv", "svg"))
+    small = tiny_config(sigma1_sq=0.2, sigma2_sq=0.8, trials=2)
+    records = run_sweep(small)
+    rows = summarize(small, records)
+    emit_outputs(rows, records, out, formats=("csv", "svg"))
+    fresh = str(tmp_path / "fresh")
+    emit_outputs(rows, records, fresh, formats=("csv", "svg"))
+    for name in ("summary.csv", "trials.csv", "phase.svg"):
+        with open(os.path.join(out, name), "rb") as fh:
+            reused = fh.read()
+        with open(os.path.join(fresh, name), "rb") as fh:
+            assert fh.read() == reused
+
+
 def test_lasso_sweep_rate_increases_with_sample_size():
     cfg = ExperimentConfig(
         decoder="Lasso", p=64, s=4, rho=1.0, sigma1_sq=0.1, sigma2_sq=0.4,

@@ -24,6 +24,7 @@ from sparsemix import (
     snr_report,
     support_error,
 )
+from sparsemix.model import write_lines
 
 
 def make_signal(p=10, support=(1, 4), values=(1.0, -2.0)):
@@ -254,3 +255,66 @@ def test_dataset_round_trip(tmp_path):
         with open(os.path.join(out2, name), "rb") as fh:
             second = fh.read()
         assert first == second
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("lines, expected", [(["x", "y"], b"x\ny\n"), ([], b"")])
+def test_write_lines_over_a_longer_file_leaves_only_the_new_bytes(tmp_path, lines, expected):
+    path = str(tmp_path / "out.csv")
+    write_lines(path, ["a long first version"] * 50)
+    write_lines(path, lines)
+    assert read_bytes(path) == expected
+
+
+def test_write_lines_rewrites_a_symlink_target_and_keeps_the_link(tmp_path):
+    target = tmp_path / "target.csv"
+    link = tmp_path / "link.csv"
+    write_lines(str(target), ["old", "content", "here"])
+    os.symlink(target, link)
+    write_lines(str(link), ["new"])
+    assert os.path.islink(link)
+    assert read_bytes(target) == b"new\n"
+
+
+def test_write_lines_keeps_permission_bits(tmp_path):
+    path = str(tmp_path / "out.csv")
+    write_lines(path, ["first"])
+    os.chmod(path, 0o640)
+    write_lines(path, ["second"])
+    assert os.stat(path).st_mode & 0o777 == 0o640
+    assert read_bytes(path) == b"second\n"
+
+
+def test_write_lines_keeps_the_prefix_when_the_iterable_raises(tmp_path):
+    path = str(tmp_path / "out.csv")
+    write_lines(path, ["a much longer stale line"] * 10)
+
+    def lines():
+        yield "only"
+        raise RuntimeError("producer failed")
+
+    with pytest.raises(RuntimeError):
+        write_lines(path, lines())
+    assert read_bytes(path) == b"only\n"
+
+
+def test_save_dataset_over_a_larger_dataset_leaves_no_stale_rows(tmp_path):
+    sig = make_signal()
+    out = str(tmp_path / "data")
+    big = generate_dataset(sig, NoiseProfile(n1=20, n2=30, sigma1_sq=0.5, sigma2_sq=1.5), seed=3)
+    save_dataset(big, out)
+    small = generate_dataset(sig, NoiseProfile(n1=2, n2=3, sigma1_sq=0.5, sigma2_sq=1.5), seed=4)
+    save_dataset(small, out)
+    back = load_dataset(out)
+    assert np.array_equal(back.X, small.X)
+    assert np.array_equal(back.Y, small.Y)
+    assert back.noise == small.noise
+    assert back.seed == small.seed
+    fresh = str(tmp_path / "fresh")
+    save_dataset(small, fresh)
+    for name in ("X.csv", "Y.csv", "meta.json"):
+        assert read_bytes(os.path.join(out, name)) == read_bytes(os.path.join(fresh, name))
