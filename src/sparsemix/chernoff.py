@@ -22,7 +22,7 @@ from scipy.special import betaincinv
 
 from . import rng
 from .errors import SparsemixError
-from .model import NoiseProfile, Setting, SparseSignal
+from .model import NoiseProfile, Setting, SparseSignal, validate_variances
 
 __all__ = [
     "ChernoffQuery",
@@ -59,8 +59,9 @@ class ChernoffQuery:
     def __post_init__(self) -> None:
         if self.n1 < 0 or self.n2 < 0:
             raise ValueError("block sizes must be nonnegative")
-        if not 0.0 < self.sigma1_sq <= self.sigma2_sq:
-            raise ValueError("variances must satisfy 0 < sigma1_sq <= sigma2_sq")
+        validate_variances(self.sigma1_sq, self.sigma2_sq)
+        if self.sigma1_sq <= 0.0:  # sigma1_sq <= sigma2_sq
+            raise ValueError("variances must be positive")
         if self.m < 1:
             raise ValueError("m must be a positive integer")
         if self.theta is not None and (

@@ -123,11 +123,7 @@ def support_loss(
 
 
 def decode_exhaustive(
-    dataset: MixedDataset,
-    s: int,
-    setting: Setting,
-    *,
-    cap: int = EXHAUSTIVE_CAP,
+    dataset: MixedDataset, s: int, setting: Setting
 ) -> DecodeResult:
     """Scan every size-s support and return the loss minimizer.
 
@@ -135,15 +131,15 @@ def decode_exhaustive(
     the result is the candidate minimizing (loss, support), so exact ties
     go to the lexicographically smallest sorted index tuple and the
     answer does not depend on block boundaries. Refuses instances with
-    more than `cap` candidates; use decode_local_search for those.
+    more than EXHAUSTIVE_CAP candidates; use decode_local_search for those.
     """
     p = dataset.p
     if not 1 <= s <= p:
         raise ValueError("sparsity must satisfy 1 <= s <= p")
     total = math.comb(p, s)
-    if total > cap:
+    if total > EXHAUSTIVE_CAP:
         raise ResourceCapError(
-            f"{total} candidate supports exceed the cap of {cap}; "
+            f"{total} candidate supports exceed the cap of {EXHAUSTIVE_CAP}; "
             "use decode_local_search instead"
         )
     w1, w2 = dataset.noise.block_weights(setting)

@@ -40,8 +40,6 @@ __all__ = [
     "emit_outputs",
 ]
 
-_SIGN_STREAM = 3
-_SEARCH_STREAM = 4
 _WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 
 
@@ -57,15 +55,15 @@ class ExperimentConfig:
     """Everything needed to reproduce a sweep, and nothing else.
 
     grid lists integer (n1, n2) sample splits. For the Lasso decoder the
-    signal gets magnitude rho with per-trial random signs and lambda follows
-    lambda_rule ("schedule" or "fixed" with lambda_value); combinatorial
+    signal gets magnitude rho with per-trial random signs and lambda is
+    lambda_value, or lasso.lambda_schedule when that is None; combinatorial
     decoders use the all-ones signal and judge recovery by the delta
     budget (symmetric difference below 2*delta*s). A config that would
     fail every trial is refused here: ResourceCapError when a scan
     decoder meets more than decoders.EXHAUSTIVE_CAP candidates or a grid
     point needs more than model.MAX_DESIGN_ENTRIES design entries, and
-    InvalidConfigError when lasso.lambda_schedule refuses a grid point
-    (p - s < 2, or zero average noise variance).
+    InvalidConfigError when the schedule refuses a grid point (p - s < 2,
+    or zero average noise variance).
     """
 
     decoder: DecoderKind
@@ -77,12 +75,17 @@ class ExperimentConfig:
     grid: tuple[tuple[int, int], ...]
     trials: int
     delta: float = planner.DEFAULT_DELTA
-    lambda_rule: str = "schedule"
     lambda_value: float | None = None
     master_seed: int = 0
     restarts: int = 8
 
     def __post_init__(self) -> None:
+        for name in ("p", "s", "trials", "master_seed", "restarts"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer: {value!r}") from None
         try:
             grid = tuple((operator.index(a), operator.index(b)) for a, b in self.grid)
         except TypeError:
@@ -102,15 +105,10 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.lambda_rule not in ("schedule", "fixed"):
-            raise ValueError("lambda_rule must be 'schedule' or 'fixed'")
-        if self.lambda_rule == "fixed":
-            if self.lambda_value is None or not (
-                math.isfinite(self.lambda_value) and self.lambda_value >= 0.0
-            ):
-                raise ValueError("fixed lambda_rule needs a nonnegative lambda_value")
-        elif self.lambda_value is not None:
-            raise ValueError("lambda_value only applies to the fixed rule")
+        if self.lambda_value is not None and not (
+            math.isfinite(self.lambda_value) and self.lambda_value >= 0.0
+        ):
+            raise ValueError("lambda_value must be finite and nonnegative")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.decoder in (DecoderKind.AGNOSTIC_SCAN, DecoderKind.INFORMED_MLE):
@@ -131,7 +129,7 @@ class ExperimentConfig:
                     _lasso_penalty(self, noise)
                 except ValueError as exc:
                     raise InvalidConfigError(
-                        f"grid point {point}: {exc}; choose lambda_rule 'fixed'"
+                        f"grid point {point}: {exc}; set lambda_value"
                     ) from exc
 
 
@@ -190,7 +188,7 @@ def wilson_ci95(successes: int, trials: int) -> float:
 def _trial_signal(config: ExperimentConfig, trial_seed: int) -> SparseSignal:
     support = tuple(range(config.s))
     if config.decoder is DecoderKind.LASSO:
-        u = rng.uniforms(rng.derive(trial_seed, _SIGN_STREAM), config.s)
+        u = rng.uniforms(rng.derive(trial_seed, rng.SIGN_STREAM), config.s)
         values = tuple(config.rho if x >= 0.5 else -config.rho for x in u)
     else:
         values = (1.0,) * config.s
@@ -198,7 +196,7 @@ def _trial_signal(config: ExperimentConfig, trial_seed: int) -> SparseSignal:
 
 
 def _lasso_penalty(config: ExperimentConfig, noise: NoiseProfile) -> float:
-    if config.lambda_rule == "fixed":
+    if config.lambda_value is not None:
         return float(config.lambda_value)
     return lasso.lambda_schedule(
         noise.sigma_avg_sq, p=config.p, s=config.s, n=noise.n, rho=config.rho
@@ -236,7 +234,7 @@ def _run_one(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
                     config.s,
                     Setting.AGNOSTIC,
                     restarts=config.restarts,
-                    seed=rng.derive(trial_seed, _SEARCH_STREAM),
+                    seed=rng.derive(trial_seed, rng.SEARCH_STREAM),
                 )
             error_count = support_error(res.support, signal.support)
             recovered = error_count < 2.0 * config.delta * config.s

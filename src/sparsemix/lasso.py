@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,8 +57,12 @@ class LassoConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.lam) or self.lam < 0.0:
             raise ValueError("lam must be finite and nonnegative")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("tol must be finite and positive")
+        try:
+            object.__setattr__(self, "max_sweeps", operator.index(self.max_sweeps))
+        except TypeError:
+            raise ValueError("max_sweeps must be an integer") from None
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
 

@@ -30,6 +30,7 @@ __all__ = [
     "REGIME_HIGH",
     "REGIME_LOW",
     "MAX_DESIGN_ENTRIES",
+    "validate_variances",
     "generate_dataset",
     "snr_report",
     "classify_regime",
@@ -44,14 +45,10 @@ __all__ = [
 REGIME_HIGH = 10.0
 REGIME_LOW = 0.1
 
-# Default cap on n * p design entries that generate_dataset will allocate.
+# Cap on n * p design entries that generate_dataset will allocate.
 MAX_DESIGN_ENTRIES = 100_000_000
 
 _ZERO_TOL = 1e-9  # sign checks count estimate entries this close to 0 as 0
-
-# Substream tags for generate_dataset (see rng.derive).
-_X_STREAM = 1
-_NOISE_STREAM = 2
 
 
 class Regime(str, enum.Enum):
@@ -124,6 +121,17 @@ class SparseSignal:
         return beta
 
 
+def validate_variances(sigma1_sq: float, sigma2_sq: float) -> None:
+    """Refuse block variances that are not finite, nonnegative and ordered;
+    zero is allowed for noiseless runs, and callers that divide check > 0."""
+    if not (math.isfinite(sigma1_sq) and math.isfinite(sigma2_sq)):
+        raise ValueError("variances must be finite")
+    if sigma1_sq < 0.0 or sigma2_sq < 0.0:
+        raise ValueError("variances must be nonnegative")
+    if sigma1_sq > sigma2_sq:
+        raise ValueError("sigma1_sq must not exceed sigma2_sq (low-noise block first)")
+
+
 @dataclass(frozen=True)
 class NoiseProfile:
     """Two-block noise: n1 rows at sigma1_sq, then n2 rows at sigma2_sq."""
@@ -138,14 +146,7 @@ class NoiseProfile:
             raise ValueError("block sizes must be nonnegative")
         if self.n1 + self.n2 < 1:
             raise ValueError("total sample count must be >= 1")
-        if not (math.isfinite(self.sigma1_sq) and math.isfinite(self.sigma2_sq)):
-            raise ValueError("variances must be finite")
-        # Zero variance is allowed for noiseless sanity runs; operations
-        # that genuinely need positivity check it themselves.
-        if self.sigma1_sq < 0.0 or self.sigma2_sq < 0.0:
-            raise ValueError("variances must be nonnegative")
-        if self.sigma1_sq > self.sigma2_sq:
-            raise ValueError("sigma1_sq must not exceed sigma2_sq (low-noise block first)")
+        validate_variances(self.sigma1_sq, self.sigma2_sq)
 
     @property
     def n(self) -> int:
@@ -222,27 +223,23 @@ class SnrReport:
 
 
 def generate_dataset(
-    signal: SparseSignal,
-    noise: NoiseProfile,
-    seed: int,
-    *,
-    max_entries: int = MAX_DESIGN_ENTRIES,
+    signal: SparseSignal, noise: NoiseProfile, seed: int
 ) -> MixedDataset:
     """Draw X with iid standard normal entries and Y = X beta + noise.
 
     Entirely deterministic in (signal, noise, seed): X is filled row-major
-    from substream derive(seed, 1) and the standardized noise vector from
-    derive(seed, 2), then scaled per block. Refuses to allocate more than
-    max_entries design entries; raise the cap explicitly for larger runs.
+    from substream derive(seed, rng.X_STREAM) and the standardized noise
+    vector from derive(seed, rng.NOISE_STREAM), then scaled per block.
+    Raises ResourceCapError, before allocating, when the design would hold
+    more than MAX_DESIGN_ENTRIES entries.
     """
     n, p = noise.n, signal.p
-    if n * p > max_entries:
+    if n * p > MAX_DESIGN_ENTRIES:
         raise ResourceCapError(
-            f"design would hold {n * p} entries, above the cap of {max_entries}; "
-            "pass a larger max_entries to proceed"
+            f"design would hold {n * p} entries, above the cap of {MAX_DESIGN_ENTRIES}"
         )
-    X = rng.normals(rng.derive(seed, _X_STREAM), n * p).reshape(n, p)
-    w = rng.normals(rng.derive(seed, _NOISE_STREAM), n)
+    X = rng.normals(rng.derive(seed, rng.X_STREAM), n * p).reshape(n, p)
+    w = rng.normals(rng.derive(seed, rng.NOISE_STREAM), n)
     z = w * np.sqrt(noise.row_variances())
     Y = X @ signal.dense() + z
     return MixedDataset(X=X, Y=Y, noise=noise, signal=signal, seed=seed)

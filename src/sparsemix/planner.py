@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Setting
+from .model import Setting, validate_variances
 
 __all__ = [
     "Growth",
@@ -99,19 +99,19 @@ class RegimeSpec:
 
 @dataclass(frozen=True)
 class SufficiencyCheck:
-    """Outcome of the sufficient-condition test at one (n1, n2) design."""
+    """Outcome of the sufficient-condition test at one (n1, n2) design:
+    holds says whether lhs = n1*alpha1 + n2*alpha2 reaches (1+epsilon)*n_star."""
 
     setting: Setting
     n1: int
     n2: int
-    alpha1: float | None
-    alpha2: float | None
+    alpha1: float
+    alpha2: float
     lhs: float
     n_star: float
     delta: float
     epsilon: float
     holds: bool
-    per_sample_terms: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -164,28 +164,19 @@ def recovery_threshold(kind: ThresholdKind, regime: RegimeSpec) -> float:
     raise ValueError(f"unknown threshold kind: {kind!r}")
 
 
-def _validate_inputs(s: int, delta: float, epsilon: float) -> None:
-    if s < 1:
-        raise ValueError("sparsity must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
-
-
-def _n_star(s: int, delta: float, epsilon: float, regime: RegimeSpec) -> float:
-    """Validate a planning query and return its n_star; s must be regime.s."""
-    _validate_inputs(s, delta, epsilon)
+def _n_star(s: int, epsilon: float, regime: RegimeSpec) -> float:
+    """Check epsilon and that s is regime.s; return the query's n_star."""
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError("epsilon must be finite and nonnegative")
     if s != regime.s:
         raise ValueError(f"sparsity {s} disagrees with the regime's s = {regime.s}")
     return recovery_threshold(ThresholdKind.N_STAR, regime)
 
 
 def _validate_variances(sigma1_sq: float, sigma2_sq: float) -> None:
-    if sigma1_sq <= 0.0 or sigma2_sq <= 0.0:
+    validate_variances(sigma1_sq, sigma2_sq)
+    if sigma1_sq <= 0.0:  # sigma1_sq <= sigma2_sq
         raise ValueError("variances must be positive")
-    if sigma1_sq > sigma2_sq:
-        raise ValueError("sigma1_sq must not exceed sigma2_sq")
 
 
 def pair_coefficients(
@@ -200,7 +191,12 @@ def pair_coefficients(
         alpha_b = ln(1 + delta*s / (2*sigma_b_sq))
 
     In both settings alpha1 >= alpha2 whenever sigma1_sq <= sigma2_sq.
+    Requires s >= 1, delta in (0, 1) and finite 0 < sigma1_sq <= sigma2_sq.
     """
+    if s < 1:
+        raise ValueError("sparsity must be >= 1")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
     _validate_variances(sigma1_sq, sigma2_sq)
     if setting is Setting.AGNOSTIC:
         a1 = math.log1p(delta * (2.0 * sigma2_sq - sigma1_sq) * s / (2.0 * sigma2_sq**2))
@@ -215,55 +211,23 @@ def pair_coefficients(
 
 def check_sufficient(
     setting: Setting,
-    n1: int | None,
-    n2: int | None,
-    sigma1_sq: float | None,
-    sigma2_sq: float | None,
+    n1: int,
+    n2: int,
+    sigma1_sq: float,
+    sigma2_sq: float,
     s: int,
     delta: float,
     epsilon: float,
     regime: RegimeSpec,
-    sigma_sq_seq: Sequence[float] | None = None,
 ) -> SufficiencyCheck:
-    """Test whether a sample allocation meets the sufficient condition.
+    """Test whether n1 clean and n2 noisy samples meet the sufficient condition.
 
-    Two-block form: pass n1, n2 and the block variances. Heterogeneous
-    form: pass sigma_sq_seq, one variance per sample, and leave the block
-    arguments as None; per-sample terms are then reported individually
-    and summed into lhs. A two-valued sequence reproduces the two-block
-    result exactly. s must equal regime.s.
+    The condition is n1 * alpha1 + n2 * alpha2 >= (1 + epsilon) * n_star,
+    with (alpha1, alpha2) from pair_coefficients and n_star the regime's
+    homogeneous requirement. s must equal regime.s.
     """
-    n_star = _n_star(s, delta, epsilon, regime)
+    n_star = _n_star(s, epsilon, regime)
     target = (1.0 + epsilon) * n_star
-
-    if sigma_sq_seq is not None:
-        if any(v is not None for v in (n1, n2, sigma1_sq, sigma2_sq)):
-            raise ValueError("pass either block arguments or sigma_sq_seq, not both")
-        seq = [float(v) for v in sigma_sq_seq]
-        if not seq:
-            raise ValueError("sigma_sq_seq must be nonempty")
-        if any(v <= 0.0 for v in seq):
-            raise ValueError("variances must be positive")
-        # each sample's term is the clean-block coefficient against the noisiest
-        vmax = max(seq)
-        terms = tuple(pair_coefficients(setting, v, vmax, s, delta)[0] for v in seq)
-        lhs = math.fsum(terms)
-        return SufficiencyCheck(
-            setting=setting,
-            n1=0,
-            n2=len(seq),
-            alpha1=None,
-            alpha2=None,
-            lhs=lhs,
-            n_star=n_star,
-            delta=delta,
-            epsilon=epsilon,
-            holds=lhs >= target,
-            per_sample_terms=terms,
-        )
-
-    if n1 is None or n2 is None or sigma1_sq is None or sigma2_sq is None:
-        raise ValueError("two-block form requires n1, n2, sigma1_sq, sigma2_sq")
     if n1 < 0 or n2 < 0:
         raise ValueError("block sizes must be nonnegative")
     a1, a2 = pair_coefficients(setting, sigma1_sq, sigma2_sq, s, delta)
@@ -290,7 +254,6 @@ def price_of_quality(
     Equals alpha1 / alpha2, hence always >= 1; it is 1 exactly when the
     blocks share a variance.
     """
-    _validate_inputs(s, delta, 0.0)
     a1, a2 = pair_coefficients(setting, sigma1_sq, sigma2_sq, s, delta)
     return a1 / a2
 
@@ -354,7 +317,7 @@ def sample_frontier(
     Along an increasing n1 grid the n2 values are nonincreasing. s must
     equal regime.s.
     """
-    target = (1.0 + epsilon) * _n_star(s, delta, epsilon, regime)
+    target = (1.0 + epsilon) * _n_star(s, epsilon, regime)
     a1, a2 = pair_coefficients(setting, sigma1_sq, sigma2_sq, s, delta)
     points = []
     for n1 in n1_grid:

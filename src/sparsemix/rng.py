@@ -1,9 +1,8 @@
 """Deterministic counter-based random number generation.
 
 Every value produced here is a pure function of a 64-bit seed and a
-counter position, so any slice of a stream can be generated independently
-of the rest, and a trial's draws depend only on its derived seed, never on
-which trials ran before it.
+counter position, so a trial's draws depend only on its derived seed,
+never on which trials ran before it.
 
 Definitions (all arithmetic mod 2**64):
 
@@ -27,6 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "X_STREAM",
+    "NOISE_STREAM",
+    "SIGN_STREAM",
+    "SEARCH_STREAM",
     "mix64",
     "derive",
     "derive_vec",
@@ -41,6 +44,12 @@ _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
 _MASK = (1 << 64) - 1
 _TWO_NEG53 = 2.0**-53
+
+# Substream tags of one trial: derive(trial_seed, X_STREAM) fills its design.
+X_STREAM = 1  # design matrix, row-major
+NOISE_STREAM = 2  # standardized noise vector
+SIGN_STREAM = 3  # Lasso signal signs
+SEARCH_STREAM = 4  # local-search restarts
 
 
 def _mix(x: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:
@@ -58,9 +67,9 @@ def _fold(
         return _mix((h ^ _mix(w * _GOLDEN)) + _GOLDEN)
 
 
-def _words(seeds: np.uint64 | np.ndarray, offset: int, count: int) -> np.ndarray:
-    """Counter words offset..offset+count-1 of each seed, along a new last axis."""
-    k = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+def _words(seeds: np.uint64 | np.ndarray, count: int) -> np.ndarray:
+    """Counter words 0..count-1 of each seed, along a new last axis."""
+    k = np.arange(1, count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         return _mix(np.asarray(seeds)[..., None] + k * _GOLDEN)
 
@@ -69,11 +78,9 @@ def _unit(w: np.ndarray) -> np.ndarray:
     return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
 
 
-def _box_muller(
-    seeds: np.uint64 | np.ndarray, first_pair: int, npairs: int
-) -> np.ndarray:
-    """Normals at positions 2*first_pair onward, 2*npairs per seed."""
-    u = _unit(_words(seeds, 2 * first_pair, 2 * npairs))
+def _box_muller(seeds: np.uint64 | np.ndarray, npairs: int) -> np.ndarray:
+    """The first 2*npairs normals of each seed, along a new last axis."""
+    u = _unit(_words(seeds, 2 * npairs))
     r = np.sqrt(-2.0 * np.log(u[..., 0::2]))
     a = (2.0 * np.pi) * u[..., 1::2]
     block = np.empty(u.shape, dtype=np.float64)
@@ -115,38 +122,32 @@ def derive_vec(seeds, words) -> np.ndarray:
     )
 
 
-def raw_words(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Return `count` raw 64-bit words at counter positions offset..offset+count-1."""
+def raw_words(seed: int, count: int) -> np.ndarray:
+    """Return the raw 64-bit words at counter positions 0..count-1."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    return _words(np.uint64(seed & _MASK), offset, count)
+    return _words(np.uint64(seed & _MASK), count)
 
 
-def uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Uniform(0, 1) doubles at the given counter positions.
+def uniforms(seed: int, count: int) -> np.ndarray:
+    """Uniform(0, 1) doubles at counter positions 0..count-1.
 
     The top 53 bits of each word are used, shifted to the open interval,
     so 0.0 and 1.0 never occur and log/endpoint handling stays safe.
     """
-    return _unit(raw_words(seed, count, offset))
+    return _unit(raw_words(seed, count))
 
 
-def normals(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Standard normal doubles at normal positions offset..offset+count-1.
+def normals(seed: int, count: int) -> np.ndarray:
+    """Standard normal doubles at normal positions 0..count-1.
 
     Position 2j is r_j*cos(a_j) and 2j+1 is r_j*sin(a_j), with (r_j, a_j)
-    built from uniform counters (2j, 2j+1). Arbitrary offsets are allowed;
-    partially used pairs are generated and sliced.
+    built from uniform counters (2j, 2j+1); an odd count drops the last
+    sine.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count == 0:
-        return np.empty(0, dtype=np.float64)
-    first_pair = offset // 2
-    npairs = (offset + count - 1) // 2 - first_pair + 1
-    lead = offset - 2 * first_pair
-    block = _box_muller(np.uint64(seed & _MASK), first_pair, npairs)
-    return block[lead : lead + count]
+    return _box_muller(np.uint64(seed & _MASK), (count + 1) // 2)[:count]
 
 
 def normals_grid(seeds: np.ndarray, count: int) -> np.ndarray:
@@ -159,6 +160,4 @@ def normals_grid(seeds: np.ndarray, count: int) -> np.ndarray:
     seeds = np.asarray(seeds, dtype=np.uint64)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count == 0:
-        return np.empty((len(seeds), 0), dtype=np.float64)
-    return _box_muller(seeds, 0, (count + 1) // 2)[:, :count]
+    return _box_muller(seeds, (count + 1) // 2)[:, :count]

@@ -388,3 +388,10 @@ def test_query_validation():
         query(n1=-1)
     with pytest.raises(ValueError):
         query(theta=-0.1)
+
+
+def test_query_refuses_non_finite_variances():
+    # an infinite sigma2_sq puts the relaxed theta at 0, outside any optimum
+    for s1, s2 in ((1.0, math.inf), (math.inf, math.inf), (math.nan, 2.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            query(s1=s1, s2=s2)

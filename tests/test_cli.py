@@ -284,6 +284,22 @@ EDGE_CASES = {
                                "--sigma2-sq", "2.0", "--n1", "40"]),
     "unknown-threads-flag": (2, ["sweep", "--config", "{valid}", "--out", "{out}",
                                  "--threads", "2"]),
+    # non-finite variances and budgets are refused, as NoiseProfile refuses them
+    "plan-infinite-variance": (2, ["plan", "--p", "24", "--s", "4", "--sigma1-sq", "1",
+                                   "--sigma2-sq", "inf"]),
+    "plan-nan-variance": (2, ["plan", "--p", "24", "--s", "4", "--sigma1-sq", "nan",
+                              "--sigma2-sq", "2", "--n1", "0", "--n2", "0",
+                              "--frontier-n1", "0,10"]),
+    "plan-infinite-epsilon": (2, ["plan", "--p", "24", "--s", "4", "--sigma1-sq", "1",
+                                  "--sigma2-sq", "2", "--epsilon", "inf",
+                                  "--frontier-n1", "0"]),
+    "bound-infinite-variance": (2, ["bound", "--n1", "3", "--n2", "3", "--m", "2",
+                                    "--sigma1-sq", "1", "--sigma2-sq", "inf"]),
+    "bound-infinite-variance-optimize": (2, ["bound", "--n1", "3", "--n2", "3", "--m", "2",
+                                             "--sigma1-sq", "1", "--sigma2-sq", "inf",
+                                             "--optimize"]),
+    # an accepted exact finish relies on 0 < tol to rebuild the residual
+    "lasso-nan-tol": (2, ["lasso", "--data", "{data}", "--tol", "nan"]),
 }
 
 
@@ -292,7 +308,9 @@ def test_edge_inputs_exit_with_a_documented_code(tmp_path, case):
     want, argv = EDGE_CASES[case]
     base = {"decoder": "AgnosticScan", "p": 8, "s": 2, "rho": 1.0,
             "sigma1_sq": 0.0, "sigma2_sq": 0.0, "grid": [[3, 3]], "trials": 1}
-    paths = {"out": str(tmp_path / "out")}
+    paths = {"out": str(tmp_path / "out"), "data": str(tmp_path / "data")}
+    if "{data}" in argv:
+        assert main(gen_args(paths["data"])) == 0
     for name, grid in (("valid", [[3, 3]]), ("fractional", [[3.9, 2.2]])):
         paths[name] = str(tmp_path / f"{name}.json")
         with open(paths[name], "w", encoding="utf-8") as fh:

@@ -150,14 +150,15 @@ def test_column_permutation_equivariance():
     assert math.isclose(moved.loss, base.loss, rel_tol=1e-12)
 
 
-def test_exhaustive_cap_mentions_local_search():
+def test_exhaustive_cap_mentions_local_search(monkeypatch):
     ds = binary_dataset(30, (0, 1), 5, 5, 0.5, 1.0, seed=1)
     with pytest.raises(ResourceCapError) as info:
         decode_exhaustive(ds, 15, Setting.AGNOSTIC)
     assert "local" in str(info.value).lower()
-    # an explicit cap argument is honored
+    # the cap is read at call time
+    monkeypatch.setattr(decoders, "EXHAUSTIVE_CAP", 100)
     with pytest.raises(ResourceCapError):
-        decode_exhaustive(ds, 3, Setting.AGNOSTIC, cap=100)
+        decode_exhaustive(ds, 3, Setting.AGNOSTIC)
 
 
 def test_local_search_matches_exhaustive_usually():

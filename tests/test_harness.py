@@ -98,10 +98,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         tiny_config(delta=0.0)
     with pytest.raises(ValueError):
-        tiny_config(lambda_rule="fixed")
+        tiny_config(lambda_value=-0.1)
     with pytest.raises(ValueError):
-        tiny_config(lambda_value=0.1)
-    cfg = tiny_config(grid=[[3, 3]])
+        tiny_config(lambda_value=math.nan)
+    # integer fields fail here, not later inside run_sweep
+    for field, value in (("trials", 2.5), ("p", 40.0), ("s", 2.0),
+                         ("master_seed", 1.5), ("restarts", 1.5)):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: value})
+    cfg = tiny_config(grid=[[3, 3]], p=np.int64(8), master_seed=np.uint64(7))
+    assert (type(cfg.p), type(cfg.master_seed)) == (int, int)
     assert cfg.grid == ((3, 3),)
     assert cfg.decoder is DecoderKind.AGNOSTIC_SCAN
 
@@ -116,12 +122,12 @@ def test_combinatorial_configs_respect_the_exhaustive_cap():
 
 
 def test_configs_that_fail_every_trial_are_refused():
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidConfigError, match="set lambda_value"):
         tiny_config(decoder="Lasso", grid=[(3, 3)])
     with pytest.raises(InvalidConfigError):
         tiny_config(decoder="Lasso", sigma2_sq=1.0, grid=[(3, 3), (4, 0)])
-    # the fixed rule needs no variance, and one noisy block is enough
-    tiny_config(decoder="Lasso", lambda_rule="fixed", lambda_value=0.1)
+    # a fixed penalty needs no variance, and one noisy block is enough
+    tiny_config(decoder="Lasso", lambda_value=0.1)
     tiny_config(decoder="Lasso", sigma2_sq=1.0, grid=[(3, 3), (0, 4)])
     with pytest.raises(ResourceCapError):
         tiny_config(decoder="LocalSearch", p=1000, grid=[(3, 3), (60_000, 40_001)])
@@ -133,7 +139,7 @@ def test_lasso_schedule_needs_two_off_support_columns():
     with pytest.raises(InvalidConfigError, match="p - s >= 2"):
         tiny_config(decoder="Lasso", p=3, s=2, sigma2_sq=1.0)
     tiny_config(decoder="Lasso", p=4, s=2, sigma2_sq=1.0)
-    tiny_config(decoder="Lasso", p=3, s=2, lambda_rule="fixed", lambda_value=0.1)
+    tiny_config(decoder="Lasso", p=3, s=2, lambda_value=0.1)
 
 
 def test_zero_noise_sweep_recovers_everywhere():
@@ -297,7 +303,7 @@ def test_lasso_sweep_rate_increases_with_sample_size():
 def test_lasso_sweep_fixed_penalty_and_threads_agree():
     cfg = ExperimentConfig(
         decoder="Lasso", p=32, s=2, rho=1.0, sigma1_sq=0.2, sigma2_sq=0.5,
-        grid=[(20, 20)], trials=8, lambda_rule="fixed", lambda_value=0.15,
+        grid=[(20, 20)], trials=8, lambda_value=0.15,
         master_seed=11,
     )
     a = run_sweep(cfg, threads=1)

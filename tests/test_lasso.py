@@ -230,6 +230,16 @@ def test_lasso_config_validation():
         LassoConfig(lam=0.1, max_sweeps=0)
 
 
+def test_lasso_config_needs_a_finite_tol_and_an_integer_budget():
+    # an accepted exact finish relies on 0 < tol to rebuild the residual
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            LassoConfig(lam=0.1, tol=tol)
+    with pytest.raises(ValueError, match="max_sweeps"):
+        LassoConfig(lam=0.1, max_sweeps=2.5)
+    assert type(LassoConfig(lam=0.1, max_sweeps=np.int64(3)).max_sweeps) is int
+
+
 def test_lambda_schedule_frozen_value():
     # (sigma_avg_sq * ln(p-s) / ((1+s/rho^2) n))^(1/4)
     # at (2, p=152, s=4, n=1000, rho=1): (2 ln 148 / 5000)^(1/4)

@@ -24,6 +24,7 @@ from sparsemix import (
     snr_report,
     support_error,
 )
+from sparsemix import rng
 from sparsemix.model import write_lines
 
 
@@ -105,6 +106,17 @@ def test_generate_dataset_shapes_and_determinism():
     assert not np.array_equal(ds1.Y, ds3.Y)
 
 
+def test_generate_dataset_draws_the_rng_stream_tags():
+    sig = make_signal()
+    noise = NoiseProfile(n1=6, n2=10, sigma1_sq=0.5, sigma2_sq=2.0)
+    ds = generate_dataset(sig, noise, seed=5)
+    n, p = ds.X.shape
+    x = rng.normals(rng.derive(5, rng.X_STREAM), n * p)
+    w = rng.normals(rng.derive(5, rng.NOISE_STREAM), n)
+    assert np.array_equal(ds.X.ravel(), x)
+    assert np.array_equal(ds.Y, ds.X @ sig.dense() + w * np.sqrt(noise.row_variances()))
+
+
 def test_generate_dataset_noiseless_identity():
     sig = SparseSignal(p=4, support=(0,), values=(1.0,))
     noise = NoiseProfile(n1=3, n2=3, sigma1_sq=0.0, sigma2_sq=0.0)
@@ -137,7 +149,7 @@ def test_generate_dataset_entry_cap():
     sig = SparseSignal(p=10_000, support=(0,), values=(1.0,))
     noise = NoiseProfile(n1=10_000, n2=10_000, sigma1_sq=1.0, sigma2_sq=1.0)
     with pytest.raises(ResourceCapError):
-        generate_dataset(sig, noise, seed=0, max_entries=1_000_000)
+        generate_dataset(sig, noise, seed=0)
 
 
 def test_mixed_dataset_validation():
