@@ -23,6 +23,7 @@ from scipy.special import betaincinv
 from . import rng
 from .errors import SparsemixError
 from .model import NoiseProfile, Setting, SparseSignal, validate_variances
+from .planner import validate_delta
 
 __all__ = [
     "ChernoffQuery",
@@ -95,8 +96,7 @@ def m_for_error_budget(delta: float, s: int) -> int:
     delta means strictly fewer than 2 delta s misplaced indices, and the
     bound is evaluated at the smallest excluded overlap.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    validate_delta(delta)
     if s < 1:
         raise ValueError("s must be positive")
     m = 2.0 * delta * s

@@ -145,6 +145,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    planner.validate_delta(args.delta)
     dataset = load_dataset(args.data)
     if args.s is not None:
         s = args.s

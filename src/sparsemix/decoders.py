@@ -11,14 +11,32 @@ float no matter which code path produced it: panels of 8192 rows are
 each reduced with numpy's pairwise summation and the panel partials are
 combined with Kahan compensation, which keeps long sums (n above ten
 thousand) stable enough for reproducible tie ordering.
+
+Both decoders rank every candidate in Gram form first and confirm only
+the survivors canonically (the exhaustive scan wherever its p x p Gram
+matrix fits the block budget). With W the row weights, G = X^T W X and
+b = X^T W Y, a support's loss is Y^T W Y + sum_S (G_ii - 2 b_i) +
+2 sum_{i<j in S} G_ij: O(s^2) per candidate instead of O(s n). Its
+rounding differs from the canonical routine's by at most a proven margin
+M (derived in _GramForm.margin: gamma_K times a bound on the sum of the
+absolute product terms, K = 3n + (s+5)^2), so only candidates whose
+Gram-form score lies within 2M of the lowest can hold the canonical
+minimum. Those alone are evaluated canonically and folded by (loss,
+support), which leaves supports, loss bits and tie-breaks as a canonical
+evaluation of every candidate would give them. This is the
+bound-and-confirm idea of leaps-and-bounds subset search (Furnival &
+Wilson 1974). M is finite only when G and every score are, and a margin
+that is not finite keeps every candidate, so overflow and infinite
+weights need no separate path.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -46,8 +64,9 @@ _Best = tuple[float, tuple[int, ...]]
 class DecodeResult:
     """Decoded support with its loss and scan accounting.
 
-    scanned counts candidate supports whose loss was evaluated;
-    exhaustive says whether that was every size-s support.
+    scanned counts candidate supports ranked, in Gram form or canonically,
+    not the canonical evaluations that confirm the survivors; exhaustive
+    says whether that was every size-s support.
     """
 
     support: tuple[int, ...]
@@ -103,6 +122,138 @@ def _fold_best(
     return cand if best is None or cand < best else best
 
 
+class _GramForm:
+    """Block-weighted Gram quantities of one dataset under one setting.
+
+    Every weighted product is formed per noise block and scaled by the
+    block weight afterwards, as the canonical loss is, so both carry the
+    same underflow accounting in margin().
+    """
+
+    def __init__(self, dataset: MixedDataset, w1: float, w2: float) -> None:
+        n1 = dataset.noise.n1
+        X, Y = dataset.X, dataset.Y
+        self.blocks = ((w1, X[:n1]), (w2, X[n1:]))
+        sq1 = np.einsum("ij,ij->j", X[:n1], X[:n1])
+        sq2 = np.einsum("ij,ij->j", X[n1:], X[n1:])
+        self.diag = w1 * sq1 + w2 * sq2  # G_jj
+        self.b = w1 * (Y[:n1] @ X[:n1]) + w2 * (Y[n1:] @ X[n1:])
+        self.n = dataset.n
+        self.wmax = max(w1, w2)
+        self.ynorm = math.sqrt(Y @ Y)
+        self.xnorm = math.sqrt((sq1 + sq2).max())
+
+    def rows(self, idx: np.ndarray | slice) -> np.ndarray:
+        """Rows G[idx, :] of G = X^T W X."""
+        return sum(w * (Xb[:, idx].T @ Xb) for w, Xb in self.blocks)
+
+    def margin(self, s: int, t: int) -> float:
+        """Proven bound M on |Gram-form score - (canonical loss - C)|.
+
+        C is one constant for all candidates of a ranking: Y^T W Y for the
+        exhaustive scores, the current support's loss for local search.
+        Given that bound, the canonical winner S* and the Gram-form
+        minimizer S_g satisfy score(S*) <= loss(S*) - C + M
+        <= loss(S_g) - C + M <= score(S_g) + 2M, so S* survives a 2M
+        screen. Derivation, with u = 2^-53 and gamma_k = k u / (1 - k u):
+        a sum of terms whose values carry relative error gamma_a, formed
+        along any tree of depth d (any BLAS blocking, FMA or pairwise
+        order), is within gamma_{a+d} of the exact sum times the sum of
+        the absolute terms (Higham 2002, ch. 3). For a candidate let
+        A = sum_r w_r (|Y_r| + sum_{i in T} |X_ri|)^2, where T is the
+        support, or for a local-search swap the current support plus the
+        index swapped in and, a second time, the index swapped out
+        (t = |T| is s, or s + 2). A bounds the absolute product terms of
+        both evaluations.
+
+        Canonical loss: each row residual is an s-term sum (s + 2 for the
+        incremental swap residual), squaring gives gamma_{2s+1}
+        (gamma_{2s+5}), panel sums add at most L - 1, Kahan's combination
+        of P panel partials adds 2u + O(P u^2) <= gamma_{P+1} (Higham
+        2002, sec. 4.3; exact for P = 1) with L + P <= n + 1, and the block
+        weight and block sum add 2: gamma_{n+2s+4} A (gamma_{n+2s+8} A).
+
+        Gram form: an entry of G or b is an n_b-term dot product scaled
+        by its block weight and added across blocks, gamma_{n+2}. The
+        exhaustive score sums s(s+1)/2 entries of H (H_ii = G_ii - 2 b_i,
+        one more rounding; H_ij = 2 G_ij): gamma_{n+2+s(s+1)/2} A. The
+        swap score G_ii + G_jj + 2c_i - 2c_j - 2G_ij with
+        c = b - sum_{k in cur} G_k passes each term through at most s + 3
+        roundings: gamma_{n+s+5} A. Either pair of bounds adds up to at
+        most gamma_{2n+(s+3)^2} A.
+
+        A <= wmax (||Y|| + t max_j ||X_j||)^2 = wmax R^2 (Minkowski,
+        unweighted norms). Forming R^2 from computed norms takes at most
+        n + 6 roundings, and gamma_K, M and the screen threshold a few
+        more, each shrinking it by at most a factor 1 - u; K =
+        3n + (s+5)^2 covers them. The bound is doubled and its weight
+        floored at 1, so a finite M also proves that no intermediate of
+        either evaluation, at most (1 + gamma) max(1, wmax) R^2,
+        overflows. Gradual underflow leaves each product off by at most
+        2^-1075 absolute: an entry of G or b and a canonical block sum
+        gain at most tau = (wmax n + 2) 2^-1074, a score at most
+        (4s + 8) tau and a canonical loss tau, within (s + 3)^2 tau.
+        """
+        k = 3 * self.n + (s + 5) ** 2
+        gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+        root = self.ynorm + t * self.xnorm
+        bound = 2.0 * max(1.0, self.wmax) * root * root  # inf if anything can overflow
+        return gamma * bound + (s + 3) ** 2 * (self.wmax * self.n + 2.0) * 2.0**-1074
+
+
+def _screen(
+    scores: np.ndarray, margin: float, low: float = math.inf
+) -> tuple[np.ndarray, float]:
+    """Flat indices of the candidates that can still hold the minimum.
+
+    A candidate survives unless its Gram-form score exceeds the lowest
+    score seen, `low` included, by more than 2 * margin. A NaN score or
+    a non-finite margin fails that comparison, so those candidates
+    survive. Returns the survivors and the updated lowest score.
+    """
+    low = np.minimum(low, scores.min())
+    return np.flatnonzero(~(scores > low + 2.0 * margin)), low
+
+
+def _pair_scores(H: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """sum_{a <= b} H[c_a, c_b] for each sorted candidate row c."""
+    flat = H.ravel()
+    cols = np.ascontiguousarray(cands.T)  # position-major gathers are the fast ones
+    base = cols * H.shape[0]
+    scores = flat[base[0] + cols].sum(axis=0)
+    for a in range(1, cols.shape[0]):
+        scores += flat[base[a] + cols[a:]].sum(axis=0)
+    return scores
+
+
+@functools.lru_cache(maxsize=4)
+def _support_table(p: int, s: int) -> np.ndarray:
+    """Every size-s support of range(p), one row each, in lexicographic order."""
+    combos = itertools.chain.from_iterable(itertools.combinations(range(p), s))
+    table = np.fromiter(combos, np.intp, count=math.comb(p, s) * s).reshape(-1, s)
+    table.flags.writeable = False
+    return table
+
+
+def _support_blocks(p: int, s: int, rows: int) -> Iterator[np.ndarray]:
+    """The size-s supports of range(p) in lexicographic order, `rows` at a time.
+
+    A table of at most _CHUNK_ENTRIES // 8 entries is built once per
+    (p, s) and cached; a larger one is streamed, so a scan holds one
+    block of it at a time.
+    """
+    total = math.comb(p, s)
+    if total * s <= _CHUNK_ENTRIES // 8:
+        table = _support_table(p, s)
+        for start in range(0, total, rows):
+            yield table[start : start + rows]
+        return
+    combos = itertools.chain.from_iterable(itertools.combinations(range(p), s))
+    for start in range(0, total, rows):
+        k = min(rows, total - start)
+        yield np.fromiter(combos, np.intp, count=k * s).reshape(k, s)
+
+
 def support_loss(
     dataset: MixedDataset, support: Iterable[int], setting: Setting
 ) -> float:
@@ -130,8 +281,13 @@ def decode_exhaustive(
     Candidates are visited in lexicographic order in fixed-size blocks;
     the result is the candidate minimizing (loss, support), so exact ties
     go to the lexicographically smallest sorted index tuple and the
-    answer does not depend on block boundaries. Refuses instances with
-    more than EXHAUSTIVE_CAP candidates; use decode_local_search for those.
+    answer does not depend on block boundaries. Each block is ranked in
+    Gram form and only the candidates within the proven margin of the
+    lowest score so far are evaluated canonically; scanned counts every
+    candidate ranked, not those evaluations. The Gram form is used where
+    its p x p matrix fits the block budget (p^2 <= _CHUNK_ENTRIES);
+    elsewhere every candidate is evaluated canonically. Refuses instances with more than
+    EXHAUSTIVE_CAP candidates; use decode_local_search for those.
     """
     p = dataset.p
     if not 1 <= s <= p:
@@ -145,12 +301,21 @@ def decode_exhaustive(
     w1, w2 = dataset.noise.block_weights(setting)
     n1 = dataset.noise.n1
     Xt = dataset.X.T
+    H = None
+    if p * p <= _CHUNK_ENTRIES:
+        gram = _GramForm(dataset, w1, w2)
+        H = 2.0 * np.triu(gram.rows(slice(None)), 1)
+        H[np.diag_indices(p)] = gram.diag - 2.0 * gram.b
+        margin = gram.margin(s, s)
+    low = math.inf
     chunk = max(16, min(4096, _CHUNK_ENTRIES // max(1, s * dataset.n)))
-    entries = itertools.chain.from_iterable(itertools.combinations(range(p), s))
     best: _Best | None = None
-    for start in range(0, total, chunk):
-        rows = min(chunk, total - start)
-        cands = np.fromiter(entries, np.intp, count=rows * s).reshape(rows, s)
+    for cands in _support_blocks(p, s, chunk):
+        if H is not None:
+            keep, low = _screen(_pair_scores(H, cands), margin, low)
+            if keep.size == 0:
+                continue
+            cands = cands[keep]
         resid = dataset.Y - np.add.reduce(Xt[cands], axis=1)
         best = _fold_best(
             best,
@@ -184,7 +349,10 @@ def decode_local_search(
     lexicographically smallest resulting support, within a step and
     across restarts. Deterministic in (dataset, seed, restarts). The
     returned support is swap-locally optimal but carries no global
-    guarantee.
+    guarantee. Each step ranks its s * (p - s) swaps in Gram form and
+    evaluates only those within the proven margin of the lowest score;
+    scanned counts every swap ranked plus one start per restart, not the
+    canonical evaluations.
     """
     p = dataset.p
     if not 1 <= s <= p:
@@ -194,6 +362,8 @@ def decode_local_search(
     w1, w2 = dataset.noise.block_weights(setting)
     n1 = dataset.noise.n1
     Xt = dataset.X.T
+    gram = _GramForm(dataset, w1, w2)
+    margin = gram.margin(s, s + 2)
     m = p - s  # swap-in choices per removed index
     scanned = 0
     best: _Best | None = None
@@ -202,23 +372,34 @@ def decode_local_search(
         cur_loss = _support_loss(dataset, cur, w1, w2)
         scanned += 1
         while m > 0:
-            resid0 = dataset.Y - np.add.reduce(Xt[list(cur)], axis=0)
-            outs = np.setdiff1d(np.arange(p), cur)
-            x_outs = Xt[outs]
-            losses = np.empty((s, m))
-            for row, i in enumerate(cur):
-                resid = (resid0 + Xt[i]) - x_outs
-                losses[row] = _candidate_losses(resid, n1, w1, w2)
-            scanned += losses.size
+            ins = np.array(cur)
+            free = np.ones(p, dtype=bool)
+            free[ins] = False
+            outs = np.flatnonzero(free)
+            # swap i out, j in: loss - cur_loss = G_ii + G_jj + 2c_i - 2c_j - 2G_ij
+            rows = gram.rows(ins)
+            c = gram.b - rows.sum(axis=0)
+            u = gram.diag[ins] + 2.0 * c[ins]
+            v = gram.diag[outs] - 2.0 * c[outs]
+            keep, _ = _screen(((u[:, None] + v) - 2.0 * rows[:, outs]).ravel(), margin)
+            scanned += s * m
+            # survivors are evaluated on the incremental residual
+            # (r0 + X_i) - X_j, so the step's choice is the one a full
+            # evaluation of every swap on that residual would make
+            resid0 = dataset.Y - np.add.reduce(Xt[ins], axis=0)
+            losses = np.empty(keep.size)
+            for lo in range(0, keep.size, m):
+                row, col = np.divmod(keep[lo : lo + m], m)
+                resid = (resid0 + Xt[ins[row]]) - Xt[outs[col]]
+                losses[lo : lo + m] = _candidate_losses(resid, n1, w1, w2)
 
             def swapped(k: int) -> tuple[int, ...]:
-                row, col = divmod(k, m)
+                row, col = divmod(int(keep[k]), m)
                 return tuple(sorted(cur[:row] + cur[row + 1 :] + (int(outs[col]),)))
 
-            step = _fold_best(None, losses.ravel(), swapped)
+            step = _fold_best(None, losses, swapped)
             if step is None or step[0] >= cur_loss:
                 break
-            # The swap losses ride an incrementally built residual;
             # confirm the improvement on the canonical evaluation before
             # committing, so termination agrees with support_loss.
             exact = _support_loss(dataset, step[1], w1, w2)

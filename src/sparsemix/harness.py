@@ -103,8 +103,7 @@ class ExperimentConfig:
         ]
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+        planner.validate_delta(self.delta)
         if self.lambda_value is not None and not (
             math.isfinite(self.lambda_value) and self.lambda_value >= 0.0
         ):

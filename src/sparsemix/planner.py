@@ -33,6 +33,7 @@ __all__ = [
     "DEFAULT_EPSILON",
     "binary_entropy",
     "recovery_threshold",
+    "validate_delta",
     "pair_coefficients",
     "check_sufficient",
     "price_of_quality",
@@ -179,6 +180,12 @@ def _validate_variances(sigma1_sq: float, sigma2_sq: float) -> None:
         raise ValueError("variances must be positive")
 
 
+def validate_delta(delta: float) -> None:
+    """Refuse an error budget outside (0, 1), NaN included."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+
+
 def pair_coefficients(
     setting: Setting, sigma1_sq: float, sigma2_sq: float, s: int, delta: float
 ) -> tuple[float, float]:
@@ -192,11 +199,12 @@ def pair_coefficients(
 
     In both settings alpha1 >= alpha2 whenever sigma1_sq <= sigma2_sq.
     Requires s >= 1, delta in (0, 1) and finite 0 < sigma1_sq <= sigma2_sq.
+    A coefficient that rounds to 0 (delta * s tiny against a variance) is
+    refused: that block would need infinitely many samples.
     """
     if s < 1:
         raise ValueError("sparsity must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    validate_delta(delta)
     _validate_variances(sigma1_sq, sigma2_sq)
     if setting is Setting.AGNOSTIC:
         a1 = math.log1p(delta * (2.0 * sigma2_sq - sigma1_sq) * s / (2.0 * sigma2_sq**2))
@@ -206,6 +214,11 @@ def pair_coefficients(
         a2 = math.log1p(delta * s / (2.0 * sigma2_sq))
     else:
         raise ValueError(f"unknown setting: {setting!r}")
+    if a1 == 0.0 or a2 == 0.0:
+        raise ValueError(
+            "an information coefficient rounds to 0: delta * s is too small "
+            "against the block variances"
+        )
     return a1, a2
 
 

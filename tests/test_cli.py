@@ -300,6 +300,14 @@ EDGE_CASES = {
                                              "--optimize"]),
     # an accepted exact finish relies on 0 < tol to rebuild the residual
     "lasso-nan-tol": (2, ["lasso", "--data", "{data}", "--tol", "nan"]),
+    # the recovery verdict compares against 2 * delta * s
+    "solve-nan-delta": (2, ["solve", "--data", "{data}", "--decoder", "agnostic",
+                            "--s", "2", "--delta", "nan"]),
+    "solve-delta-above-one": (2, ["solve", "--data", "{data}", "--decoder", "agnostic",
+                                  "--s", "2", "--delta", "5"]),
+    # delta * s / (2 * sigma2_sq) underflows, so the noisy block's coefficient is 0
+    "plan-zero-coefficient": (2, ["plan", "--p", "24", "--s", "4", "--sigma1-sq", "1",
+                                  "--sigma2-sq", "1e10", "--delta", "1e-320"]),
 }
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,3 +248,152 @@ def test_decode_input_validation():
             decode_exhaustive(ds, bad_s, Setting.AGNOSTIC)
         with pytest.raises(ValueError):
             decode_local_search(ds, bad_s, Setting.AGNOSTIC)
+
+
+# Reference decoders that evaluate every candidate canonically, as the scan
+# did before Gram-form screening: full residual blocks in lexicographic
+# chunks for the exhaustive scan, the full (s, p - s) swap block per step
+# for local search.
+
+
+def reference_exhaustive(ds, s, setting):
+    w1, w2 = ds.noise.block_weights(setting)
+    combos = list(itertools.combinations(range(ds.p), s))
+    chunk = max(16, min(4096, decoders._CHUNK_ENTRIES // max(1, s * ds.n)))
+    best = None
+    for start in range(0, len(combos), chunk):
+        cands = np.array(combos[start : start + chunk], dtype=np.intp)
+        resid = ds.Y - np.add.reduce(ds.X.T[cands], axis=1)
+        losses = decoders._candidate_losses(resid, ds.noise.n1, w1, w2)
+        best = decoders._fold_best(best, losses, lambda k: combos[start + k])
+    return decoders.DecodeResult(best[1], best[0], len(combos), True)
+
+
+def reference_local_search(ds, s, setting, restarts, seed):
+    w1, w2 = ds.noise.block_weights(setting)
+    Xt, p, m = ds.X.T, ds.p, ds.p - s
+    scanned, best = 0, None
+    for r in range(restarts):
+        cur = decoders._random_support(derive(seed, r), p, s)
+        cur_loss = decoders._support_loss(ds, cur, w1, w2)
+        scanned += 1
+        while m > 0:
+            resid0 = ds.Y - np.add.reduce(Xt[list(cur)], axis=0)
+            outs = [j for j in range(p) if j not in cur]
+            losses = np.empty((s, m))
+            for row, i in enumerate(cur):
+                resid = (resid0 + Xt[i]) - Xt[outs]
+                losses[row] = decoders._candidate_losses(resid, ds.noise.n1, w1, w2)
+            scanned += losses.size
+
+            def swapped(k):
+                row, col = divmod(k, m)
+                return tuple(sorted(cur[:row] + cur[row + 1 :] + (outs[col],)))
+
+            step = decoders._fold_best(None, losses.ravel(), swapped)
+            if step is None or step[0] >= cur_loss:
+                break
+            exact = decoders._support_loss(ds, step[1], w1, w2)
+            if exact >= cur_loss:
+                break
+            cur, cur_loss = step[1], exact
+        best = decoders._fold_best(best, np.array([cur_loss]), lambda _: cur)
+    return decoders.DecodeResult(best[1], best[0], scanned, False)
+
+
+def key(res):
+    return res.support, res.loss.hex(), res.scanned, res.exhaustive
+
+
+def assert_matches_reference(ds, s, restarts=(1, 3), seed=0):
+    for setting in (Setting.AGNOSTIC, Setting.INFORMED):
+        assert key(decode_exhaustive(ds, s, setting)) == key(
+            reference_exhaustive(ds, s, setting)
+        )
+        for r in restarts:
+            got = decode_local_search(ds, s, setting, restarts=r, seed=seed)
+            assert key(got) == key(reference_local_search(ds, s, setting, r, seed))
+
+
+def two_block(X, Y, n1, s1=0.5, s2=2.0):
+    noise = NoiseProfile(n1=n1, n2=X.shape[0] - n1, sigma1_sq=s1, sigma2_sq=s2)
+    return MixedDataset(X=X, Y=Y, noise=noise)
+
+
+def test_screened_decoders_match_the_residual_reference():
+    for seed in range(8):
+        rng = np.random.default_rng(100 + seed)
+        # random binary instances, including s = p and fewer rows than
+        # the support has indices (n = 2)
+        ds = binary_dataset(11, (1, 4, 8), 7, 9, 0.3, 1.2, seed=seed)
+        assert_matches_reference(ds, 1 + seed % 4, seed=seed)
+        tiny = two_block(rng.standard_normal((2, 6)), rng.standard_normal(2), 1)
+        assert_matches_reference(tiny, 2 + seed % 4, seed=seed)
+        assert_matches_reference(tiny, 6, seed=seed)
+        # exact and near-duplicate columns
+        X = rng.standard_normal((14, 10))
+        X[:, 7] = X[:, 2]
+        X[:, 9] = X[:, 4] + 1e-13 * rng.standard_normal(14)
+        Y = X[:, [2, 4, 5]].sum(axis=1) + 0.3 * rng.standard_normal(14)
+        assert_matches_reference(two_block(X, Y, 6), 3, seed=seed)
+        # small integers: every tie is exact, also across removed indices
+        X = rng.integers(-1, 2, size=(12, 9)).astype(float)
+        X[:, 6] = X[:, 1]
+        Y = X[:, [1, 3, 4]].sum(axis=1) + rng.integers(-1, 2, size=12)
+        assert_matches_reference(two_block(X, Y, 6, 1.0, 1.0), 3, seed=seed)
+        # columns twelve orders of magnitude apart
+        X = rng.standard_normal((16, 12)) * 10.0 ** rng.integers(-6, 7, size=12)
+        Y = X[:, [0, 3, 6]].sum(axis=1) + rng.standard_normal(16)
+        assert_matches_reference(two_block(X, Y, 7, 1e-3, 10.0), 3, seed=seed)
+
+
+def test_screened_scan_matches_the_reference_in_small_blocks(monkeypatch):
+    # 1 << 10 entries keep the Gram form (p * p <= 1024) with 16-row blocks
+    # and a streamed support table; one entry turns screening off. A copied
+    # column puts exact ties on both sides of block boundaries.
+    for budget in (1 << 10, 1):
+        monkeypatch.setattr(decoders, "_CHUNK_ENTRIES", budget)
+        for seed in range(12):
+            rng = np.random.default_rng(200 + seed)
+            X = rng.standard_normal((11, 9))
+            a, b = sorted(rng.choice(9, 2, replace=False).tolist())
+            X[:, b] = X[:, a]
+            Y = X[:, [a, (a + 3) % 9]].sum(axis=1)
+            if seed % 3:
+                Y = Y + 0.2 * rng.standard_normal(11)
+            assert_matches_reference(two_block(X, Y, 5), 2 + seed % 3, seed=seed)
+
+
+def test_screened_decoders_match_the_reference_across_panels():
+    # a block longer than one 8192-row panel takes the Kahan-combined path
+    n1 = decoders._PANEL + 900
+    ds = binary_dataset(7, (1, 4), n1, 300, 0.5, 2.0, seed=4)
+    assert_matches_reference(ds, 2, restarts=(2,), seed=1)
+
+
+def test_gram_screen_needs_its_margin():
+    # column 1 is column 0 scaled by 1e8 and column 2 a near copy of it:
+    # supports holding 1 or 2 differ in loss by less than the rounding of
+    # either evaluation, so the Gram-form order and the canonical order
+    # disagree there, and a screen without its margin keeps the wrong one
+    for seed in (3, 6, 11, 22):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((12, 8))
+        X[:, 1] = X[:, 0] * 1e8
+        X[:, 2] = X[:, 1] + rng.standard_normal(12) * 1e-7
+        Y = X[:, 1] + X[:, 3] + rng.standard_normal(12) * 1e-3
+        assert_matches_reference(two_block(X, Y, 5, 1.0, 3.0), 2, restarts=(4,), seed=seed)
+
+
+def test_exhaustive_scan_memory_stays_within_the_block_budget():
+    # 376,740 candidates: a cached or materialized table of them would take
+    # 18 MB, more than one block budget of _CHUNK_ENTRIES float64 values
+    ds = binary_dataset(28, (2, 7, 11, 19, 23, 26), 8, 12, 0.5, 2.0, seed=5)
+    tracemalloc.start()
+    try:
+        res = decode_exhaustive(ds, 6, Setting.INFORMED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.scanned == math.comb(28, 6)
+    assert peak < decoders._CHUNK_ENTRIES * 8

@@ -118,6 +118,18 @@ def test_pair_coefficients_validates_sparsity_and_delta():
                 price_of_quality(setting, 1.0, 2.0, s, delta)
 
 
+def test_pair_coefficients_refuse_a_coefficient_that_rounds_to_zero():
+    # delta * s / (2 * sigma2_sq) underflows: the noisy block carries no
+    # information the planner can use, and the frontier would divide by 0
+    for setting in Setting:
+        with pytest.raises(ValueError, match="rounds to 0"):
+            pair_coefficients(setting, 1.0, 1e10, 4, 1e-320)
+        with pytest.raises(ValueError, match="rounds to 0"):
+            price_of_quality(setting, 1.0, 1e10, 4, 1e-320)
+        with pytest.raises(ValueError, match="rounds to 0"):
+            sample_frontier(setting, 1.0, 1e10, 8, 1e-320, 0.0, SUBLINEAR_100_8, [0])
+
+
 @pytest.mark.parametrize(
     "s1, s2", [(1.0, math.inf), (math.inf, math.inf), (math.nan, 2.0), (1.0, math.nan)]
 )
