@@ -37,15 +37,12 @@ from .planner import (
     DEFAULT_EPSILON,
     FrontierPoint,
     Growth,
-    PoqAsymptote,
-    PoqRegime,
     RegimeSpec,
     SufficiencyCheck,
     ThresholdKind,
     binary_entropy,
     check_sufficient,
     pair_coefficients,
-    poq_asymptotic,
     price_of_quality,
     recovery_threshold,
     sample_frontier,
@@ -61,19 +58,14 @@ from .lasso import (
     KktWitnessReport,
     LassoConfig,
     LassoSolution,
-    NoiseScaling,
-    SampleSizeVerdict,
-    classify_sample_size,
     kkt_recovery_witness,
     lambda_schedule,
-    noise_scaling_ok,
     solve_lasso,
 )
 from .chernoff import (
     ChernoffQuery,
     MisrankEstimate,
     OptimalTheta,
-    block_mgf,
     chernoff_bound,
     chernoff_log_bound,
     empirical_misrank,

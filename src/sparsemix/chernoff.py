@@ -2,10 +2,13 @@
 
 The bounded event: a candidate support S at symmetric-difference size m
 from the truth scores a loss no worse than the truth's. Each sample row
-contributes one moment-generating-function factor per noise block, so
-the bound is M1(theta)^n1 * M2(theta)^n2, minimized over theta inside
-the MGF domain, where each nonempty block's exponent argument is below
-1/2; an empty block contributes neither a factor nor a domain limit.
+contributes one moment-generating-function factor (1 - 2 g_b)^(-1/2)
+per noise block, so the bound is M1(theta)^n1 * M2(theta)^n2, minimized
+over theta inside the MGF domain, where each nonempty block's exponent
+argument g_b is below 1/2; an empty block contributes neither a factor
+nor a domain limit. g_b is planner.exponent_arg, the function the
+planner's coefficients come from, so at m = 2 delta s and the default
+theta the log-bound is exactly -(n1 alpha1 + n2 alpha2) / 2.
 Everything is accumulated in log space; the agnostic optimum is a
 positive root of a cubic with three real roots, solved in trigonometric
 form and polished by Newton steps until a step stops shrinking.
@@ -22,14 +25,13 @@ from scipy.special import betaincinv
 
 from . import rng
 from .errors import SparsemixError
-from .model import NoiseProfile, Setting, SparseSignal, validate_variances
-from .planner import validate_delta
+from .model import NoiseProfile, Setting, SparseSignal
+from .planner import exponent_arg, validate_delta, validate_positive_variances
 
 __all__ = [
     "ChernoffQuery",
     "OptimalTheta",
     "MisrankEstimate",
-    "block_mgf",
     "chernoff_log_bound",
     "chernoff_bound",
     "optimal_theta_agnostic",
@@ -60,9 +62,7 @@ class ChernoffQuery:
     def __post_init__(self) -> None:
         if self.n1 < 0 or self.n2 < 0:
             raise ValueError("block sizes must be nonnegative")
-        validate_variances(self.sigma1_sq, self.sigma2_sq)
-        if self.sigma1_sq <= 0.0:  # sigma1_sq <= sigma2_sq
-            raise ValueError("variances must be positive")
+        validate_positive_variances(self.sigma1_sq, self.sigma2_sq)
         if self.m < 1:
             raise ValueError("m must be a positive integer")
         if self.theta is not None and (
@@ -105,29 +105,11 @@ def m_for_error_budget(delta: float, s: int) -> int:
     return int(round(m))
 
 
-def _mgf_arg(setting: Setting, theta: float, m: int, sigma_sq: float) -> float:
-    if setting is Setting.AGNOSTIC:
-        return m * (-theta + 2.0 * theta**2 * sigma_sq)
-    return m * (-theta + 2.0 * theta**2) / sigma_sq
-
-
-def block_mgf(query: ChernoffQuery, block: int) -> float:
-    """Per-sample MGF factor of one block at the query's theta.
-
-    Returns (1 - 2 g)^(-1/2) with g the setting's exponent argument, or
-    +inf when g >= 1/2 (theta outside the MGF domain).
-    """
-    if block not in (1, 2):
-        raise ValueError("block must be 1 or 2")
-    sigma_sq = query.sigma1_sq if block == 1 else query.sigma2_sq
-    return math.exp(-0.5 * _block_log_mgf(query, query.theta, 1, sigma_sq))
-
-
 def _block_log_mgf(query: ChernoffQuery, theta: float, n: int, v: float) -> float:
     """n ln(1 - 2 g) of n rows at variance v; 0 if n = 0, -inf off-domain."""
     if n == 0:
         return 0.0
-    g = _mgf_arg(query.setting, theta, query.m, v)
+    g = exponent_arg(query.setting, theta, query.m, v)
     return n * math.log1p(-2.0 * g) if g < 0.5 else -math.inf
 
 

@@ -14,34 +14,26 @@ set, so an n p^2 Gram build would cost more than the passes it speeds up.
 
 from __future__ import annotations
 
-import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateInstanceError, SparsemixError
 from .model import MixedDataset, SparseSignal
-from .planner import Growth, RegimeSpec, ThresholdKind, recovery_threshold
 
 __all__ = [
     "LassoConfig",
     "LassoSolution",
     "KktWitnessReport",
-    "NoiseScaling",
-    "SampleSizeVerdict",
     "solve_lasso",
     "lambda_schedule",
-    "noise_scaling_ok",
-    "classify_sample_size",
     "kkt_recovery_witness",
 ]
 
 _REFRESH_SWEEPS = 64  # check and rebuild this often even while passes still move
 _GRAM_CONDITION_LIMIT = 1e12
-_NOISE_SCALING_MARGIN = 0.1  # noise_scaling_ok accepts ratios up to this
 _STRICT_MARGIN = 1e-9  # KKT witness: each support slack must exceed this
 _EQ_TOL = 1e-9  # KKT witness: each off-support margin may fall this far below 0
 
@@ -81,17 +73,6 @@ class LassoSolution:
     objective: float
     sweeps: int
     converged: bool
-
-
-class SampleSizeVerdict(str, enum.Enum):
-    BELOW_NECESSITY = "BelowNecessity"
-    ABOVE_SUFFICIENCY = "AboveSufficiency"
-    GAP = "Gap"
-
-
-class NoiseScaling(NamedTuple):
-    ok: bool
-    ratio: float
 
 
 @dataclass(frozen=True)
@@ -212,15 +193,6 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
     return LassoSolution(beta, prev_obj, sweeps, converged)
 
 
-def _check_schedule_shape(*, p: int, s: int, n: int, rho: float) -> None:
-    if p - s < 2:
-        raise ValueError("schedule requires p - s >= 2")
-    if s < 1 or n < 1:
-        raise ValueError("s and n must be positive")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-
-
 def lambda_schedule(
     sigma_avg_sq: float, *, p: int, s: int, n: int, rho: float
 ) -> float:
@@ -230,48 +202,15 @@ def lambda_schedule(
     leave the smallest coefficient visible. Requires p - s >= 2 so the
     logarithm is positive.
     """
-    _check_schedule_shape(p=p, s=s, n=n, rho=rho)
+    if p - s < 2:
+        raise ValueError("schedule requires p - s >= 2")
+    if s < 1 or n < 1:
+        raise ValueError("s and n must be positive")
+    if rho <= 0.0:
+        raise ValueError("rho must be positive")
     if sigma_avg_sq <= 0.0:
         raise ValueError("sigma_avg_sq must be positive")
     return (sigma_avg_sq * math.log(p - s) / ((1.0 + s / rho**2) * n)) ** 0.25
-
-
-def noise_scaling_ok(
-    sigma_avg_sq: float, *, p: int, s: int, n: int, rho: float
-) -> NoiseScaling:
-    """Whether the noise level is small enough for the schedule to work.
-
-    Computes ratio = sigma_avg_sq (1 + s/rho^2) ln(p-s) / n and accepts
-    it up to _NOISE_SCALING_MARGIN. The ratio is the square of the
-    schedule's lam over the crude scale rho-independent planning uses, so
-    values near 1 mean the penalty would drown the smallest coefficients.
-    """
-    _check_schedule_shape(p=p, s=s, n=n, rho=rho)
-    if sigma_avg_sq < 0.0:
-        raise ValueError("sigma_avg_sq must be nonnegative")
-    ratio = sigma_avg_sq * (1.0 + s / rho**2) * math.log(p - s) / n
-    return NoiseScaling(ok=ratio <= _NOISE_SCALING_MARGIN, ratio=ratio)
-
-
-def classify_sample_size(n: int, p: int, s: int, epsilon: float) -> SampleSizeVerdict:
-    """Place a sample count relative to the l1-relaxation threshold.
-
-    Below (1 - epsilon) times the threshold is BelowNecessity, above
-    (1 + epsilon) times is AboveSufficiency, and anything between lands
-    in Gap, where the theory is silent at finite size.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    n_alg = recovery_threshold(
-        ThresholdKind.N_ALG, RegimeSpec(growth=Growth.SUBLINEAR, p=p, s=s)
-    )
-    if n < (1.0 - epsilon) * n_alg:
-        return SampleSizeVerdict.BELOW_NECESSITY
-    if n > (1.0 + epsilon) * n_alg:
-        return SampleSizeVerdict.ABOVE_SUFFICIENCY
-    return SampleSizeVerdict.GAP
 
 
 def kkt_recovery_witness(

@@ -111,10 +111,6 @@ class SparseSignal:
         """Minimum magnitude over the support."""
         return min(abs(v) for v in self.values)
 
-    @property
-    def is_binary(self) -> bool:
-        return all(abs(v) == 1.0 for v in self.values)
-
     def dense(self) -> np.ndarray:
         beta = np.zeros(self.p)
         beta[list(self.support)] = self.values

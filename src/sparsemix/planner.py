@@ -10,6 +10,11 @@ holds, where the per-sample coefficients alpha1 >= alpha2 depend on the
 setting (agnostic or informed), the error budget delta, the sparsity,
 and the block variances. The ratio alpha1 / alpha2 is the price of
 quality: how many low-quality samples one high-quality sample is worth.
+
+The condition is the Chernoff misranking bound at its relaxed point, so
+both rest on one per-row exponent argument, exponent_arg, which lives
+here: alpha_b = -ln(1 - 2 g_b) at m = 2 delta s, and chernoff raises
+each row's (1 - 2 g_b)^(-1/2) factor from the same g_b.
 """
 
 from __future__ import annotations
@@ -24,20 +29,19 @@ from .model import Setting, validate_variances
 __all__ = [
     "Growth",
     "ThresholdKind",
-    "PoqRegime",
     "RegimeSpec",
     "SufficiencyCheck",
-    "PoqAsymptote",
     "FrontierPoint",
     "DEFAULT_DELTA",
     "DEFAULT_EPSILON",
     "binary_entropy",
     "recovery_threshold",
     "validate_delta",
+    "validate_positive_variances",
+    "exponent_arg",
     "pair_coefficients",
     "check_sufficient",
     "price_of_quality",
-    "poq_asymptotic",
     "sample_frontier",
 ]
 
@@ -57,16 +61,6 @@ class ThresholdKind(str, enum.Enum):
     N_STAR = "NStar"  # homogeneous unit-variance requirement
     N_INF = "NInf"  # information-theoretic necessity scale
     N_ALG = "NAlg"  # l1-relaxation (Lasso) threshold
-
-
-class PoqRegime(str, enum.Enum):
-    """Asymptotic regimes for which a closed-form price of quality exists."""
-
-    HIGH_SNR2 = "HighSNR2"
-    LOW_SNR2 = "LowSNR2"
-    HIGH_SNR = "HighSNR"
-    LOW_SNR = "LowSNR"
-    LOW_SNR2_HIGH_SNR1 = "LowSnr2HighSnr1"
 
 
 @dataclass(frozen=True)
@@ -113,15 +107,6 @@ class SufficiencyCheck:
     delta: float
     epsilon: float
     holds: bool
-
-
-@dataclass(frozen=True)
-class PoqAsymptote:
-    """A limiting price of quality; order_only marks values exact only up
-    to constant factors."""
-
-    value: float
-    order_only: bool = False
 
 
 @dataclass(frozen=True)
@@ -174,7 +159,8 @@ def _n_star(s: int, epsilon: float, regime: RegimeSpec) -> float:
     return recovery_threshold(ThresholdKind.N_STAR, regime)
 
 
-def _validate_variances(sigma1_sq: float, sigma2_sq: float) -> None:
+def validate_positive_variances(sigma1_sq: float, sigma2_sq: float) -> None:
+    """Refuse what model.validate_variances refuses, and a zero variance."""
     validate_variances(sigma1_sq, sigma2_sq)
     if sigma1_sq <= 0.0:  # sigma1_sq <= sigma2_sq
         raise ValueError("variances must be positive")
@@ -186,16 +172,33 @@ def validate_delta(delta: float) -> None:
         raise ValueError("delta must lie in (0, 1)")
 
 
+def exponent_arg(setting: Setting, theta: float, m: float, v: float) -> float:
+    """Per-row exponent argument g(theta) of a block at variance v, overlap m.
+
+    A row's MGF factor is (1 - 2 g)^(-1/2), finite while g < 1/2:
+        agnostic  g = m (2 v theta^2 - theta)
+        informed  g = m theta (2 theta - 1) / v
+    The products run left to right, so neither theta nor v is squared on
+    its own: v = 1e200 at theta = 1/(4 v) neither overflows nor loses its
+    theta^2 term to underflow.
+    """
+    if setting is Setting.AGNOSTIC:
+        return m * (2.0 * v * theta * theta - theta)
+    if setting is Setting.INFORMED:
+        return m * theta * (2.0 * theta - 1.0) / v
+    raise ValueError(f"unknown setting: {setting!r}")
+
+
 def pair_coefficients(
     setting: Setting, sigma1_sq: float, sigma2_sq: float, s: int, delta: float
 ) -> tuple[float, float]:
     """Per-sample information coefficients (alpha1, alpha2) for each block.
 
-    Agnostic:
-        alpha1 = ln(1 + delta*(2*sigma2_sq - sigma1_sq)*s / (2*sigma2_sq**2))
-        alpha2 = ln(1 + delta*s / (2*sigma2_sq))
-    Informed:
-        alpha_b = ln(1 + delta*s / (2*sigma_b_sq))
+    alpha_b = -ln(1 - 2 g_b) with g_b = exponent_arg at m = 2 delta s and
+    the relaxed point theta0 = 1/(4 sigma2_sq) agnostic, 1/4 informed:
+        agnostic  alpha1 = ln(1 + delta s (2 sigma2_sq - sigma1_sq) / (2 sigma2_sq^2)),
+                  alpha2 = ln(1 + delta s / (2 sigma2_sq))
+        informed  alpha_b = ln(1 + delta s / (2 sigma_b_sq))
 
     In both settings alpha1 >= alpha2 whenever sigma1_sq <= sigma2_sq.
     Requires s >= 1, delta in (0, 1) and finite 0 < sigma1_sq <= sigma2_sq.
@@ -205,15 +208,11 @@ def pair_coefficients(
     if s < 1:
         raise ValueError("sparsity must be >= 1")
     validate_delta(delta)
-    _validate_variances(sigma1_sq, sigma2_sq)
-    if setting is Setting.AGNOSTIC:
-        a1 = math.log1p(delta * (2.0 * sigma2_sq - sigma1_sq) * s / (2.0 * sigma2_sq**2))
-        a2 = math.log1p(delta * s / (2.0 * sigma2_sq))
-    elif setting is Setting.INFORMED:
-        a1 = math.log1p(delta * s / (2.0 * sigma1_sq))
-        a2 = math.log1p(delta * s / (2.0 * sigma2_sq))
-    else:
-        raise ValueError(f"unknown setting: {setting!r}")
+    validate_positive_variances(sigma1_sq, sigma2_sq)
+    m = 2.0 * delta * s
+    theta = 1.0 / (4.0 * sigma2_sq) if setting is Setting.AGNOSTIC else 0.25
+    a1 = math.log1p(-2.0 * exponent_arg(setting, theta, m, sigma1_sq))
+    a2 = math.log1p(-2.0 * exponent_arg(setting, theta, m, sigma2_sq))
     if a1 == 0.0 or a2 == 0.0:
         raise ValueError(
             "an information coefficient rounds to 0: delta * s is too small "
@@ -269,48 +268,6 @@ def price_of_quality(
     """
     a1, a2 = pair_coefficients(setting, sigma1_sq, sigma2_sq, s, delta)
     return a1 / a2
-
-
-def poq_asymptotic(
-    setting: Setting,
-    regime: PoqRegime,
-    sigma1_sq: float,
-    sigma2_sq: float,
-    s: int,
-) -> PoqAsymptote:
-    """Closed-form limit of the price of quality in a named regime.
-
-    Agnostic limits exist for HighSNR2 (value 1: quality stops mattering)
-    and LowSNR2 (2 - sigma1_sq/sigma2_sq, never above 2). Informed limits
-    exist for LowSNR (the variance ratio), HighSNR (a log ratio, needing
-    sigma2_sq < s), and the mixed LowSnr2HighSnr1 regime, where only the
-    order of growth is pinned down, so order_only is set. The agnostic
-    mixed regime has no established limit and is rejected.
-    """
-    _validate_variances(sigma1_sq, sigma2_sq)
-    if s < 1:
-        raise ValueError("sparsity must be >= 1")
-    if setting is Setting.AGNOSTIC:
-        if regime is PoqRegime.HIGH_SNR2:
-            return PoqAsymptote(1.0)
-        if regime is PoqRegime.LOW_SNR2:
-            return PoqAsymptote(2.0 - sigma1_sq / sigma2_sq)
-        raise ValueError(f"no agnostic asymptote available for {regime.value}")
-    if setting is Setting.INFORMED:
-        if regime is PoqRegime.LOW_SNR:
-            return PoqAsymptote(sigma2_sq / sigma1_sq)
-        if regime is PoqRegime.HIGH_SNR:
-            if sigma2_sq >= s:
-                raise ValueError("informed high-SNR limit requires sigma2_sq < s")
-            return PoqAsymptote(math.log(s / sigma1_sq) / math.log(s / sigma2_sq))
-        if regime is PoqRegime.LOW_SNR2_HIGH_SNR1:
-            if sigma1_sq >= s:
-                raise ValueError("mixed-regime limit requires sigma1_sq < s")
-            return PoqAsymptote(
-                math.log(s / sigma1_sq) / (s / sigma2_sq), order_only=True
-            )
-        raise ValueError(f"no informed asymptote available for {regime.value}")
-    raise ValueError(f"unknown setting: {setting!r}")
 
 
 def sample_frontier(

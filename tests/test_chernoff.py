@@ -12,7 +12,6 @@ from sparsemix import (
     NoiseProfile,
     Setting,
     SparseSignal,
-    block_mgf,
     chernoff,
     chernoff_bound,
     chernoff_log_bound,
@@ -20,6 +19,7 @@ from sparsemix import (
     lq_domain_limit,
     m_for_error_budget,
     optimal_theta_agnostic,
+    pair_coefficients,
 )
 
 
@@ -29,27 +29,54 @@ def query(setting=Setting.AGNOSTIC, n1=10, n2=10, s1=1.0, s2=4.0, m=8, theta=Non
     )
 
 
+def only_block(block, **kw):
+    """A query whose ten rows all sit in one block, so its bound is that
+    block's per-row MGF factor to the tenth power."""
+    return query(n1=10 * (block == 1), n2=10 * (block == 2), **kw)
+
+
 def test_mgf_is_one_at_theta_zero():
     for setting in (Setting.AGNOSTIC, Setting.INFORMED):
-        q = query(setting=setting, theta=0.0)
-        assert block_mgf(q, 1) == 1.0
-        assert block_mgf(q, 2) == 1.0
-        assert chernoff_bound(q) == 1.0
+        for block in (1, 2):
+            q = only_block(block, setting=setting, theta=0.0)
+            assert chernoff_log_bound(q) == 0.0
+        assert chernoff_bound(query(setting=setting, theta=0.0)) == 1.0
 
 
 def test_mgf_relaxed_point_closed_form():
     # at theta = 1/(4 sigma2_sq) the noisy-block MGF simplifies to
     # (1 + m/(4 sigma2_sq))^(-1/2)
-    q = query(theta=1.0 / 16.0)
-    want = (1.0 + 8.0 / 16.0) ** -0.5
-    assert math.isclose(block_mgf(q, 2), want, rel_tol=1e-12)
+    q = only_block(2, theta=1.0 / 16.0)
+    want = -5.0 * math.log1p(8.0 / 16.0)
+    assert math.isclose(chernoff_log_bound(q), want, rel_tol=1e-12)
 
 
 def test_mgf_domain_boundary_is_infinite():
-    q = query(theta=10.0)
-    assert math.isinf(block_mgf(q, 2))
-    assert math.isinf(block_mgf(q, 1))
-    assert chernoff_bound(q) == math.inf
+    assert chernoff_log_bound(only_block(2, theta=10.0)) == math.inf
+    assert chernoff_log_bound(only_block(1, theta=10.0)) == math.inf
+    assert chernoff_bound(query(theta=10.0)) == math.inf
+
+
+@pytest.mark.parametrize("setting", [Setting.AGNOSTIC, Setting.INFORMED])
+def test_relaxed_log_bound_is_the_planner_information_sum(setting):
+    # at m = 2 delta s and the default theta, each row's -ln(1 - 2 g_b) is
+    # the planner's alpha_b, bit for bit, empty blocks included
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(3000):
+        s = int(rng.integers(1, 51))
+        m = int(rng.integers(1, 2 * s))
+        delta = m / (2.0 * s)
+        if 2.0 * delta * s != m:
+            continue
+        s2 = float(np.exp(rng.uniform(-5.0, 5.0)))
+        s1 = s2 * float(np.exp(rng.uniform(-7.0, 0.0)))
+        n1, n2 = (int(n) * (rng.uniform() > 0.1) for n in rng.integers(0, 501, size=2))
+        a1, a2 = pair_coefficients(setting, s1, s2, s, delta)
+        lb = chernoff_log_bound(ChernoffQuery(setting, n1, n2, s1, s2, m))
+        assert lb == -0.5 * (n1 * a1 + n2 * a2), (n1, n2, s1, s2, m)
+        checked += 1
+    assert checked > 2500
 
 
 def test_bound_frozen_values():
@@ -101,7 +128,7 @@ def test_empty_block_contributes_no_factor_and_no_domain(s2):
     assert math.isclose(best.log_bound, -5.0 * math.log1p(0.5), rel_tol=1e-12)
     # theta = 0.45 is off the empty block's domain but inside the clean one's
     at = query(n1=10, n2=0, s1=1.0, s2=s2, m=2, theta=0.45)
-    assert math.isinf(block_mgf(at, 2))
+    assert chernoff_log_bound(only_block(2, s1=1.0, s2=s2, m=2, theta=0.45)) == math.inf
     want = -5.0 * math.log1p(0.18)
     assert math.isclose(chernoff_log_bound(at), want, rel_tol=1e-12)
     # with the clean block empty instead, the noisy block alone binds
@@ -155,12 +182,14 @@ def test_domain_limit_marks_the_mgf_boundary():
             s1 = 0.5 * s2
             q = query(s1=s1, s2=s2, m=m)
             lim = lq_domain_limit(q)
-            inside = query(s1=s1, s2=s2, m=m, theta=lim * (1.0 - 1e-9))
-            outside = query(s1=s1, s2=s2, m=m, theta=lim)
-            assert math.isfinite(block_mgf(inside, 2))
-            assert math.isinf(block_mgf(outside, 2))
+            # g reaches 1/2 at lim itself only by rounding, so every case here
+            # pins the order of planner.exponent_arg's agnostic products
+            inside = dict(s1=s1, s2=s2, m=m, theta=lim * (1.0 - 1e-9))
+            outside = dict(s1=s1, s2=s2, m=m, theta=lim)
+            assert math.isfinite(chernoff_log_bound(only_block(2, **inside)))
+            assert chernoff_log_bound(only_block(2, **outside)) == math.inf
             # the clean block stays finite longer than the noisy block
-            assert math.isfinite(block_mgf(inside, 1))
+            assert math.isfinite(chernoff_log_bound(only_block(1, **inside)))
 
 
 @pytest.mark.parametrize("setting", [Setting.AGNOSTIC, Setting.INFORMED])

@@ -308,6 +308,9 @@ EDGE_CASES = {
     # delta * s / (2 * sigma2_sq) underflows, so the noisy block's coefficient is 0
     "plan-zero-coefficient": (2, ["plan", "--p", "24", "--s", "4", "--sigma1-sq", "1",
                                   "--sigma2-sq", "1e10", "--delta", "1e-320"]),
+    # a huge but finite variance is planned for, not squared past the float range
+    "plan-huge-variance": (0, ["plan", "--p", "24", "--s", "4", "--sigma1-sq", "1",
+                               "--sigma2-sq", "1e200"]),
 }
 
 

@@ -11,14 +11,11 @@ from sparsemix import (
     LassoConfig,
     MixedDataset,
     NoiseProfile,
-    SampleSizeVerdict,
     SparseSignal,
     SparsemixError,
-    classify_sample_size,
     generate_dataset,
     kkt_recovery_witness,
     lambda_schedule,
-    noise_scaling_ok,
     signed_support_match,
     solve_lasso,
 )
@@ -260,34 +257,10 @@ def test_lambda_schedule_scaling_laws():
         lambda_schedule(1.0, p=100, s=4, n=500, rho=0.0)
 
 
-def test_noise_scaling_frozen_example():
-    res = noise_scaling_ok(0.25, p=512, s=8, n=220, rho=1.0)
-    assert res.ok
-    assert math.isclose(res.ratio, 0.06363998455982083, rel_tol=1e-12)
-    assert noise_scaling_ok(0.0, p=512, s=8, n=220, rho=1.0).ok
-    # ratio exactly one fails any margin below one
-    n, p, s, rho = 220, 512, 8, 1.0
-    avg = n / ((1.0 + s / rho**2) * math.log(p - s))
-    res_one = noise_scaling_ok(avg, p=p, s=s, n=n, rho=rho)
-    assert math.isclose(res_one.ratio, 1.0, rel_tol=1e-12)
-    assert not res_one.ok
-
-
 def test_schedule_counts_are_keyword_only():
     # p and n are both ints, so a positional swap would pass silently
     with pytest.raises(TypeError):
         lambda_schedule(1.0, 100, 4, 500, 1.0)
-    with pytest.raises(TypeError):
-        noise_scaling_ok(0.25, 512, 8, 220, 1.0)
-
-
-def test_classify_sample_size_frozen_boundaries():
-    # threshold 2 s ln(p-s) + s + 1 at (s=8, p=512) is 16 ln 504 + 9
-    assert classify_sample_size(109, 512, 8, 0.5) is SampleSizeVerdict.GAP
-    assert classify_sample_size(218, 512, 8, 0.5) is SampleSizeVerdict.ABOVE_SUFFICIENCY
-    assert classify_sample_size(54, 512, 8, 0.5) is SampleSizeVerdict.BELOW_NECESSITY
-    with pytest.raises(ValueError):
-        classify_sample_size(100, 512, 8, 0.0)
 
 
 def test_witness_orthonormal_noiseless_case():

@@ -36,12 +36,10 @@ def test_sparse_signal_accessors():
     sig = make_signal()
     assert sig.s == 2
     assert sig.rho == 1.0
-    assert not sig.is_binary
     dense = sig.dense()
     assert dense.shape == (10,)
     assert dense[1] == 1.0 and dense[4] == -2.0
     assert np.count_nonzero(dense) == 2
-    assert SparseSignal(p=3, support=(0, 2), values=(1.0, 1.0)).is_binary
 
 
 def test_sparse_signal_validation():

@@ -5,7 +5,9 @@ arithmetic on the defining formulas (natural logarithms throughout);
 each constant's derivation is noted inline.
 """
 
+import enum
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,20 +15,67 @@ import pytest
 from sparsemix import (
     FrontierPoint,
     Growth,
-    PoqRegime,
     RegimeSpec,
     Setting,
     ThresholdKind,
     binary_entropy,
     check_sufficient,
     pair_coefficients,
-    poq_asymptotic,
     price_of_quality,
     recovery_threshold,
     sample_frontier,
 )
 
 SUBLINEAR_100_8 = RegimeSpec(growth=Growth.SUBLINEAR, p=100, s=8)
+
+
+class PoqRegime(str, enum.Enum):
+    """Asymptotic regimes for which a closed-form price of quality exists."""
+
+    HIGH_SNR2 = "HighSNR2"
+    LOW_SNR2 = "LowSNR2"
+    HIGH_SNR = "HighSNR"
+    LOW_SNR = "LowSNR"
+    LOW_SNR2_HIGH_SNR1 = "LowSnr2HighSnr1"
+
+
+@dataclass(frozen=True)
+class PoqAsymptote:
+    """A limiting price of quality; order_only marks values exact only up
+    to constant factors."""
+
+    value: float
+    order_only: bool = False
+
+
+def poq_asymptotic(setting, regime, sigma1_sq, sigma2_sq, s):
+    """Oracle: the closed-form limit of price_of_quality in a named regime.
+
+    Agnostic limits exist for HighSNR2 (value 1: quality stops mattering)
+    and LowSNR2 (2 - sigma1_sq/sigma2_sq: one clean sample never replaces
+    more than two noisy ones). Informed limits exist for LowSNR (the
+    variance ratio), HighSNR (a log ratio, needing sigma2_sq < s), and the
+    mixed LowSnr2HighSnr1 regime, where only the order of growth is pinned
+    down, so order_only is set. Other combinations have no established
+    limit and are rejected.
+    """
+    if setting is Setting.AGNOSTIC:
+        if regime is PoqRegime.HIGH_SNR2:
+            return PoqAsymptote(1.0)
+        if regime is PoqRegime.LOW_SNR2:
+            return PoqAsymptote(2.0 - sigma1_sq / sigma2_sq)
+    else:
+        if regime is PoqRegime.LOW_SNR:
+            return PoqAsymptote(sigma2_sq / sigma1_sq)
+        if regime is PoqRegime.HIGH_SNR:
+            if sigma2_sq >= s:
+                raise ValueError("informed high-SNR limit requires sigma2_sq < s")
+            return PoqAsymptote(math.log(s / sigma1_sq) / math.log(s / sigma2_sq))
+        if regime is PoqRegime.LOW_SNR2_HIGH_SNR1:
+            if sigma1_sq >= s:
+                raise ValueError("mixed-regime limit requires sigma1_sq < s")
+            return PoqAsymptote(math.log(s / sigma1_sq) / (s / sigma2_sq), order_only=True)
+    raise ValueError(f"no {setting.value} asymptote available for {regime.value}")
 
 
 def test_binary_entropy_values():
@@ -290,13 +339,26 @@ def test_poq_asymptotic_rejects_undefined_combinations():
 def test_poq_limits_approach_asymptotes():
     # large snr2 drives the agnostic ratio toward one
     g = price_of_quality(Setting.AGNOSTIC, 1.0, 2.0, 10**8, 0.5)
-    assert abs(g - 1.0) < 0.05
+    one = poq_asymptotic(Setting.AGNOSTIC, PoqRegime.HIGH_SNR2, 1.0, 2.0, 10**8)
+    assert abs(g - one.value) < 0.05
     # small delta*s drives it toward 2 - sigma1sq/sigma2sq
     g_lo = price_of_quality(Setting.AGNOSTIC, 1.0, 4.0, 1, 1e-8)
-    assert abs(g_lo - 1.75) < 1e-6
+    cap = poq_asymptotic(Setting.AGNOSTIC, PoqRegime.LOW_SNR2, 1.0, 4.0, 1)
+    assert abs(g_lo - cap.value) < 1e-6
     # small delta*s drives the informed ratio toward sigma2sq/sigma1sq
     g_inf = price_of_quality(Setting.INFORMED, 1.0, 4.0, 1, 1e-8)
-    assert abs(g_inf - 4.0) < 1e-6
+    ratio = poq_asymptotic(Setting.INFORMED, PoqRegime.LOW_SNR, 1.0, 4.0, 1)
+    assert abs(g_inf - ratio.value) < 1e-6
+
+
+def test_price_of_quality_at_a_huge_noisy_variance():
+    # delta * s / (2 sigma2_sq) is near 1e-201: squaring sigma2_sq would
+    # overflow, and losing the noisy block's theta^2 term to underflow
+    # would put the ratio at 1 instead of near its cap of 2
+    g = price_of_quality(Setting.AGNOSTIC, 1.0, 1e200, 4, 0.1)
+    cap = poq_asymptotic(Setting.AGNOSTIC, PoqRegime.LOW_SNR2, 1.0, 1e200, 4)
+    assert 1.0 <= g <= cap.value
+    assert g > 1.5
 
 
 def test_sample_frontier_frozen_example():
