@@ -156,17 +156,20 @@ def _cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]
 
     Depressed to t^3 + p t + q it has p < 0 and roots 2 r cos((phi -
     2 pi k)/3), r = sqrt(-p/3); clamping cos(phi) to [-1, 1] keeps both
-    roots of a double root under rounding.
+    roots of a double root under rounding. Returns no root when the
+    formula overflows or divides by a coefficient that underflowed to 0;
+    where a term overflows to inf, the roots may come out non-finite.
     """
-    a = c2 / c3
-    b = c1 / c3
-    c = c0 / c3
-    # depress with t = x + a/3: t^3 + p t + q
-    p = b - a * a / 3.0
-    q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
+    try:
+        a, b, c = c2 / c3, c1 / c3, c0 / c3
+        # depress with t = x + a/3: t^3 + p t + q
+        p = b - a * a / 3.0
+        q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
+        r = math.sqrt(-p / 3.0)
+        phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (2.0 * p * r))))
+    except (OverflowError, ZeroDivisionError):
+        return []
     shift = a / 3.0
-    r = math.sqrt(-p / 3.0)
-    phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (2.0 * p * r))))
     return [2.0 * r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
 
 
@@ -185,10 +188,12 @@ def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
     with roots of opposite signs. The trigonometric roots lose relative
     accuracy to cancellation when the roots lie far apart (a tiny
     variance ratio), so each is polished by Newton steps until a step no
-    longer shrinks in magnitude, at most 100. The positive roots then
-    compete against the always feasible relaxed point 1/(4 s2), a root
-    off the MGF domain having an infinite log-bound. The smallest
-    log-bound wins, so the result never loses to the relaxed bound.
+    longer shrinks in magnitude, at most 100. The finite positive roots
+    then compete against the always feasible relaxed point 1/(4 s2), a
+    root off the MGF domain having an infinite log-bound; where the root
+    formula overflows or underflows to a zero divisor, the relaxed point
+    competes alone. The smallest log-bound wins, so the result never
+    loses to the relaxed bound.
     """
     if query.setting is not Setting.AGNOSTIC:
         raise ValueError("theta optimization applies to the agnostic setting")
@@ -216,7 +221,7 @@ def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
                 break
             t -= step
             last = step
-        if t > 0.0:
+        if 0.0 < t < math.inf:
             candidates.append(t)
 
     best: OptimalTheta | None = None

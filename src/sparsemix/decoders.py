@@ -28,6 +28,16 @@ bound-and-confirm idea of leaps-and-bounds subset search (Furnival &
 Wilson 1974). M is finite only when G and every score are, and a margin
 that is not finite keeps every candidate, so overflow and infinite
 weights need no separate path.
+
+Local search runs its restarts in lockstep: each step forms the Gram rows
+of every restart still descending in one call, screens each restart's
+swaps against its own lowest score, evaluates all survivors on their
+incremental residuals in row blocks and confirms the improving steps in
+one canonical batch. Restarts run in blocks sized so that one step holds
+about _CHUNK_ENTRIES values, so the restart count costs time, not memory.
+Restarts are independent and the final fold is by (loss, support), so
+supports, loss bits, tie-breaks and scanned are those of running the
+restarts one after another.
 """
 
 from __future__ import annotations
@@ -95,12 +105,12 @@ def _candidate_losses(resid: np.ndarray, n1: int, w1: float, w2: float) -> np.nd
     return w1 * _row_sums(sq[:, :n1]) + w2 * _row_sums(sq[:, n1:])
 
 
-def _support_loss(
-    dataset: MixedDataset, support: tuple[int, ...], w1: float, w2: float
-) -> float:
-    """Canonical loss of one sorted support."""
-    resid = dataset.Y - np.add.reduce(dataset.X.T[list(support)], axis=0)
-    return float(_candidate_losses(resid[None, :], dataset.noise.n1, w1, w2)[0])
+def _canonical_losses(
+    dataset: MixedDataset, supports: np.ndarray, w1: float, w2: float
+) -> np.ndarray:
+    """Canonical losses of sorted supports given as the rows of a (k, s) array."""
+    resid = dataset.Y - np.add.reduce(dataset.X.T[supports], axis=1)
+    return _candidate_losses(resid, dataset.noise.n1, w1, w2)
 
 
 def _fold_best(
@@ -202,17 +212,20 @@ class _GramForm:
 
 
 def _screen(
-    scores: np.ndarray, margin: float, low: float = math.inf
-) -> tuple[np.ndarray, float]:
-    """Flat indices of the candidates that can still hold the minimum.
+    scores: np.ndarray, margin: float, low: float | np.ndarray = math.inf
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Indices of the candidates that can still hold the minimum.
 
-    A candidate survives unless its Gram-form score exceeds the lowest
-    score seen, `low` included, by more than 2 * margin. A NaN score or
-    a non-finite margin fails that comparison, so those candidates
-    survive. Returns the survivors and the updated lowest score.
+    Candidates lie along the last axis of `scores`, each leading index
+    (a local-search restart) ranked on its own. A candidate survives
+    unless its Gram-form score exceeds the lowest score of its row seen
+    so far, `low` included, by more than 2 * margin. A NaN score or a
+    non-finite margin fails that comparison, so those candidates
+    survive. Returns the survivors' indices, as np.nonzero gives them,
+    and the updated lowest scores.
     """
-    low = np.minimum(low, scores.min())
-    return np.flatnonzero(~(scores > low + 2.0 * margin)), low
+    low = np.minimum(low, scores.min(axis=-1, keepdims=True))
+    return np.nonzero(~(scores > low + 2.0 * margin)), low
 
 
 def _pair_scores(H: np.ndarray, cands: np.ndarray) -> np.ndarray:
@@ -270,7 +283,7 @@ def support_loss(
         raise ValueError("support indices must be distinct")
     if idx[0] < 0 or idx[-1] >= dataset.p:
         raise ValueError("support indices must lie in [0, p)")
-    return _support_loss(dataset, tuple(idx), w1, w2)
+    return float(_canonical_losses(dataset, np.array([idx]), w1, w2)[0])
 
 
 def decode_exhaustive(
@@ -299,8 +312,6 @@ def decode_exhaustive(
             "use decode_local_search instead"
         )
     w1, w2 = dataset.noise.block_weights(setting)
-    n1 = dataset.noise.n1
-    Xt = dataset.X.T
     H = None
     if p * p <= _CHUNK_ENTRIES:
         gram = _GramForm(dataset, w1, w2)
@@ -312,14 +323,13 @@ def decode_exhaustive(
     best: _Best | None = None
     for cands in _support_blocks(p, s, chunk):
         if H is not None:
-            keep, low = _screen(_pair_scores(H, cands), margin, low)
+            (keep,), low = _screen(_pair_scores(H, cands), margin, low)
             if keep.size == 0:
                 continue
             cands = cands[keep]
-        resid = dataset.Y - np.add.reduce(Xt[cands], axis=1)
         best = _fold_best(
             best,
-            _candidate_losses(resid, n1, w1, w2),
+            _canonical_losses(dataset, cands, w1, w2),
             lambda k: tuple(cands[k].tolist()),
         )
     if best is None:
@@ -327,10 +337,90 @@ def decode_exhaustive(
     return DecodeResult(support=best[1], loss=best[0], scanned=total, exhaustive=True)
 
 
-def _random_support(seed: int, p: int, s: int) -> tuple[int, ...]:
-    keys = rng.uniforms(seed, p)
-    order = np.argsort(keys, kind="stable")
-    return tuple(sorted(int(i) for i in order[:s]))
+def _random_starts(seed: int, first: int, stop: int, p: int, s: int) -> np.ndarray:
+    """Sorted size-s starts of restarts first..stop-1, one row each.
+
+    Restart r ranks the keys uniforms(derive(seed, r), p) stably and
+    starts from the indices of its s smallest.
+    """
+    streams = rng.derive_vec(seed, np.arange(first, stop, dtype=np.uint64))
+    keys = rng.uniforms_grid(streams, p)
+    return np.sort(np.argsort(keys, axis=1, kind="stable")[:, :s], axis=1)
+
+
+def _descend(
+    dataset: MixedDataset,
+    gram: _GramForm,
+    margin: float,
+    cur: np.ndarray,
+    w1: float,
+    w2: float,
+) -> tuple[np.ndarray, int]:
+    """Steepest single-swap descent of every start in `cur`, in lockstep.
+
+    cur holds one sorted support per row and is updated in place; a
+    restart whose step does not improve stops there. Returns the final
+    canonical losses and the number of swaps ranked.
+    """
+    p, s = dataset.p, cur.shape[1]
+    m = p - s  # swap-in choices per removed index
+    Xt = dataset.X.T
+    # survivor rows per residual block: about four n-long arrays are live
+    # per row, so a block stays within half the budget
+    rows_per_block = max(1, _CHUNK_ENTRIES // (8 * dataset.n))
+    loss = _canonical_losses(dataset, cur, w1, w2)
+    active = np.arange(len(cur) if m > 0 else 0)
+    ranked = 0
+    while active.size:
+        ins = cur[active]
+        a = len(ins)
+        free = np.ones((a, p), dtype=bool)
+        free[np.arange(a)[:, None], ins] = False
+        outs = np.nonzero(free)[1].reshape(a, m)
+        # swap i out, j in: loss - cur_loss = G_ii + G_jj + 2c_i - 2c_j - 2G_ij
+        rows = gram.rows(ins.ravel()).reshape(a, s, p)
+        c = gram.b - rows.sum(axis=1)
+        u = gram.diag[ins] + 2.0 * np.take_along_axis(c, ins, 1)
+        v = gram.diag[outs] - 2.0 * np.take_along_axis(c, outs, 1)
+        g = np.take_along_axis(rows, outs[:, None, :], 2)
+        scores = (u[:, :, None] + v[:, None, :]) - 2.0 * g
+        # every restart keeps at least its lowest score
+        (who, k), _ = _screen(scores.reshape(a, s * m), margin)
+        ranked += a * s * m
+        # survivors are evaluated on the incremental residual
+        # (r0 + X_i) - X_j, so each step's choice is the one a full
+        # evaluation of every swap on that residual would make
+        row, col = np.divmod(k, m)
+        gone, come = ins[who, row], outs[who, col]
+        resid0 = dataset.Y - np.add.reduce(Xt[ins], axis=1)
+        losses = np.empty(k.size)
+        for lo in range(0, k.size, rows_per_block):
+            sl = slice(lo, lo + rows_per_block)
+            resid = (resid0[who[sl]] + Xt[gone[sl]]) - Xt[come[sl]]
+            losses[sl] = _candidate_losses(resid, dataset.noise.n1, w1, w2)
+        # fold by (loss, support) per restart; survivors come grouped by
+        # restart, and a NaN minimum or one that does not improve stops it
+        low = np.minimum.reduceat(losses, np.flatnonzero(np.diff(who, prepend=-1)))
+        better = ~np.isnan(low) & ~(low >= loss[active])
+        tied = np.flatnonzero(better[who] & (losses == low[who]))
+        if tied.size == 0:
+            break
+        owner = who[tied]
+        step = ins[owner]
+        step[np.arange(tied.size), row[tied]] = come[tied]
+        step.sort(axis=1)
+        # the smallest support among each restart's tied minima
+        order = np.lexsort((*step.T[::-1], owner))
+        pick = order[np.flatnonzero(np.diff(owner[order], prepend=-1))]
+        moved, step = active[owner[pick]], step[pick]
+        # confirm each improvement on the canonical evaluation before
+        # committing, so termination agrees with support_loss
+        exact = _canonical_losses(dataset, step, w1, w2)
+        ok = ~(exact >= loss[moved])
+        active = moved[ok]
+        cur[active] = step[ok]
+        loss[active] = exact[ok]
+    return loss, ranked
 
 
 def decode_local_search(
@@ -353,6 +443,10 @@ def decode_local_search(
     evaluates only those within the proven margin of the lowest score;
     scanned counts every swap ranked plus one start per restart, not the
     canonical evaluations.
+
+    Restarts advance in lockstep (see the module docstring), in blocks
+    sized to the _CHUNK_ENTRIES budget; result and scanned are those of
+    running the restarts one after another.
     """
     p = dataset.p
     if not 1 <= s <= p:
@@ -360,53 +454,22 @@ def decode_local_search(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     w1, w2 = dataset.noise.block_weights(setting)
-    n1 = dataset.noise.n1
-    Xt = dataset.X.T
     gram = _GramForm(dataset, w1, w2)
     margin = gram.margin(s, s + 2)
-    m = p - s  # swap-in choices per removed index
-    scanned = 0
+    # half the budget goes to a block's restarts, each holding its Gram
+    # rows, gathered columns and residual, swap scores and survivor
+    # indices at once; the other half to the survivor residual blocks
+    per_restart = (s + 2) * (p + dataset.n) + 10 * s * (p - s)
+    block = max(1, _CHUNK_ENTRIES // (2 * per_restart))
+    scanned = restarts  # one start per restart
     best: _Best | None = None
-    for r in range(restarts):
-        cur = _random_support(rng.derive(seed, r), p, s)
-        cur_loss = _support_loss(dataset, cur, w1, w2)
-        scanned += 1
-        while m > 0:
-            ins = np.array(cur)
-            free = np.ones(p, dtype=bool)
-            free[ins] = False
-            outs = np.flatnonzero(free)
-            # swap i out, j in: loss - cur_loss = G_ii + G_jj + 2c_i - 2c_j - 2G_ij
-            rows = gram.rows(ins)
-            c = gram.b - rows.sum(axis=0)
-            u = gram.diag[ins] + 2.0 * c[ins]
-            v = gram.diag[outs] - 2.0 * c[outs]
-            keep, _ = _screen(((u[:, None] + v) - 2.0 * rows[:, outs]).ravel(), margin)
-            scanned += s * m
-            # survivors are evaluated on the incremental residual
-            # (r0 + X_i) - X_j, so the step's choice is the one a full
-            # evaluation of every swap on that residual would make
-            resid0 = dataset.Y - np.add.reduce(Xt[ins], axis=0)
-            losses = np.empty(keep.size)
-            for lo in range(0, keep.size, m):
-                row, col = np.divmod(keep[lo : lo + m], m)
-                resid = (resid0 + Xt[ins[row]]) - Xt[outs[col]]
-                losses[lo : lo + m] = _candidate_losses(resid, n1, w1, w2)
-
-            def swapped(k: int) -> tuple[int, ...]:
-                row, col = divmod(int(keep[k]), m)
-                return tuple(sorted(cur[:row] + cur[row + 1 :] + (int(outs[col]),)))
-
-            step = _fold_best(None, losses, swapped)
-            if step is None or step[0] >= cur_loss:
-                break
-            # confirm the improvement on the canonical evaluation before
-            # committing, so termination agrees with support_loss.
-            exact = _support_loss(dataset, step[1], w1, w2)
-            if exact >= cur_loss:
-                break
-            cur, cur_loss = step[1], exact
-        best = _fold_best(best, np.array([cur_loss]), lambda _: cur)
+    for first in range(0, restarts, block):
+        cur = _random_starts(seed, first, min(restarts, first + block), p, s)
+        loss, ranked = _descend(dataset, gram, margin, cur, w1, w2)
+        scanned += ranked
+        kept = np.flatnonzero(~np.isnan(loss))  # a NaN end takes no part
+        if kept.size:
+            best = _fold_best(best, loss[kept], lambda k: tuple(cur[kept[k]].tolist()))
     if best is None:
         raise SparsemixError("local search: every restart ended on a NaN loss")
     return DecodeResult(

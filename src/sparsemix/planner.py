@@ -296,12 +296,19 @@ def sample_frontier(
             raise ValueError("n1 values must be nonnegative")
         shortfall = target - n1 * a1
         n2_cont = max(0.0, shortfall / a2)
-        n2 = max(0, math.ceil(n2_cont))
-        # Ceiling in floats can land one step off the true minimum; fix
-        # against the same arithmetic check_sufficient applies.
-        while n2 > 0 and n1 * a1 + (n2 - 1) * a2 >= target:
-            n2 -= 1
-        while n1 * a1 + n2 * a2 < target:
-            n2 += 1
-        points.append(FrontierPoint(n1=n1, n2=n2, n2_continuous=n2_cont))
+
+        def passes(n2: int) -> bool:  # the arithmetic check_sufficient applies
+            return n1 * a1 + n2 * a2 >= target
+
+        # Ceiling in floats can land off the least passing n2, and past
+        # about 2**53 a unit step no longer moves n2 * a2. The check is
+        # monotone in n2, so double from the ceiling until it passes, then
+        # bisect between a failing lo (-1 while none is known) and hi.
+        lo, hi = -1, max(1, math.ceil(n2_cont))
+        while not passes(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+        points.append(FrontierPoint(n1=n1, n2=hi, n2_continuous=n2_cont))
     return points

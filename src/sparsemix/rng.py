@@ -35,6 +35,7 @@ __all__ = [
     "derive_vec",
     "raw_words",
     "uniforms",
+    "uniforms_grid",
     "normals",
     "normals_grid",
 ]
@@ -136,6 +137,17 @@ def uniforms(seed: int, count: int) -> np.ndarray:
     so 0.0 and 1.0 never occur and log/endpoint handling stays safe.
     """
     return _unit(raw_words(seed, count))
+
+
+def uniforms_grid(seeds: np.ndarray, count: int) -> np.ndarray:
+    """Uniform(0, 1) doubles for many streams at once: shape (len(seeds), count).
+
+    Row i equals uniforms(seeds[i], count), as normals_grid is to normals.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    return _unit(_words(seeds, count))
 
 
 def normals(seed: int, count: int) -> np.ndarray:

@@ -304,6 +304,17 @@ def test_optimal_theta_reaches_the_optimum_on_an_ill_conditioned_query():
     assert abs(best.theta - 4237.45) < 0.1
 
 
+@pytest.mark.parametrize("s1, s2", [(1e-300, 1e300), (1e-200, 1e-150), (1e-160, 1e-160)])
+def test_optimal_theta_when_the_root_formula_leaves_the_float_range(s1, s2):
+    # a^3 overflows for the first and last, and c3 underflows to 0 for the
+    # second; the relaxed point then competes alone
+    q = query(n1=3, n2=3, s1=s1, s2=s2, m=2)
+    best = optimal_theta_agnostic(q)
+    assert 0.0 < best.theta < math.inf
+    assert math.isfinite(best.log_bound)
+    assert best.log_bound <= chernoff_log_bound(q)
+
+
 def test_m_for_error_budget():
     assert m_for_error_budget(0.25, 4) == 2
     assert m_for_error_budget(0.1, 40) == 8

@@ -311,6 +311,13 @@ EDGE_CASES = {
     # a huge but finite variance is planned for, not squared past the float range
     "plan-huge-variance": (0, ["plan", "--p", "24", "--s", "4", "--sigma1-sq", "1",
                                "--sigma2-sq", "1e200"]),
+    # a frontier n2 past 2**53, where a unit step no longer moves n2 * alpha2
+    "plan-huge-frontier": (0, ["plan", "--p", "24", "--s", "4", "--sigma1-sq", "1",
+                               "--sigma2-sq", "1e30", "--frontier-n1", "0"]),
+    # the stationarity cubic's root formula overflows; the relaxed point wins
+    "bound-far-apart-variances-optimize": (0, ["bound", "--n1", "3", "--n2", "3",
+                                               "--m", "2", "--sigma1-sq", "1e-300",
+                                               "--sigma2-sq", "1e300", "--optimize"]),
 }
 
 

@@ -19,7 +19,13 @@ from sparsemix import (
     support_loss,
 )
 from sparsemix import decoders
-from sparsemix.rng import derive
+from sparsemix.rng import derive, uniforms
+
+
+def random_support(seed, p, s):
+    """Restart start: the s smallest of p stable-ranked uniform keys, sorted."""
+    order = np.argsort(uniforms(seed, p), kind="stable")
+    return tuple(sorted(int(i) for i in order[:s]))
 
 
 def binary_dataset(p, support, n1, n2, s1, s2, seed):
@@ -225,7 +231,7 @@ def test_local_search_swap_ties_go_to_smallest_support():
                 ds, 3, Setting.AGNOSTIC, restarts=restarts, seed=seed
             )
             want = min(
-                descend(ds, decoders._random_support(derive(seed, r), 9, 3))
+                descend(ds, random_support(derive(seed, r), 9, 3))
                 for r in range(restarts)
             )
             assert (res.loss, res.support) == want
@@ -274,8 +280,8 @@ def reference_local_search(ds, s, setting, restarts, seed):
     Xt, p, m = ds.X.T, ds.p, ds.p - s
     scanned, best = 0, None
     for r in range(restarts):
-        cur = decoders._random_support(derive(seed, r), p, s)
-        cur_loss = decoders._support_loss(ds, cur, w1, w2)
+        cur = random_support(derive(seed, r), p, s)
+        cur_loss = support_loss(ds, cur, setting)
         scanned += 1
         while m > 0:
             resid0 = ds.Y - np.add.reduce(Xt[list(cur)], axis=0)
@@ -293,7 +299,7 @@ def reference_local_search(ds, s, setting, restarts, seed):
             step = decoders._fold_best(None, losses.ravel(), swapped)
             if step is None or step[0] >= cur_loss:
                 break
-            exact = decoders._support_loss(ds, step[1], w1, w2)
+            exact = support_loss(ds, step[1], setting)
             if exact >= cur_loss:
                 break
             cur, cur_loss = step[1], exact
@@ -305,7 +311,7 @@ def key(res):
     return res.support, res.loss.hex(), res.scanned, res.exhaustive
 
 
-def assert_matches_reference(ds, s, restarts=(1, 3), seed=0):
+def assert_matches_reference(ds, s, restarts=(1, 3, 9), seed=0):
     for setting in (Setting.AGNOSTIC, Setting.INFORMED):
         assert key(decode_exhaustive(ds, s, setting)) == key(
             reference_exhaustive(ds, s, setting)
@@ -350,7 +356,16 @@ def test_screened_decoders_match_the_residual_reference():
 def test_screened_scan_matches_the_reference_in_small_blocks(monkeypatch):
     # 1 << 10 entries keep the Gram form (p * p <= 1024) with 16-row blocks
     # and a streamed support table; one entry turns screening off. A copied
-    # column puts exact ties on both sides of block boundaries.
+    # column puts exact ties on both sides of block boundaries. Both budgets
+    # split local search's 3 and 9 restarts into several lockstep blocks.
+    blocks = []
+    descend = decoders._descend
+
+    def counted(dataset, gram, margin, cur, w1, w2):
+        blocks.append(len(cur))
+        return descend(dataset, gram, margin, cur, w1, w2)
+
+    monkeypatch.setattr(decoders, "_descend", counted)
     for budget in (1 << 10, 1):
         monkeypatch.setattr(decoders, "_CHUNK_ENTRIES", budget)
         for seed in range(12):
@@ -361,7 +376,10 @@ def test_screened_scan_matches_the_reference_in_small_blocks(monkeypatch):
             Y = X[:, [a, (a + 3) % 9]].sum(axis=1)
             if seed % 3:
                 Y = Y + 0.2 * rng.standard_normal(11)
+            blocks.clear()
             assert_matches_reference(two_block(X, Y, 5), 2 + seed % 3, seed=seed)
+            # restarts 1, 3 and 9 in both settings, at most 2 per block
+            assert sum(blocks) == 2 * 13 and max(blocks) <= 2
 
 
 def test_screened_decoders_match_the_reference_across_panels():
@@ -396,4 +414,42 @@ def test_exhaustive_scan_memory_stays_within_the_block_budget():
     finally:
         tracemalloc.stop()
     assert res.scanned == math.comb(28, 6)
+    assert peak < decoders._CHUNK_ENTRIES * 8
+
+
+def test_local_search_restarts_that_stop_at_once_and_ones_that_descend():
+    # noiseless data: a restart starting on the true support (0, 1) is
+    # already optimal and stops at step 0, while the others keep descending
+    X = np.random.default_rng(7).standard_normal((10, 5))
+    ds = two_block(X, X[:, 0] + X[:, 1], 4)
+    starts = [random_support(derive(3, r), 5, 2) for r in range(9)]
+    assert 0 < starts.count((0, 1)) < 9
+    assert_matches_reference(ds, 2, seed=3)
+    res = decode_local_search(ds, 2, Setting.AGNOSTIC, restarts=9, seed=3)
+    assert (res.support, res.loss) == ((0, 1), 0.0)
+    # each restart ranks at least its first step's 6 swaps
+    assert res.scanned > 9 + 9 * 6
+
+
+def test_local_search_with_s_equal_to_p_ranks_no_swap():
+    rng = np.random.default_rng(8)
+    ds = two_block(rng.standard_normal((7, 4)), rng.standard_normal(7), 3)
+    assert_matches_reference(ds, 4, seed=5)
+    res = decode_local_search(ds, 4, Setting.INFORMED, restarts=9, seed=5)
+    assert res.support == (0, 1, 2, 3)
+    assert res.scanned == 9
+
+
+def test_local_search_memory_stays_within_the_block_budget():
+    # 4096 restarts take several lockstep blocks; run as one batch, their
+    # Gram rows, swap scores and survivor indices alone would exceed the
+    # budget of _CHUNK_ENTRIES float64 values
+    ds = binary_dataset(24, (2, 7, 11, 19), 10, 10, 0.5, 2.0, seed=5)
+    tracemalloc.start()
+    try:
+        res = decode_local_search(ds, 4, Setting.INFORMED, restarts=4096, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.scanned > 4096 * (1 + 4 * 20)
     assert peak < decoders._CHUNK_ENTRIES * 8

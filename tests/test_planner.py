@@ -394,6 +394,48 @@ def test_sample_frontier_points_are_minimal_and_sufficient():
     assert pts[-1].n2 == 0
 
 
+def unit_step_frontier(setting, s1, s2, s, delta, epsilon, spec, n1_grid):
+    """Reference: ceil the crossing, then fix it up one step at a time."""
+    target = (1.0 + epsilon) * check_sufficient(
+        setting, 0, 0, s1, s2, s, delta, epsilon, spec
+    ).n_star
+    a1, a2 = pair_coefficients(setting, s1, s2, s, delta)
+    out = []
+    for n1 in n1_grid:
+        n2 = max(0, math.ceil(max(0.0, (target - n1 * a1) / a2)))
+        while n2 > 0 and n1 * a1 + (n2 - 1) * a2 >= target:
+            n2 -= 1
+        while n1 * a1 + n2 * a2 < target:
+            n2 += 1
+        out.append(n2)
+    return out
+
+
+def test_sample_frontier_equals_the_unit_step_search():
+    # variance ratios up to 1e17 put n2 past 2**53 in about one point in
+    # nine, where the ceiled crossing is off and the unit steps still end
+    rng = np.random.default_rng(53)
+    for _ in range(300):
+        s = int(rng.integers(2, 12))
+        spec = RegimeSpec(growth=Growth.SUBLINEAR, p=int(rng.integers(s + 2, 400)), s=s)
+        s1 = float(10.0 ** rng.uniform(-4, 3))
+        s2 = s1 * float(10.0 ** rng.uniform(0, 17))
+        setting = Setting.AGNOSTIC if rng.random() < 0.5 else Setting.INFORMED
+        args = (setting, s1, s2, s, float(rng.uniform(0.05, 0.95)),
+                float(rng.uniform(0.0, 1.0)), spec, [0, 1, 5, 17, 100, 1000, 10**6])
+        assert [pt.n2 for pt in sample_frontier(*args)] == unit_step_frontier(*args)
+
+
+def test_sample_frontier_past_two_to_the_53():
+    # a unit step no longer moves n2 * alpha2 at this size
+    spec = RegimeSpec(growth=Growth.SUBLINEAR, p=24, s=4)
+    (pt,) = sample_frontier(Setting.AGNOSTIC, 1.0, 1e30, 4, 0.5, 0.0, spec, [0])
+    assert pt.n2 > 2**53
+    args = (1.0, 1e30, 4, 0.5, 0.0, spec)
+    assert check_sufficient(Setting.AGNOSTIC, 0, pt.n2, *args).holds
+    assert not check_sufficient(Setting.AGNOSTIC, 0, pt.n2 - 1, *args).holds
+
+
 def test_sample_frontier_equal_variances_has_unit_slope():
     spec = SUBLINEAR_100_8
     pts = sample_frontier(

@@ -11,6 +11,7 @@ import os
 import re
 
 import numpy as np
+import pytest
 
 from sparsemix import rng
 
@@ -124,6 +125,19 @@ def test_normals_grid_rows_match_scalar_streams():
         assert grid.shape == (6, count)
         for i, s in enumerate(seeds):
             assert np.array_equal(grid[i], rng.normals(int(s), count))
+
+
+def test_uniforms_grid_rows_match_scalar_streams():
+    seeds = rng.derive_vec(13, np.arange(5, dtype=np.uint64))
+    for count in (9, 1, 0):
+        grid = rng.uniforms_grid(seeds, count)
+        assert grid.shape == (5, count)
+        for i, s in enumerate(seeds):
+            assert grid[i].tobytes() == rng.uniforms(int(s), count).tobytes()
+    with pytest.raises(ValueError):
+        rng.uniforms_grid(seeds, -1)
+    with pytest.raises(ValueError):
+        rng.normals_grid(seeds, -1)
 
 
 def test_streams_with_distinct_derived_seeds_look_independent():
