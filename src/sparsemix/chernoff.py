@@ -26,7 +26,12 @@ from scipy.special import betaincinv
 from . import rng
 from .errors import SparsemixError
 from .model import NoiseProfile, Setting, SparseSignal
-from .planner import exponent_arg, validate_delta, validate_positive_variances
+from .planner import (
+    exponent_arg,
+    relaxed_theta,
+    validate_delta,
+    validate_positive_variances,
+)
 
 __all__ = [
     "ChernoffQuery",
@@ -48,7 +53,9 @@ class ChernoffQuery:
     m is the size of the symmetric difference between the candidate and
     true supports (equal-cardinality supports always give an even m).
     theta overrides the setting's default evaluation point when given;
-    a query built without one holds default_theta().
+    a query built without one holds default_theta(). Either way the
+    theta held must be finite and nonnegative, so a variance too small
+    for 1/(4 sigma2_sq) to be finite is refused.
     """
 
     setting: Setting
@@ -65,18 +72,14 @@ class ChernoffQuery:
         validate_positive_variances(self.sigma1_sq, self.sigma2_sq)
         if self.m < 1:
             raise ValueError("m must be a positive integer")
-        if self.theta is not None and (
-            not math.isfinite(self.theta) or self.theta < 0.0
-        ):
-            raise ValueError("theta must be a finite nonnegative real when given")
         if self.theta is None:
             object.__setattr__(self, "theta", self.default_theta())
+        if not (math.isfinite(self.theta) and self.theta >= 0.0):
+            raise ValueError("theta must be a finite nonnegative real")
 
     def default_theta(self) -> float:
         """Relaxed agnostic point 1/(4 sigma2_sq); exact informed point 1/4."""
-        if self.setting is Setting.AGNOSTIC:
-            return 1.0 / (4.0 * self.sigma2_sq)
-        return 0.25
+        return relaxed_theta(self.setting, self.sigma2_sq)
 
 
 class OptimalTheta(NamedTuple):

@@ -60,7 +60,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.values is not None:
         values = tuple(_float_list(args.values))
     else:
-        values = (args.value,) * len(support)
+        values = (1.0,) * len(support)
     signal = SparseSignal(p=args.p, support=support, values=values)
     if args.s != signal.s:
         raise ValueError("--s disagrees with the support length")
@@ -326,8 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--support", help="comma-separated indices (default: first s)")
-    g.add_argument("--values", help="comma-separated coefficients")
-    g.add_argument("--value", type=float, default=1.0, help="uniform coefficient")
+    g.add_argument("--values", help="comma-separated coefficients (default: 1.0 each)")
     g.set_defaults(func=_cmd_gen)
 
     pl = sub.add_parser("plan", help="thresholds, sufficiency, price of quality")

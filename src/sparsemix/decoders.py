@@ -10,7 +10,11 @@ evaluated through one canonical routine, so a support's loss is the same
 float no matter which code path produced it: panels of 8192 rows are
 each reduced with numpy's pairwise summation and the panel partials are
 combined with Kahan compensation, which keeps long sums (n above ten
-thousand) stable enough for reproducible tie ordering.
+thousand) stable enough for reproducible tie ordering. Data and weights
+are finite, so a loss is NaN only where its sum of squares overflowed;
+that routine returns such a loss as +inf. Losses are therefore totally
+ordered, and a candidate whose loss overflows ranks after every one
+whose loss is finite.
 
 Both decoders rank every candidate in Gram form first and confirm only
 the survivors canonically (the exhaustive scan wherever its p x p Gram
@@ -26,8 +30,8 @@ support), which leaves supports, loss bits and tie-breaks as a canonical
 evaluation of every candidate would give them. This is the
 bound-and-confirm idea of leaps-and-bounds subset search (Furnival &
 Wilson 1974). M is finite only when G and every score are, and a margin
-that is not finite keeps every candidate, so overflow and infinite
-weights need no separate path.
+that is not finite keeps every candidate, so overflow needs no separate
+path.
 
 Local search runs its restarts in lockstep: each step forms the Gram rows
 of every restart still descending in one call, screens each restart's
@@ -46,12 +50,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import rng
-from .errors import ResourceCapError, SparsemixError
+from .errors import ResourceCapError
 from .model import MixedDataset, Setting
 
 __all__ = [
@@ -66,8 +70,6 @@ EXHAUSTIVE_CAP = 2_000_000
 
 _PANEL = 8192  # rows per compensated-summation panel
 _CHUNK_ENTRIES = 1 << 21  # float64 budget per gathered candidate block
-
-_Best = tuple[float, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,15 @@ def _row_sums(sq: np.ndarray) -> np.ndarray:
 
 
 def _candidate_losses(resid: np.ndarray, n1: int, w1: float, w2: float) -> np.ndarray:
-    """Weighted squared-residual losses for residual rows shaped (c, n)."""
+    """Weighted squared-residual losses for residual rows shaped (c, n).
+
+    With finite data and weights a NaN loss means the sum of squares
+    overflowed (the Kahan step meets inf - inf), so it becomes +inf.
+    """
     sq = resid * resid
-    return w1 * _row_sums(sq[:, :n1]) + w2 * _row_sums(sq[:, n1:])
+    loss = w1 * _row_sums(sq[:, :n1]) + w2 * _row_sums(sq[:, n1:])
+    loss[np.isnan(loss)] = math.inf
+    return loss
 
 
 def _canonical_losses(
@@ -111,25 +119,6 @@ def _canonical_losses(
     """Canonical losses of sorted supports given as the rows of a (k, s) array."""
     resid = dataset.Y - np.add.reduce(dataset.X.T[supports], axis=1)
     return _candidate_losses(resid, dataset.noise.n1, w1, w2)
-
-
-def _fold_best(
-    best: _Best | None,
-    losses: np.ndarray,
-    support_of: Callable[[int], tuple[int, ...]],
-) -> _Best | None:
-    """The smaller of `best` and the (loss, support) minimum of a block.
-
-    support_of(k) gives the sorted support of flat entry k of `losses`;
-    it is called only for the entries tied at the block minimum. A block
-    whose minimum is NaN leaves `best` unchanged.
-    """
-    lo = losses.min()
-    if np.isnan(lo):
-        return best
-    tied = min(support_of(int(k)) for k in np.flatnonzero(losses == lo))
-    cand = (float(lo), tied)
-    return cand if best is None or cand < best else best
 
 
 class _GramForm:
@@ -320,20 +309,18 @@ def decode_exhaustive(
         margin = gram.margin(s, s)
     low = math.inf
     chunk = max(16, min(4096, _CHUNK_ENTRIES // max(1, s * dataset.n)))
-    best: _Best | None = None
+    best = None
     for cands in _support_blocks(p, s, chunk):
         if H is not None:
             (keep,), low = _screen(_pair_scores(H, cands), margin, low)
             if keep.size == 0:
                 continue
             cands = cands[keep]
-        best = _fold_best(
-            best,
-            _canonical_losses(dataset, cands, w1, w2),
-            lambda k: tuple(cands[k].tolist()),
-        )
-    if best is None:
-        raise SparsemixError("exhaustive scan: every candidate loss is NaN")
+        # the first minimum in scan order is the lexicographically smallest
+        losses = _canonical_losses(dataset, cands, w1, w2)
+        k = int(np.argmin(losses))
+        if best is None or losses[k] < best[0]:
+            best = (float(losses[k]), tuple(cands[k].tolist()))
     return DecodeResult(support=best[1], loss=best[0], scanned=total, exhaustive=True)
 
 
@@ -399,9 +386,9 @@ def _descend(
             resid = (resid0[who[sl]] + Xt[gone[sl]]) - Xt[come[sl]]
             losses[sl] = _candidate_losses(resid, dataset.noise.n1, w1, w2)
         # fold by (loss, support) per restart; survivors come grouped by
-        # restart, and a NaN minimum or one that does not improve stops it
+        # restart, and a minimum that does not improve stops it
         low = np.minimum.reduceat(losses, np.flatnonzero(np.diff(who, prepend=-1)))
-        better = ~np.isnan(low) & ~(low >= loss[active])
+        better = low < loss[active]
         tied = np.flatnonzero(better[who] & (losses == low[who]))
         if tied.size == 0:
             break
@@ -416,7 +403,7 @@ def _descend(
         # confirm each improvement on the canonical evaluation before
         # committing, so termination agrees with support_loss
         exact = _canonical_losses(dataset, step, w1, w2)
-        ok = ~(exact >= loss[moved])
+        ok = exact < loss[moved]
         active = moved[ok]
         cur[active] = step[ok]
         loss[active] = exact[ok]
@@ -462,16 +449,12 @@ def decode_local_search(
     per_restart = (s + 2) * (p + dataset.n) + 10 * s * (p - s)
     block = max(1, _CHUNK_ENTRIES // (2 * per_restart))
     scanned = restarts  # one start per restart
-    best: _Best | None = None
+    ends = []  # the (loss, support) minimum of each block of restarts
     for first in range(0, restarts, block):
         cur = _random_starts(seed, first, min(restarts, first + block), p, s)
         loss, ranked = _descend(dataset, gram, margin, cur, w1, w2)
         scanned += ranked
-        kept = np.flatnonzero(~np.isnan(loss))  # a NaN end takes no part
-        if kept.size:
-            best = _fold_best(best, loss[kept], lambda k: tuple(cur[kept[k]].tolist()))
-    if best is None:
-        raise SparsemixError("local search: every restart ended on a NaN loss")
-    return DecodeResult(
-        support=best[1], loss=best[0], scanned=scanned, exhaustive=False
-    )
+        k = np.lexsort((*cur.T[::-1], loss))[0]
+        ends.append((float(loss[k]), tuple(cur[k].tolist())))
+    best = min(ends)
+    return DecodeResult(support=best[1], loss=best[0], scanned=scanned, exhaustive=False)

@@ -162,14 +162,17 @@ class NoiseProfile:
         """Per-row loss weights of the two blocks under a setting.
 
         Agnostic losses weight every row by 1; informed losses weight a
-        row by the reciprocal of its block variance, which needs both
-        variances positive.
+        row by the reciprocal of its block variance, which must be finite:
+        a zero variance, or one whose reciprocal overflows, is refused.
         """
         if setting is Setting.AGNOSTIC:
             return 1.0, 1.0
         if setting is Setting.INFORMED:
-            if self.sigma1_sq <= 0.0:  # sigma1_sq <= sigma2_sq
-                raise ValueError("informed loss requires positive block variances")
+            # sigma1_sq <= sigma2_sq, so the first weight is the larger
+            if self.sigma1_sq <= 0.0 or math.isinf(1.0 / self.sigma1_sq):
+                raise ValueError(
+                    "informed loss requires block variances with finite reciprocals"
+                )
             return 1.0 / self.sigma1_sq, 1.0 / self.sigma2_sq
         raise ValueError(f"unknown setting: {setting!r}")
 

@@ -39,6 +39,7 @@ __all__ = [
     "validate_delta",
     "validate_positive_variances",
     "exponent_arg",
+    "relaxed_theta",
     "pair_coefficients",
     "check_sufficient",
     "price_of_quality",
@@ -189,13 +190,18 @@ def exponent_arg(setting: Setting, theta: float, m: float, v: float) -> float:
     raise ValueError(f"unknown setting: {setting!r}")
 
 
+def relaxed_theta(setting: Setting, sigma2_sq: float) -> float:
+    """The relaxed evaluation point: 1/(4 sigma2_sq) agnostic, exactly 1/4 informed."""
+    return 1.0 / (4.0 * sigma2_sq) if setting is Setting.AGNOSTIC else 0.25
+
+
 def pair_coefficients(
     setting: Setting, sigma1_sq: float, sigma2_sq: float, s: int, delta: float
 ) -> tuple[float, float]:
     """Per-sample information coefficients (alpha1, alpha2) for each block.
 
     alpha_b = -ln(1 - 2 g_b) with g_b = exponent_arg at m = 2 delta s and
-    the relaxed point theta0 = 1/(4 sigma2_sq) agnostic, 1/4 informed:
+    the relaxed point theta0 = relaxed_theta(setting, sigma2_sq):
         agnostic  alpha1 = ln(1 + delta s (2 sigma2_sq - sigma1_sq) / (2 sigma2_sq^2)),
                   alpha2 = ln(1 + delta s / (2 sigma2_sq))
         informed  alpha_b = ln(1 + delta s / (2 sigma_b_sq))
@@ -203,20 +209,27 @@ def pair_coefficients(
     In both settings alpha1 >= alpha2 whenever sigma1_sq <= sigma2_sq.
     Requires s >= 1, delta in (0, 1) and finite 0 < sigma1_sq <= sigma2_sq.
     A coefficient that rounds to 0 (delta * s tiny against a variance) is
-    refused: that block would need infinitely many samples.
+    refused: that block would need infinitely many samples. So is one
+    that is not finite (a variance so small that theta0 or the exponent
+    argument leaves the float range).
     """
     if s < 1:
         raise ValueError("sparsity must be >= 1")
     validate_delta(delta)
     validate_positive_variances(sigma1_sq, sigma2_sq)
     m = 2.0 * delta * s
-    theta = 1.0 / (4.0 * sigma2_sq) if setting is Setting.AGNOSTIC else 0.25
+    theta = relaxed_theta(setting, sigma2_sq)
     a1 = math.log1p(-2.0 * exponent_arg(setting, theta, m, sigma1_sq))
     a2 = math.log1p(-2.0 * exponent_arg(setting, theta, m, sigma2_sq))
     if a1 == 0.0 or a2 == 0.0:
         raise ValueError(
             "an information coefficient rounds to 0: delta * s is too small "
             "against the block variances"
+        )
+    if not (math.isfinite(a1) and math.isfinite(a2)):
+        raise ValueError(
+            "an information coefficient is not finite: a block variance is "
+            "too small for the float range"
         )
     return a1, a2
 

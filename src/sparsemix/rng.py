@@ -30,7 +30,6 @@ __all__ = [
     "NOISE_STREAM",
     "SIGN_STREAM",
     "SEARCH_STREAM",
-    "mix64",
     "derive",
     "derive_vec",
     "raw_words",
@@ -88,11 +87,6 @@ def _box_muller(seeds: np.uint64 | np.ndarray, npairs: int) -> np.ndarray:
     block[..., 0::2] = r * np.cos(a)
     block[..., 1::2] = r * np.sin(a)
     return block
-
-
-def mix64(x: int) -> int:
-    """Apply the splitmix64 finalizer to a 64-bit integer."""
-    return int(_mix(np.uint64(x & _MASK)))
 
 
 def derive(seed: int, *words: int) -> int:

@@ -428,6 +428,9 @@ def test_query_validation():
         query(n1=-1)
     with pytest.raises(ValueError):
         query(theta=-0.1)
+    # the default theta 1/(4 sigma2_sq) overflows
+    with pytest.raises(ValueError):
+        query(s1=1e-320, s2=1e-320)
 
 
 def test_query_refuses_non_finite_variances():

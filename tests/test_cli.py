@@ -238,6 +238,15 @@ def test_exit_code_invalid_parameters(tmp_path, capsys):
     assert code == 2
 
 
+def test_exit_code_informed_weight_overflow(tmp_path, capsys):
+    # a positive variance whose reciprocal weight overflows to inf
+    data = str(tmp_path / "subnormal")
+    code, _ = run_cli(capsys, *gen_args(data, sigma1_sq=1e-320))
+    assert code == 0
+    code, _ = run_cli(capsys, "solve", "--data", data, "--decoder", "informed")
+    assert code == 2
+
+
 def test_exit_code_missing_data_directory(tmp_path, capsys):
     code, _ = run_cli(capsys, "solve", "--data", str(tmp_path / "nope"),
                       "--decoder", "agnostic")
@@ -318,6 +327,19 @@ EDGE_CASES = {
     "bound-far-apart-variances-optimize": (0, ["bound", "--n1", "3", "--n2", "3",
                                                "--m", "2", "--sigma1-sq", "1e-300",
                                                "--sigma2-sq", "1e300", "--optimize"]),
+    # subnormal variances: the relaxed point 1/(4 sigma2_sq), or the informed
+    # exponent argument, leaves the float range
+    "plan-subnormal-variances-agnostic": (2, ["plan", "--p", "24", "--s", "4",
+                                              "--sigma1-sq", "1e-320", "--sigma2-sq",
+                                              "1e-320", "--setting", "agnostic"]),
+    "plan-subnormal-variances-informed": (2, ["plan", "--p", "24", "--s", "4",
+                                              "--sigma1-sq", "1e-320", "--sigma2-sq",
+                                              "1e-320", "--setting", "informed"]),
+    "bound-subnormal-variances": (2, ["bound", "--n1", "3", "--n2", "3", "--m", "2",
+                                      "--sigma1-sq", "1e-320", "--sigma2-sq", "1e-320"]),
+    "bound-subnormal-variances-optimize": (2, ["bound", "--n1", "3", "--n2", "3",
+                                               "--m", "2", "--sigma1-sq", "1e-320",
+                                               "--sigma2-sq", "1e-320", "--optimize"]),
 }
 
 

@@ -115,10 +115,12 @@ def test_support_loss_validation():
 
 
 def test_informed_requires_positive_variances():
-    ds = binary_dataset(8, (1, 3), 6, 6, 0.0, 2.0, seed=2)
-    with pytest.raises(ValueError):
-        decode_exhaustive(ds, 2, Setting.INFORMED)
-    decode_exhaustive(ds, 2, Setting.AGNOSTIC)
+    # 1e-320 is positive, but its reciprocal weight overflows to inf
+    for sigma1_sq in (0.0, 1e-320):
+        ds = binary_dataset(8, (1, 3), 6, 6, sigma1_sq, 2.0, seed=2)
+        with pytest.raises(ValueError):
+            decode_exhaustive(ds, 2, Setting.INFORMED)
+        decode_exhaustive(ds, 2, Setting.AGNOSTIC)
 
 
 def test_tie_break_prefers_lexicographically_smallest():
@@ -262,6 +264,18 @@ def test_decode_input_validation():
 # for local search.
 
 
+def fold_best(best, losses, support_of):
+    """The smaller of `best` and the (loss, support) minimum of a block.
+
+    support_of(k) gives the sorted support of flat entry k of `losses`;
+    it is called only for the entries tied at the block minimum.
+    """
+    lo = losses.min()
+    tied = min(support_of(int(k)) for k in np.flatnonzero(losses == lo))
+    cand = (float(lo), tied)
+    return cand if best is None or cand < best else best
+
+
 def reference_exhaustive(ds, s, setting):
     w1, w2 = ds.noise.block_weights(setting)
     combos = list(itertools.combinations(range(ds.p), s))
@@ -271,7 +285,7 @@ def reference_exhaustive(ds, s, setting):
         cands = np.array(combos[start : start + chunk], dtype=np.intp)
         resid = ds.Y - np.add.reduce(ds.X.T[cands], axis=1)
         losses = decoders._candidate_losses(resid, ds.noise.n1, w1, w2)
-        best = decoders._fold_best(best, losses, lambda k: combos[start + k])
+        best = fold_best(best, losses, lambda k: combos[start + k])
     return decoders.DecodeResult(best[1], best[0], len(combos), True)
 
 
@@ -296,14 +310,14 @@ def reference_local_search(ds, s, setting, restarts, seed):
                 row, col = divmod(k, m)
                 return tuple(sorted(cur[:row] + cur[row + 1 :] + (outs[col],)))
 
-            step = decoders._fold_best(None, losses.ravel(), swapped)
-            if step is None or step[0] >= cur_loss:
+            step = fold_best(None, losses.ravel(), swapped)
+            if step[0] >= cur_loss:
                 break
             exact = support_loss(ds, step[1], setting)
             if exact >= cur_loss:
                 break
             cur, cur_loss = step[1], exact
-        best = decoders._fold_best(best, np.array([cur_loss]), lambda _: cur)
+        best = fold_best(best, np.array([cur_loss]), lambda _: cur)
     return decoders.DecodeResult(best[1], best[0], scanned, False)
 
 
@@ -453,3 +467,47 @@ def test_local_search_memory_stays_within_the_block_budget():
         tracemalloc.stop()
     assert res.scanned > 4096 * (1 + 4 * 20)
     assert peak < decoders._CHUNK_ENTRIES * 8
+
+
+def overflowing_design():
+    # one block longer than a panel; column 3 holds 1e200, so its loss
+    # overflows and the Kahan step meets inf - inf, while column 0 fits
+    # Y exactly
+    X = np.random.default_rng(0).standard_normal((8202, 4))
+    X[0, 3] = 1e200
+    return two_block(X, X[:, 0].copy(), 8202)
+
+
+overflow_warnings = pytest.mark.filterwarnings(
+    "ignore:overflow encountered", "ignore:invalid value encountered"
+)
+
+
+@overflow_warnings
+def test_an_overflowed_loss_ranks_last_in_the_exhaustive_scan(monkeypatch):
+    ds = overflowing_design()
+    assert support_loss(ds, (3,), Setting.AGNOSTIC) == math.inf
+
+    def nan_last(c):
+        loss = support_loss(ds, c, Setting.AGNOSTIC)
+        return (math.inf if math.isnan(loss) else loss), c
+
+    want = min(nan_last((j,)) for j in range(4))
+    assert want == (0.0, (0,))
+    for budget in (decoders._CHUNK_ENTRIES, 1024, 1):
+        monkeypatch.setattr(decoders, "_CHUNK_ENTRIES", budget)
+        res = decode_exhaustive(ds, 1, Setting.AGNOSTIC)
+        assert (res.loss, res.support) == want
+
+
+@overflow_warnings
+def test_an_overflowed_swap_does_not_stop_local_search():
+    ds = overflowing_design()
+    for seed in range(6):
+        res = decode_local_search(ds, 1, Setting.AGNOSTIC, restarts=1, seed=seed)
+        assert (res.support, res.loss, res.scanned) == ((0,), 0.0, 7)
+
+
+@overflow_warnings
+def test_screened_decoders_match_the_reference_on_an_overflowed_loss():
+    assert_matches_reference(overflowing_design(), 1)

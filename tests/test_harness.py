@@ -191,6 +191,18 @@ def test_per_trial_failures_are_recorded_not_raised():
     assert rows[0].recovery_rate == 0.0
 
 
+def test_informed_trials_with_an_overflowing_weight_fail():
+    # 1 / 1e-320 is inf: every informed loss would be inf and the scan would
+    # return the lexicographically first support, here the truth
+    cfg = ExperimentConfig(
+        decoder="InformedMLE", p=12, s=3, rho=1.0, sigma1_sq=1e-320, sigma2_sq=1.0,
+        grid=[(6, 6), (20, 20)], trials=10, master_seed=1,
+    )
+    records = run_sweep(cfg)
+    assert all(r.failed and not r.recovered for r in records)
+    assert [row.recovered for row in summarize(cfg, records)] == [0, 0]
+
+
 def test_summarize_counts_and_annotations():
     cfg = tiny_config(decoder="LocalSearch", sigma1_sq=0.4, sigma2_sq=1.5,
                       p=200, s=5, grid=[(15, 15)], trials=10, restarts=2)
