@@ -9,9 +9,9 @@ argument g_b is below 1/2; an empty block contributes neither a factor
 nor a domain limit. g_b is planner.exponent_arg, the function the
 planner's coefficients come from, so at m = 2 delta s and the default
 theta the log-bound is exactly -(n1 alpha1 + n2 alpha2) / 2.
-Everything is accumulated in log space; the agnostic optimum is a
-positive root of a cubic with three real roots, solved in trigonometric
-form and polished by Newton steps until a step stops shrinking.
+Everything is accumulated in log space. The log-bound is convex in
+theta on the MGF domain, so the agnostic optimum is found by bisection
+on the sign of its slope over (0, lq_domain_limit).
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from . import rng
-from .errors import SparsemixError
-from .model import NoiseProfile, Setting, SparseSignal
+from .model import NoiseProfile, Setting, SparseSignal, index_fields
 from .planner import (
     exponent_arg,
     relaxed_theta,
@@ -67,6 +66,7 @@ class ChernoffQuery:
     theta: float | None = None
 
     def __post_init__(self) -> None:
+        index_fields(self, "n1", "n2", "m")
         if self.n1 < 0 or self.n2 < 0:
             raise ValueError("block sizes must be nonnegative")
         validate_positive_variances(self.sigma1_sq, self.sigma2_sq)
@@ -154,88 +154,52 @@ def lq_domain_limit(query: ChernoffQuery) -> float:
     return min(roots, default=math.inf)
 
 
-def _cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
-    """The roots of a cubic with three real, not all equal roots.
+def _log_bound_slope(query: ChernoffQuery, theta: float) -> float:
+    """d/dtheta of the agnostic log-bound: sum_b n_b g_b' / (1 - 2 g_b).
 
-    Depressed to t^3 + p t + q it has p < 0 and roots 2 r cos((phi -
-    2 pi k)/3), r = sqrt(-p/3); clamping cos(phi) to [-1, 1] keeps both
-    roots of a double root under rounding. Returns no root when the
-    formula overflows or divides by a coefficient that underflowed to 0;
-    where a term overflows to inf, the roots may come out non-finite.
+    g_b is planner.exponent_arg and g_b' = m (4 v theta - 1) its slope;
+    +inf where a block's g_b >= 1/2, which rounding can give at the
+    domain's edge.
     """
-    try:
-        a, b, c = c2 / c3, c1 / c3, c0 / c3
-        # depress with t = x + a/3: t^3 + p t + q
-        p = b - a * a / 3.0
-        q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
-        r = math.sqrt(-p / 3.0)
-        phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (2.0 * p * r))))
-    except (OverflowError, ZeroDivisionError):
-        return []
-    shift = a / 3.0
-    return [2.0 * r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
+    slope = 0.0
+    for n, v in ((query.n1, query.sigma1_sq), (query.n2, query.sigma2_sq)):
+        if n:
+            g = exponent_arg(Setting.AGNOSTIC, theta, query.m, v)
+            if g >= 0.5:
+                return math.inf
+            slope += n * query.m * (4.0 * v * theta - 1.0) / (1.0 - 2.0 * g)
+    return slope
 
 
 def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
     """Best feasible theta for the agnostic bound, with its log-bound.
 
-    The stationarity condition is the cubic
-
-        n1 (4 s1 t - 1)(1 - 2m(-t + 2 t^2 s2))
-      + n2 (4 s2 t - 1)(1 - 2m(-t + 2 t^2 s1)) = 0
-
-    (s_b the block variances). With rows it has three real roots: the
-    roots of 1 - 2 g_b order as r_1^- <= r_2^- < 0 < r_2^+ <= r_1^+ and
-    the cubic changes sign on (r_1^-, r_2^-), (0, r_2^+), (r_2^+, r_1^+);
-    with a block empty or s1 = s2 it is (4 s t - 1) times a quadratic
-    with roots of opposite signs. The trigonometric roots lose relative
-    accuracy to cancellation when the roots lie far apart (a tiny
-    variance ratio), so each is polished by Newton steps until a step no
-    longer shrinks in magnitude, at most 100. The finite positive roots
-    then compete against the always feasible relaxed point 1/(4 s2), a
-    root off the MGF domain having an infinite log-bound; where the root
-    formula overflows or underflows to a zero divisor, the relaxed point
-    competes alone. The smallest log-bound wins, so the result never
-    loses to the relaxed bound.
+    The log-bound is a sum of log-MGFs, so it is convex on the MGF domain
+    (0, lq_domain_limit): its slope is -m (n1 + n2) < 0 at 0 and goes to
+    +inf at the limit. Bisection on the slope's sign brackets the optimum
+    between two floats, halving until the midpoint equals an endpoint.
+    The relaxed point 1/(4 sigma2_sq), always inside the domain, then
+    competes with both ends; the smallest log-bound wins and a tie goes
+    to the relaxed point, so the result never loses to the relaxed bound.
+    Where the limit is +inf (no rows, where the bound is 1 at every theta,
+    or a variance so small that the limit overflows) the relaxed point
+    stands alone.
     """
     if query.setting is not Setting.AGNOSTIC:
         raise ValueError("theta optimization applies to the agnostic setting")
-    m, n1, n2 = query.m, query.n1, query.n2
-    a1, a2 = 4.0 * query.sigma1_sq, 4.0 * query.sigma2_sq
-    c3 = -m * a1 * a2 * (n1 + n2)
-    c2 = m * (n1 * (2.0 * a1 + a2) + n2 * (2.0 * a2 + a1))
-    c1 = n1 * (a1 - 2.0 * m) + n2 * (a2 - 2.0 * m)
-    c0 = -float(n1 + n2)
-
-    def poly(t: float) -> float:
-        return ((c3 * t + c2) * t + c1) * t + c0
-
-    def dpoly(t: float) -> float:
-        return (3.0 * c3 * t + 2.0 * c2) * t + c1
-
-    candidates = [query.default_theta()]
-    # without rows every coefficient is 0 and the bound is 1 at any theta
-    for t in _cubic_real_roots(c3, c2, c1, c0) if n1 + n2 else ():
-        last = math.inf
-        for _ in range(100):
-            d = dpoly(t)
-            step = poly(t) / d if d != 0.0 else 0.0
-            if not abs(step) < abs(last):
-                break
-            t -= step
-            last = step
-        if 0.0 < t < math.inf:
-            candidates.append(t)
-
-    best: OptimalTheta | None = None
-    for t in candidates:
+    relaxed = query.default_theta()
+    lo, hi = 0.0, lq_domain_limit(query)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _log_bound_slope(query, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    best = OptimalTheta(relaxed, chernoff_log_bound(replace(query, theta=relaxed)))
+    # an end off the domain has log-bound +inf and never wins
+    for t in (lo, hi) if hi < math.inf else ():
         lb = chernoff_log_bound(replace(query, theta=t))
-        if math.isinf(lb):
-            continue
-        if best is None or lb < best.log_bound:
-            best = OptimalTheta(theta=t, log_bound=lb)
-    if best is None:
-        raise SparsemixError("relaxed theta fell outside the MGF domain")
+        if lb < best.log_bound:
+            best = OptimalTheta(t, lb)
     return best
 
 

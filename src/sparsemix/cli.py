@@ -244,8 +244,6 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         "log_bound": chernoff.chernoff_log_bound(query),
     }
     if args.optimize:
-        if setting is not Setting.AGNOSTIC:
-            raise ValueError("--optimize applies to the agnostic setting")
         best = chernoff.optimal_theta_agnostic(query)
         out["optimal"] = {
             "theta": best.theta,

@@ -14,7 +14,8 @@ thousand) stable enough for reproducible tie ordering. Data and weights
 are finite, so a loss is NaN only where its sum of squares overflowed;
 that routine returns such a loss as +inf. Losses are therefore totally
 ordered, and a candidate whose loss overflows ranks after every one
-whose loss is finite.
+whose loss is finite. Since that overflow is handled, the public entry
+points silence numpy's overflow and invalid-value warnings.
 
 Both decoders rank every candidate in Gram form first and confirm only
 the survivors canonically (the exhaustive scan wherever its p x p Gram
@@ -256,6 +257,7 @@ def _support_blocks(p: int, s: int, rows: int) -> Iterator[np.ndarray]:
         yield np.fromiter(combos, np.intp, count=k * s).reshape(k, s)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def support_loss(
     dataset: MixedDataset, support: Iterable[int], setting: Setting
 ) -> float:
@@ -275,6 +277,7 @@ def support_loss(
     return float(_canonical_losses(dataset, np.array([idx]), w1, w2)[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def decode_exhaustive(
     dataset: MixedDataset, s: int, setting: Setting
 ) -> DecodeResult:
@@ -410,6 +413,7 @@ def _descend(
     return loss, ranked
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def decode_local_search(
     dataset: MixedDataset,
     s: int,

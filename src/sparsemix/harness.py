@@ -24,6 +24,7 @@ from .model import (
     SparseSignal,
     fmt_float,
     generate_dataset,
+    index_fields,
     sign_mismatches,
     support_error,
     write_lines,
@@ -80,12 +81,7 @@ class ExperimentConfig:
     restarts: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("p", "s", "trials", "master_seed", "restarts"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer: {value!r}") from None
+        index_fields(self, "p", "s", "trials", "master_seed", "restarts")
         try:
             grid = tuple((operator.index(a), operator.index(b)) for a, b in self.grid)
         except TypeError:

@@ -15,13 +15,12 @@ set, so an n p^2 Gram build would cost more than the passes it speeds up.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInstanceError, SparsemixError
-from .model import MixedDataset, SparseSignal
+from .model import MixedDataset, SparseSignal, index_fields
 
 __all__ = [
     "LassoConfig",
@@ -51,10 +50,7 @@ class LassoConfig:
             raise ValueError("lam must be finite and nonnegative")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError("tol must be finite and positive")
-        try:
-            object.__setattr__(self, "max_sweeps", operator.index(self.max_sweeps))
-        except TypeError:
-            raise ValueError("max_sweeps must be an integer") from None
+        index_fields(self, "max_sweeps")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -30,6 +31,7 @@ __all__ = [
     "REGIME_HIGH",
     "REGIME_LOW",
     "MAX_DESIGN_ENTRIES",
+    "index_fields",
     "validate_variances",
     "generate_dataset",
     "snr_report",
@@ -117,6 +119,18 @@ class SparseSignal:
         return beta
 
 
+def index_fields(obj: object, *names: str) -> None:
+    """Store each named field of a frozen dataclass as operator.index of
+    its value, so numpy integers pass as int; anything else (2.5, "3")
+    raises ValueError."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            object.__setattr__(obj, name, operator.index(value))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer: {value!r}") from None
+
+
 def validate_variances(sigma1_sq: float, sigma2_sq: float) -> None:
     """Refuse block variances that are not finite, nonnegative and ordered;
     zero is allowed for noiseless runs, and callers that divide check > 0."""
@@ -138,6 +152,7 @@ class NoiseProfile:
     sigma2_sq: float
 
     def __post_init__(self) -> None:
+        index_fields(self, "n1", "n2")
         if self.n1 < 0 or self.n2 < 0:
             raise ValueError("block sizes must be nonnegative")
         if self.n1 + self.n2 < 1:

@@ -5,7 +5,7 @@ full run doubles as a scoreboard. The checks cover the Lasso phase
 transition and its heterogeneity invariance, the combinatorial decoders
 on a sufficiency frontier, the informed-versus-agnostic comparison,
 Chernoff bound validity against Monte Carlo, price-of-quality and trade
-invariants, the cubic optimizer, the KKT witness, and byte determinism
+invariants, the agnostic theta optimizer, the KKT witness, and byte determinism
 of the sweep outputs.
 """
 

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as P
 from scipy.stats import binomtest
 
 from sparsemix import (
@@ -211,37 +210,6 @@ def test_domain_limit_is_where_the_bound_turns_infinite(setting):
         assert chernoff_log_bound(outside) == math.inf
 
 
-def _stationarity_cubic(n1, n2, s1, s2, m):
-    """Ascending coefficients of optimal_theta_agnostic's documented cubic."""
-
-    def one_minus_2g(v):  # 1 - 2 m (-t + 2 t^2 v)
-        return [1.0, 2.0 * m, -4.0 * m * v]
-
-    return n1 * P.polymul([-1.0, 4.0 * s1], one_minus_2g(s2)) + n2 * P.polymul(
-        [-1.0, 4.0 * s2], one_minus_2g(s1)
-    )
-
-
-def test_stationarity_cubic_has_three_real_roots():
-    # empty blocks, equal variances and the double root at n1=10, n2=0,
-    # sigma^2=(1, 4), m=2 are the degenerate layouts
-    rng = np.random.default_rng(61)
-    cases = [(10, 0, 1.0, 4.0, 2), (0, 10, 1.0, 4.0, 2), (10, 0, 1.0, 1.0, 2),
-             (7, 9, 2.0, 2.0, 6)]
-    for _ in range(300):
-        s2 = float(rng.uniform(0.3, 8.0))
-        s1 = s2 if rng.uniform() < 0.2 else s2 * float(rng.uniform(0.05, 1.0))
-        n1, n2 = (int(n) for n in rng.integers(0, 40, size=2))
-        cases.append((n1, n2 or 1, s1, s2, int(rng.integers(1, 25))))
-    for case in cases:
-        c = _stationarity_cubic(*case)
-        roots = chernoff._cubic_real_roots(c[3], c[2], c[1], c[0])
-        assert len(roots) == 3
-        for t in roots:
-            scale = sum(abs(ck) * abs(t) ** k for k, ck in enumerate(c))
-            assert abs(P.polyval(t, c)) <= 1e-9 * scale, (case, t)
-
-
 def test_optimal_theta_equal_variances_closed_form():
     for v in (0.25, 1.0, 2.0, 7.5):
         q = query(s1=v, s2=v, m=4)
@@ -294,8 +262,8 @@ def test_optimal_theta_matches_grid_scan():
 
 
 def test_optimal_theta_reaches_the_optimum_on_an_ill_conditioned_query():
-    # a variance ratio near 2e-9 puts the cubic's roots far apart, so the
-    # trigonometric roots need more than a fixed two Newton steps
+    # a variance ratio near 2e-9 puts the optimum near the domain limit and
+    # far from the relaxed point 1/(4 sigma2_sq) = 2165
     layout = dict(n1=634, n2=14, s1=2.657e-13, s2=1.155e-4, m=576)
     best = optimal_theta_agnostic(query(**layout))
     grid_best = chernoff_log_bound(query(**layout, theta=4237.446737))
@@ -306,13 +274,43 @@ def test_optimal_theta_reaches_the_optimum_on_an_ill_conditioned_query():
 
 @pytest.mark.parametrize("s1, s2", [(1e-300, 1e300), (1e-200, 1e-150), (1e-160, 1e-160)])
 def test_optimal_theta_when_the_root_formula_leaves_the_float_range(s1, s2):
-    # a^3 overflows for the first and last, and c3 underflows to 0 for the
-    # second; the relaxed point then competes alone
+    # variances near the ends of the float range, far apart or equal: the
+    # bisection's midpoints and slopes stay finite
     q = query(n1=3, n2=3, s1=s1, s2=s2, m=2)
     best = optimal_theta_agnostic(q)
     assert 0.0 < best.theta < math.inf
     assert math.isfinite(best.log_bound)
     assert best.log_bound <= chernoff_log_bound(q)
+
+
+def test_bisection_optimum_is_the_convex_minimum():
+    # about 300 seeded queries with empty blocks, equal variances and
+    # variance ratios down to e^-30
+    rng = np.random.default_rng(1515)
+    cases = [(10, 0, 1.0, 4.0, 2), (0, 10, 1.0, 4.0, 2), (7, 9, 2.0, 2.0, 6)]
+    for _ in range(300):
+        s2 = float(np.exp(rng.uniform(-10.0, 10.0)))
+        s1 = s2 if rng.uniform() < 0.1 else s2 * float(np.exp(rng.uniform(-30.0, 0.0)))
+        n1, n2 = (int(n) * (rng.uniform() > 0.1) for n in rng.integers(1, 10**5, size=2))
+        cases.append((n1, n2 or 1, s1, s2, int(rng.integers(1, 1000))))
+    for n1, n2, s1, s2, m in cases:
+        q = query(n1=n1, n2=n2, s1=s1, s2=s2, m=m)
+        lim = lq_domain_limit(q)
+        best = optimal_theta_agnostic(q)
+        assert 0.0 < best.theta < lim
+        tol = 1e-14 * max(1.0, abs(best.log_bound))
+        for t in (q.theta, best.theta * (1.0 - 1e-4), best.theta * (1.0 + 1e-4)):
+            other = chernoff_log_bound(query(n1=n1, n2=n2, s1=s1, s2=s2, m=m, theta=t))
+            assert best.log_bound <= other + tol, (n1, n2, s1, s2, m, t)
+        # the slope the bisection follows is the log-bound's derivative
+        for t in (0.5 * best.theta, 0.5 * (best.theta + lim)):
+            h = 1e-6 * t
+            up, down = (
+                chernoff_log_bound(query(n1=n1, n2=n2, s1=s1, s2=s2, m=m, theta=t + d))
+                for d in (h, -h)
+            )
+            slope = chernoff._log_bound_slope(q, t)
+            assert np.sign(slope) == np.sign(up - down), (n1, n2, s1, s2, m, t)
 
 
 def test_m_for_error_budget():
@@ -431,6 +429,13 @@ def test_query_validation():
     # the default theta 1/(4 sigma2_sq) overflows
     with pytest.raises(ValueError):
         query(s1=1e-320, s2=1e-320)
+    # counts are integers: numpy integers pass as int, fractions are refused
+    q = query(n1=np.int64(10), n2=np.int32(10), m=np.int64(8))
+    assert (q.n1, q.n2, q.m, type(q.m)) == (10, 10, 8, int)
+    assert chernoff_log_bound(q) == chernoff_log_bound(query())
+    for kw in (dict(n1=2.5), dict(n2=3.0), dict(m=2.5), dict(m="2")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            query(**kw)
 
 
 def test_query_refuses_non_finite_variances():

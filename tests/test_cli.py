@@ -323,7 +323,7 @@ EDGE_CASES = {
     # a frontier n2 past 2**53, where a unit step no longer moves n2 * alpha2
     "plan-huge-frontier": (0, ["plan", "--p", "24", "--s", "4", "--sigma1-sq", "1",
                                "--sigma2-sq", "1e30", "--frontier-n1", "0"]),
-    # the stationarity cubic's root formula overflows; the relaxed point wins
+    # variances 600 orders of magnitude apart still give a finite optimum
     "bound-far-apart-variances-optimize": (0, ["bound", "--n1", "3", "--n2", "3",
                                                "--m", "2", "--sigma1-sq", "1e-300",
                                                "--sigma2-sq", "1e300", "--optimize"]),
@@ -340,6 +340,10 @@ EDGE_CASES = {
     "bound-subnormal-variances-optimize": (2, ["bound", "--n1", "3", "--n2", "3",
                                                "--m", "2", "--sigma1-sq", "1e-320",
                                                "--sigma2-sq", "1e-320", "--optimize"]),
+    # theta is optimized for the agnostic bound only
+    "informed-optimize": (2, ["bound", "--n1", "3", "--n2", "3", "--m", "2",
+                              "--sigma1-sq", "1", "--sigma2-sq", "4", "--setting",
+                              "informed", "--optimize"]),
 }
 
 

@@ -78,6 +78,12 @@ def test_noise_profile_validation_and_average():
         NoiseProfile(n1=2, n2=2, sigma1_sq=4.0, sigma2_sq=1.0)
     with pytest.raises(ValueError):
         NoiseProfile(n1=2, n2=2, sigma1_sq=-1.0, sigma2_sq=1.0)
+    # block sizes are counts: numpy integers pass as int, fractions are refused
+    prof = NoiseProfile(n1=np.int64(3), n2=np.uint8(5), sigma1_sq=1.0, sigma2_sq=4.0)
+    assert (prof.n1, prof.n2, type(prof.n)) == (3, 5, int)
+    for n1, n2 in ((2.5, 3), (2, 3.0), ("2", 3)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            NoiseProfile(n1=n1, n2=n2, sigma1_sq=1.0, sigma2_sq=4.0)
 
 
 def test_block_weights_per_setting():

@@ -11,10 +11,7 @@ SRC = Path(sparsemix.__file__).parent
 ROOT = SRC.parent.parent
 
 # names whose only caller is a test, each with the reason it stays
-ALLOWED = {
-    # acceptance test a08 checks the MGF domain boundary through it
-    "chernoff.lq_domain_limit",
-}
+ALLOWED = set()
 
 
 def loaded_names(path):
