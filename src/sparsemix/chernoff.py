@@ -12,11 +12,18 @@ theta the log-bound is exactly -(n1 alpha1 + n2 alpha2) / 2.
 Everything is accumulated in log space. The log-bound is convex in
 theta on the MGF domain, so the agnostic optimum is found by bisection
 on the sign of its slope over (0, lq_domain_limit).
+
+One rule covers the float range: a theta at which some nonempty block's
+1 - 2 g_b overflows (g_b hugely negative, at a subnormal variance or a
+theta near float max) is refused. The true bound there is positive, but
+ln(1 - 2 g_b) is lost, and a log-bound of -inf would claim a misranking
+probability of exactly 0. Where every 1 - 2 g_b is finite nothing changes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -54,7 +61,8 @@ class ChernoffQuery:
     theta overrides the setting's default evaluation point when given;
     a query built without one holds default_theta(). Either way the
     theta held must be finite and nonnegative, so a variance too small
-    for 1/(4 sigma2_sq) to be finite is refused.
+    for 1/(4 sigma2_sq) to be finite is refused, and so is a theta at
+    which a nonempty block's 1 - 2 g overflows (see the module docstring).
     """
 
     setting: Setting
@@ -76,6 +84,12 @@ class ChernoffQuery:
             object.__setattr__(self, "theta", self.default_theta())
         if not (math.isfinite(self.theta) and self.theta >= 0.0):
             raise ValueError("theta must be a finite nonnegative real")
+        if any(
+            1.0 - 2.0 * exponent_arg(self.setting, self.theta, self.m, v) == math.inf
+            for n, v in ((self.n1, self.sigma1_sq), (self.n2, self.sigma2_sq))
+            if n
+        ):
+            raise ValueError("theta makes a block's 1 - 2 g overflow the float range")
 
     def default_theta(self) -> float:
         """Relaxed agnostic point 1/(4 sigma2_sq); exact informed point 1/4."""
@@ -159,15 +173,16 @@ def _log_bound_slope(query: ChernoffQuery, theta: float) -> float:
 
     g_b is planner.exponent_arg and g_b' = m (4 v theta - 1) its slope;
     +inf where a block's g_b >= 1/2, which rounding can give at the
-    domain's edge.
+    domain's edge, and where its 1 - 2 g_b overflows, so that the
+    bisection never leaves the float range either.
     """
     slope = 0.0
     for n, v in ((query.n1, query.sigma1_sq), (query.n2, query.sigma2_sq)):
         if n:
-            g = exponent_arg(Setting.AGNOSTIC, theta, query.m, v)
-            if g >= 0.5:
+            d = 1.0 - 2.0 * exponent_arg(Setting.AGNOSTIC, theta, query.m, v)
+            if not 0.0 < d < math.inf:
                 return math.inf
-            slope += n * query.m * (4.0 * v * theta - 1.0) / (1.0 - 2.0 * g)
+            slope += n * query.m * (4.0 * v * theta - 1.0) / d
     return slope
 
 
@@ -181,23 +196,30 @@ def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
     The relaxed point 1/(4 sigma2_sq), always inside the domain, then
     competes with both ends; the smallest log-bound wins and a tie goes
     to the relaxed point, so the result never loses to the relaxed bound.
-    Where the limit is +inf (no rows, where the bound is 1 at every theta,
-    or a variance so small that the limit overflows) the relaxed point
-    stands alone.
+    A limit past float max (a variance so small that the root overflows)
+    is cut to float max. Where a block's 1 - 2 g overflows the slope reads
+    +inf, so the bracket closes on the last theta in the float range, and
+    a point that ChernoffQuery refuses does not compete. Without rows
+    the bound is 1 at every theta and the relaxed point stands alone.
     """
     if query.setting is not Setting.AGNOSTIC:
         raise ValueError("theta optimization applies to the agnostic setting")
     relaxed = query.default_theta()
-    lo, hi = 0.0, lq_domain_limit(query)
+    lo, hi = 0.0, min(lq_domain_limit(query), sys.float_info.max)
+    if not (query.n1 or query.n2):
+        hi = 0.0  # no rows: nothing to bracket
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if _log_bound_slope(query, mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    best = OptimalTheta(relaxed, chernoff_log_bound(replace(query, theta=relaxed)))
+    best = OptimalTheta(relaxed, math.inf)
     # an end off the domain has log-bound +inf and never wins
-    for t in (lo, hi) if hi < math.inf else ():
-        lb = chernoff_log_bound(replace(query, theta=t))
+    for t in (relaxed, lo, hi):
+        try:
+            lb = chernoff_log_bound(replace(query, theta=t))
+        except ValueError:  # refused by ChernoffQuery
+            continue
         if lb < best.log_bound:
             best = OptimalTheta(t, lb)
     return best

@@ -19,6 +19,12 @@ Definitions (all arithmetic mod 2**64):
 GOLDEN is 0x9E3779B97F4A7C15. Substreams come from `derive`, which folds
 index words into the seed through the same mixer; it is associative with
 itself in the sense that derive(derive(s, a), b) == derive(s, a, b).
+
+Normals are computed in cache-sized tiles of at most 2**13 pairs, written
+into one preallocated output, so a draw of millions of values builds no
+full-length temporaries. Every step is the elementwise operation of the
+definitions above in the same order, so the values equal them bit for
+bit whatever the tile boundaries.
 """
 
 from __future__ import annotations
@@ -51,12 +57,28 @@ NOISE_STREAM = 2  # standardized noise vector
 SIGN_STREAM = 3  # Lasso signal signs
 SEARCH_STREAM = 4  # local-search restarts
 
+# Box-Muller pairs per tile: a tile's two 2 * _TILE-word buffers (256 KB)
+# stay in a core's L2 cache, where whole-draw temporaries spill to memory.
+_TILE = 1 << 13
+# Row 0 holds (2j + 1) * GOLDEN and row 1 (2j + 2) * GOLDEN: the counter
+# offsets of pair j's radius and angle words, each row contiguous.
+_PAIR_OFFSETS = (
+    np.arange(1, 2 * _TILE + 1, dtype=np.uint64) * _GOLDEN
+).reshape(_TILE, 2).T.copy()
+
 
 def _mix(x: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:
+    """The splitmix64 finalizer of a uint64 scalar or array x.
+
+    An array is mixed in place and returned.
+    """
     with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * _MUL1
-        x = (x ^ (x >> np.uint64(27))) * _MUL2
-        return x ^ (x >> np.uint64(31))
+        x ^= x >> np.uint64(30)
+        x *= _MUL1
+        x ^= x >> np.uint64(27)
+        x *= _MUL2
+        x ^= x >> np.uint64(31)
+    return x
 
 
 def _fold(
@@ -70,23 +92,58 @@ def _fold(
 def _words(seeds: np.uint64 | np.ndarray, count: int) -> np.ndarray:
     """Counter words 0..count-1 of each seed, along a new last axis."""
     k = np.arange(1, count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return _mix(np.asarray(seeds)[..., None] + k * _GOLDEN)
+    return _mix(np.asarray(seeds)[..., None] + k * _GOLDEN)
 
 
-def _unit(w: np.ndarray) -> np.ndarray:
-    return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
+def _unit(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform doubles from the top 53 bits of words w, shifted in place.
+
+    The shifted words are below 2**53, so their int64 view converts to
+    double exactly, and faster than uint64 does.
+    """
+    w >>= 11
+    out = np.add(w.view(np.int64), 0.5, out=out)
+    out *= _TWO_NEG53
+    return out
 
 
-def _box_muller(seeds: np.uint64 | np.ndarray, npairs: int) -> np.ndarray:
-    """The first 2*npairs normals of each seed, along a new last axis."""
-    u = _unit(_words(seeds, 2 * npairs))
-    r = np.sqrt(-2.0 * np.log(u[..., 0::2]))
-    a = (2.0 * np.pi) * u[..., 1::2]
-    block = np.empty(u.shape, dtype=np.float64)
-    block[..., 0::2] = r * np.cos(a)
-    block[..., 1::2] = r * np.sin(a)
-    return block
+def _box_muller(seeds: np.ndarray, count: int) -> np.ndarray:
+    """Normals 0..count-1 of each seed of 1-D uint64 seeds: (len(seeds), count).
+
+    A tile is whole rows by up to _TILE pairs, at most _TILE pairs in all.
+    Its words land in one buffer as two contiguous blocks, radius words
+    then angle words; `_unit` turns them into uniforms in the second
+    buffer, the first then takes the cosines and sines, and their
+    products with the radii go straight into the interleaved output.
+    """
+    rows, npairs = len(seeds), (count + 1) // 2
+    out = np.empty((rows, npairs, 2))
+    cols = min(npairs, _TILE) or 1
+    tile_rows = _TILE // cols
+    size = 2 * min(rows, tile_rows) * cols
+    words, reals = np.empty(size, dtype=np.uint64), np.empty(size)
+    for r0 in range(0, rows, tile_rows):
+        block = seeds[r0 : r0 + tile_rows, None]
+        nr = len(block)
+        for j0 in range(0, npairs, cols):
+            nc = min(cols, npairs - j0)
+            w = words[: 2 * nr * nc].reshape(2, nr, nc)
+            u = reals[: 2 * nr * nc].reshape(2, nr, nc)
+            shift = np.uint64(2 * j0 * int(_GOLDEN) & _MASK)  # to pair j0's counters
+            np.add(_PAIR_OFFSETS[:, None, :nc], block + shift, out=w)
+            _unit(_mix(w), out=u)
+            radius, angle = u
+            np.log(radius, out=radius)
+            radius *= -2.0
+            np.sqrt(radius, out=radius)
+            angle *= 2.0 * np.pi
+            trig = w.view(np.float64)
+            np.cos(angle, out=trig[0])
+            np.sin(angle, out=trig[1])
+            tile = out[r0 : r0 + nr, j0 : j0 + nc]
+            np.multiply(radius, trig[0], out=tile[..., 0])
+            np.multiply(radius, trig[1], out=tile[..., 1])
+    return out.reshape(rows, 2 * npairs)[:, :count]
 
 
 def derive(seed: int, *words: int) -> int:
@@ -153,7 +210,7 @@ def normals(seed: int, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    return _box_muller(np.uint64(seed & _MASK), (count + 1) // 2)[:count]
+    return _box_muller(np.array([seed & _MASK], dtype=np.uint64), count)[0]
 
 
 def normals_grid(seeds: np.ndarray, count: int) -> np.ndarray:
@@ -166,4 +223,4 @@ def normals_grid(seeds: np.ndarray, count: int) -> np.ndarray:
     seeds = np.asarray(seeds, dtype=np.uint64)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    return _box_muller(seeds, (count + 1) // 2)[:, :count]
+    return _box_muller(seeds, count)

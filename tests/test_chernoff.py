@@ -283,6 +283,42 @@ def test_optimal_theta_when_the_root_formula_leaves_the_float_range(s1, s2):
     assert best.log_bound <= chernoff_log_bound(q)
 
 
+def test_subnormal_variance_optimum_reaches_the_float_range_edge():
+    # the 1e-320 block's domain root (about 5e319) overflows; the bisection
+    # then runs up to the last theta at which its 1 - 2 g is finite
+    layout = dict(n1=3, n2=0, s1=1e-320, s2=1.0, m=2)
+    assert lq_domain_limit(query(**layout)) == math.inf
+    best = optimal_theta_agnostic(query(**layout))
+    assert best.log_bound <= -1000.0
+    assert best.log_bound == chernoff_log_bound(query(**layout, theta=best.theta))
+    # past it the log-bound would read -inf, a misranking probability of 0
+    with pytest.raises(ValueError, match="overflow"):
+        query(**layout, theta=1.7e308)
+
+
+def test_no_accepted_query_has_a_log_bound_of_minus_inf():
+    # seeded queries across the float range: subnormal variances, theta up
+    # to 1e308, both settings; some are refused, none reads -inf
+    rng = np.random.default_rng(16)
+    refused = 0
+    for _ in range(2000):
+        setting = Setting.INFORMED if rng.uniform() < 0.3 else Setting.AGNOSTIC
+        s2 = float(10.0 ** rng.uniform(-323.0, 300.0))
+        s1 = s2 * float(10.0 ** rng.uniform(-30.0, 0.0))
+        n1, n2 = (int(n) * (rng.uniform() > 0.1) for n in rng.integers(1, 10**6, size=2))
+        m = int(rng.integers(1, 10**4))
+        theta = None if rng.uniform() < 0.5 else float(10.0 ** rng.uniform(-5.0, 308.0))
+        try:
+            q = query(setting=setting, n1=n1, n2=n2, s1=s1, s2=s2, m=m, theta=theta)
+        except ValueError:
+            refused += 1
+            continue
+        assert chernoff_log_bound(q) > -math.inf
+        if setting is Setting.AGNOSTIC:
+            assert optimal_theta_agnostic(q).log_bound > -math.inf
+    assert 0 < refused < 2000
+
+
 def test_bisection_optimum_is_the_convex_minimum():
     # about 300 seeded queries with empty blocks, equal variances and
     # variance ratios down to e^-30

@@ -287,6 +287,10 @@ EDGE_CASES = {
     # a bound above the float range is reported as +inf
     "overflowing-theta": (0, ["bound", "--n1", "0", "--n2", "100000", "--m", "2",
                               "--sigma1-sq", "1", "--sigma2-sq", "1", "--theta", "0.6"]),
+    # a theta whose 1 - 2 g overflows is refused, not reported as a bound of 0
+    "theta-past-float-range": (2, ["bound", "--n1", "3", "--n2", "0", "--m", "2",
+                                   "--sigma1-sq", "1e-320", "--sigma2-sq", "1",
+                                   "--theta", "1.7e308"]),
     "fractional-grid": (2, ["sweep", "--config", "{fractional}", "--out", "{out}"]),
     # a design needs both block sizes; one alone must not be dropped silently
     "plan-n1-without-n2": (2, ["plan", "--p", "64", "--s", "4", "--sigma1-sq", "0.5",

@@ -9,6 +9,7 @@ integers rather than against recorded outputs.
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,66 @@ def test_normals_box_muller_pair_identity():
     for j in range(20):
         r_sq = z[2 * j] ** 2 + z[2 * j + 1] ** 2
         assert math.isclose(r_sq, -2.0 * math.log(u[2 * j]), rel_tol=1e-9)
+
+
+def box_muller_reference(seeds, count):
+    """The module docstring's normals on whole arrays: no tiles, no buffers."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    npairs = (count + 1) // 2
+    k = np.arange(1, 2 * npairs + 1, dtype=np.uint64)
+    x = seeds[:, None] + k * np.uint64(GOLDEN)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    x = x ^ (x >> np.uint64(31))
+    u = ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    a = (2.0 * np.pi) * u[:, 1::2]
+    out = np.empty((len(seeds), 2 * npairs))
+    out[:, 0::2] = r * np.cos(a)
+    out[:, 1::2] = r * np.sin(a)
+    return out[:, :count]
+
+
+TILE_EDGE = 2 * rng._TILE  # normals in one full tile
+
+
+@pytest.mark.parametrize(
+    "count", [0, 1, 2, 3, 1001, TILE_EDGE - 1, TILE_EDGE, TILE_EDGE + 1, 5 * TILE_EDGE + 7]
+)
+def test_normals_equal_the_untiled_definition_bit_for_bit(count):
+    for seed in (0, 2**64 - 1, rng.derive(9, rng.X_STREAM)):
+        got = rng.normals(seed, count)
+        want = box_muller_reference([seed], count)[0]
+        assert got.shape == (count,)
+        assert np.array_equal(got, want)
+
+
+def test_normals_grid_equals_the_untiled_definition_bit_for_bit():
+    seeds = rng.derive_vec(17, np.arange(2 * rng._TILE + 3, dtype=np.uint64))
+    for count in (0, 1, 2, 39, 40, 2 * rng._TILE + 3):
+        pairs_per_row = min(max((count + 1) // 2, 1), rng._TILE)
+        row_tile = rng._TILE // pairs_per_row
+        # one row, one row past a row tile, and two row tiles plus a partial one
+        for rows in (1, row_tile + 1, 2 * row_tile + 3):
+            got = rng.normals_grid(seeds[:rows], count)
+            assert got.shape == (rows, count)
+            assert np.array_equal(got, box_muller_reference(seeds[:rows], count))
+
+
+def test_normals_allocate_little_beyond_their_output():
+    # untiled Box-Muller peaks at 3.5x the output in whole-draw temporaries
+    seeds = rng.derive_vec(5, np.arange(4096, dtype=np.uint64))
+    for draw, limit in (
+        (lambda: rng.normals(3, 1_500_000), 1.25),
+        (lambda: rng.normals_grid(seeds, 40), 2.0),
+    ):
+        tracemalloc.start()
+        try:
+            out = draw()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * out.nbytes
 
 
 def test_derive_is_order_and_seed_sensitive():
