@@ -139,11 +139,13 @@ def chernoff_log_bound(query: ChernoffQuery) -> float:
 
 
 def chernoff_bound(query: ChernoffQuery) -> float:
-    """Misranking probability bound in (0, 1] at the query's theta.
+    """Misranking probability bound in [0, 1] at the query's theta.
 
     At the default theta both exponent arguments are negative, so the
-    bound is always finite and at most 1; a caller-supplied theta off the
-    MGF domain, or past the float range, yields +inf, the useless marker.
+    bound is always finite and at most 1. It reads 0.0 once the log-bound
+    is below about -745, where exp underflows; chernoff_log_bound carries
+    the value there. A caller-supplied theta off the MGF domain, or past
+    the float range, yields +inf, the useless marker.
     """
     try:
         return math.exp(chernoff_log_bound(query))

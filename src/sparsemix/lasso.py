@@ -8,14 +8,21 @@ minimized by working-set coordinate descent with exact soft-threshold
 steps and an exact finish on a stable sign pattern (glmnet active sets,
 Friedman et al. 2010; Celer working sets, Massias et al. 2018). The
 correlations come from one maintained residual r, with X^T r recomputed
-at every check. No Gram matrix is built: a pass touches only the working
-set, so an n p^2 Gram build would cost more than the passes it speeds up.
+at every check. Every step takes its correlation x_j . r by ddot on a
+contiguous column. Pass 1, from beta = 0, screens its coordinates with one
+gemv per block of 64 and steps only where the product, widened by a proven
+rounding bound, could pass lam; every skipped step would have moved
+nothing, so the iterates are those of visiting every coordinate. Later
+passes gather their columns once, and X is never copied whole. No Gram
+matrix is built: a pass touches only the working set, so an n p^2 Gram
+build would cost more than the passes it speeds up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -32,6 +39,9 @@ __all__ = [
 ]
 
 _REFRESH_SWEEPS = 64  # check and rebuild this often even while passes still move
+_BLOCK = 64  # pass-1 screen: coordinates per gemv, and the pass size that turns it on
+_U = 2.0**-53  # unit roundoff of float64
+_H = 2.0**-1074  # smallest subnormal: the absolute error unit of gradual underflow
 _GRAM_CONDITION_LIMIT = 1e12
 _STRICT_MARGIN = 1e-9  # KKT witness: each support slack must exceed this
 _EQ_TOL = 1e-9  # KKT witness: each off-support margin may fall this far below 0
@@ -125,12 +135,64 @@ def _sign_pattern_solution(
     return beta
 
 
+def _screened_pass(
+    X: np.ndarray, coords: np.ndarray, diag: np.ndarray, resid: np.ndarray, lam: float
+) -> Iterator[tuple[int, np.ndarray, float, float]]:
+    """Pass 1 from beta = 0: yield the step arguments (j, x_j, diag_j, beta_j = 0)
+    of each j in coords, in order, whose step could move beta_j, x_j as a
+    contiguous copy; every skipped step would leave beta_j at 0.
+
+    The step at j takes t = fl(x_j . r) by ddot and moves beta_j iff
+    |fl(t / n)| > lam. Rounding is monotone and lam is a float, so it does
+    not move when |t| <= n lam. One gemv gives g = fl(X_B^T r) for a block B
+    of up to _BLOCK coordinates, summed in another order. Any order lands
+    within gamma_n sum_i |x_ij r_i| <= gamma_n ||x_j|| ||r|| of the exact
+    product, gamma_n = n u / (1 - n u), u = 2^-53 (Higham 2002, sec. 3.1),
+    plus n h / 2 from products that underflow, h = 2^-1074. Hence
+
+        |t| <= |g_j| + 2 gamma_n ||x_j|| ||r|| + n h.
+
+    j is skipped when fl(|g_j| + slack_j) < fl(n lam) (1 - 8u), with
+    slack_j = 4 n u xhat_j rhat + 4 (n + 1) h, xhat_j = sqrt(n diag_j + 2 n h)
+    and rhat = sqrt(r . r + 2 n h). The 2 n h restores what squares and the
+    scaling of diag lose to underflow, so xhat_j >= (1 - gamma_{n+4}) ||x_j||
+    and likewise rhat. For n u < 1/16, 4 n u (1 - gamma_{n+4})^2 (1 - u)^3
+    exceeds 2 gamma_n; the factor (1 - 8u) covers the rounding of n lam and
+    of the sums, and the spare h's their underflow. So a skipped j has
+    |t| <= n lam, and a NaN in the test is not skipped. After a yield r may
+    have moved, so the next block starts at the next coordinate.
+    """
+    n = len(resid)
+    limit = n * lam * (1.0 - 8.0 * _U)
+    scale = 4.0 * n * _U * np.sqrt(n * diag + 2 * n * _H)
+    floor = 4.0 * (n + 1) * _H
+    i = 0
+    while i < len(coords):
+        block = coords[i : i + _BLOCK]
+        lo, hi = block[0], block[-1] + 1
+        near = slice(lo, hi) if hi - lo == len(block) else block
+        rhat = math.sqrt(float(resid @ resid) + 2 * n * _H)
+        g = resid @ X[:, near]
+        hits = np.flatnonzero(~(np.abs(g) + (scale[near] * rhat + floor) < limit))
+        if not hits.size:
+            i += len(block)
+            continue
+        j = int(block[hits[0]])
+        yield j, np.ascontiguousarray(X[:, j]), float(diag[j]), 0.0
+        i += hits[0] + 1
+
+
 def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
     """Working-set coordinate descent from beta = 0, with an exact finish.
 
-    Pass 1 visits every coordinate with a nonzero column, later passes the
+    Pass 1 offers every coordinate with a nonzero column, later passes the
     nonzeros of beta plus the coordinates the last check admitted, all in
     index order, each step solving its one-coordinate problem exactly.
+    When pass 1 offers more than _BLOCK coordinates, blocked gemv products
+    screen them against a proven rounding bound and only those whose step
+    could move take it (_screened_pass); the skipped steps would move
+    nothing, so the floats are those of visiting every coordinate. Later
+    passes gather their columns once as contiguous rows.
     Correlations come from one maintained residual r = Y - X beta, updated
     after every step. A pass that moves nothing by tol, and every 64th
     pass, is followed by a check that rebuilds r, recomputes X^T r / n and
@@ -145,10 +207,9 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
     X, Y, lam, tol = dataset.X, dataset.Y, config.lam, config.tol
     n = len(Y)
     beta = np.zeros(X.shape[1])
-    xf = np.asfortranarray(X)  # contiguous columns for the coordinate steps
     diag = np.einsum("ij,ij->j", X, X) / n
     resid = Y.copy()
-    coords = np.flatnonzero(diag > 0.0).tolist()
+    coords = np.flatnonzero(diag > 0.0)
     admitted = np.zeros(len(beta), dtype=bool)
     prev_obj = _objective(X, Y, beta, lam)
     converged = finish_due = False
@@ -161,13 +222,17 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
             if exact is not None and _objective(X, Y, exact, lam) <= prev_obj:
                 beta, max_delta, coords = exact, 0.0, np.flatnonzero(exact)
         else:
-            for j in coords:
-                a = diag[j]
-                old = beta[j]
-                new = _soft(float(xf[:, j] @ resid) / n + a * old, lam) / a
+            if sweeps == 1 and len(coords) > _BLOCK:
+                steps = _screened_pass(X, coords, diag, resid, lam)
+            else:
+                steps = zip(  # X.T[coords] has contiguous rows
+                    coords.tolist(), X.T[coords], diag[coords].tolist(), beta[coords].tolist()
+                )
+            for j, col, a, old in steps:
+                new = _soft(float(col.dot(resid)) / n + a * old, lam) / a
                 d = new - old
                 if d != 0.0:
-                    resid -= xf[:, j] * d
+                    resid -= col * d
                     beta[j] = new
                     max_delta = max(max_delta, abs(d))
         obj = _objective(X, Y, beta, lam)
@@ -183,7 +248,7 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
             if max_delta < tol and not admitted.any():
                 converged = True
                 break
-        coords = np.flatnonzero((beta != 0.0) | admitted).tolist()
+        coords = np.flatnonzero((beta != 0.0) | admitted)
         signs, last = np.sign(beta), signs
         finish_due = np.array_equal(signs, last) and not np.array_equal(signs, tried)
     return LassoSolution(beta, prev_obj, sweeps, converged)

@@ -139,6 +139,17 @@ def test_bound_subcommand_with_optimizer_and_mc(capsys):
     assert mc["estimate"] <= res["bound"] + 3.0 * mc["ci95"] + 1e-9
 
 
+def test_bound_underflows_to_zero_next_to_a_finite_log_bound(capsys):
+    code, out = run_cli(
+        capsys, "bound", "--n1", "0", "--n2", "100000", "--m", "8",
+        "--sigma1-sq", "1", "--sigma2-sq", "1",
+    )
+    assert code == 0
+    res = json.loads(out)
+    assert res["bound"] == 0.0
+    assert math.isclose(res["log_bound"], -54930.6144334, rel_tol=1e-9)
+
+
 def test_bound_requires_m_or_delta_s(capsys):
     code, _ = run_cli(
         capsys, "bound", "--n1", "5", "--n2", "5",

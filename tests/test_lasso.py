@@ -1,6 +1,7 @@
 """Tests for the coordinate-descent solver, penalty schedule, and KKT witness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,138 @@ def test_objective_rise_raises_typed_error(monkeypatch):
     monkeypatch.setattr(lasso_mod, "_soft", lambda x, t: 2 * x)
     with pytest.raises(SparsemixError, match="objective rose"):
         solve_lasso(ds, LassoConfig(lam=0.06))
+
+
+def unscreened_solve(ds, config):
+    """Oracle: the solver without the pass-1 screen or the per-pass column
+    gather. Every pass steps through all of its coordinates on columns of a
+    Fortran copy of X."""
+    X, Y, lam, tol = ds.X, ds.Y, config.lam, config.tol
+    n = len(Y)
+    beta = np.zeros(X.shape[1])
+    xf = np.asfortranarray(X)
+    diag = np.einsum("ij,ij->j", X, X) / n
+    resid = Y.copy()
+    coords = np.flatnonzero(diag > 0.0).tolist()
+    admitted = np.zeros(len(beta), dtype=bool)
+    prev_obj = lasso_mod._objective(X, Y, beta, lam)
+    converged = finish_due = False
+    signs = tried = None
+    for sweeps in range(1, config.max_sweeps + 1):
+        max_delta = 0.0
+        if finish_due:
+            exact = lasso_mod._sign_pattern_solution(X, Y, signs, lam)
+            tried, max_delta = signs, math.inf
+            if exact is not None and lasso_mod._objective(X, Y, exact, lam) <= prev_obj:
+                beta, max_delta, coords = exact, 0.0, np.flatnonzero(exact)
+        else:
+            for j in coords:
+                a = diag[j]
+                old = beta[j]
+                new = lasso_mod._soft(float(xf[:, j] @ resid) / n + a * old, lam) / a
+                d = new - old
+                if d != 0.0:
+                    resid -= xf[:, j] * d
+                    beta[j] = new
+                    max_delta = max(max_delta, abs(d))
+        prev_obj = lasso_mod._objective(X, Y, beta, lam)
+        if max_delta < tol or sweeps % lasso_mod._REFRESH_SWEEPS == 0:
+            resid = Y - X @ beta
+            admitted = np.abs((X.T @ resid) / n) > lam
+            admitted[coords] = False
+            if max_delta < tol and not admitted.any():
+                converged = True
+                break
+        coords = np.flatnonzero((beta != 0.0) | admitted).tolist()
+        signs, last = np.sign(beta), signs
+        finish_due = np.array_equal(signs, last) and not np.array_equal(signs, tried)
+    return beta, prev_obj, sweeps, converged
+
+
+def with_design(ds, X):
+    return MixedDataset(X=X, Y=ds.Y, noise=ds.noise)
+
+
+def screen_parity_corpus():
+    """(name, dataset, config) cases around the pass-1 screen."""
+    cases = []
+    for n1, seeds in ((27, range(6)), (109, range(4))):
+        for seed in seeds:
+            ds, lam = a01_instance(n1, seed)
+            cases.append((f"a01-n{2 * n1}-seed{seed}", ds, LassoConfig(lam=lam)))
+    ds, lam = a01_instance(27, 7)
+    cases.append(("a01-budget", ds, LassoConfig(lam=lam, max_sweeps=3)))
+    fortran = with_design(ds, np.asfortranarray(ds.X))
+    cases.append(("a01-fortran-design", fortran, LassoConfig(lam=lam)))
+    for n1 in (27, 109):
+        noise = NoiseProfile(n1=n1, n2=n1, sigma1_sq=0.1, sigma2_sq=0.4)
+        sig = SparseSignal(p=512, support=tuple(range(504, 512)), values=(1.0, -1.0) * 4)
+        lam = lambda_schedule(noise.sigma_avg_sq, p=512, s=8, n=2 * n1, rho=1.0)
+        ds = generate_dataset(sig, noise, seed=n1)
+        cases.append((f"last-support-n{2 * n1}", ds, LassoConfig(lam=lam)))
+    ds, lam = a01_instance(27, 3)
+    X = ds.X.copy()
+    X[:, [0, 63, 64, 65, 511]] = 0.0
+    X[:, 300:370] = 0.0  # a whole block of zero columns
+    cases.append(("zero-columns", with_design(ds, X), LassoConfig(lam=lam)))
+    ds, _ = random_dataset(40, 100, seed=21)
+    cases.append(("lam0-wide", ds, LassoConfig(lam=0.0, max_sweeps=30)))
+    ds, _ = random_dataset(150, 70, seed=22)
+    cases.append(("lam0-tall", ds, LassoConfig(lam=0.0, max_sweeps=300)))
+    for p in (lasso_mod._BLOCK - 1, lasso_mod._BLOCK, lasso_mod._BLOCK + 1):
+        ds, _ = random_dataset(30, p, seed=p, support=(0, p - 1))
+        cases.append((f"p{p}", ds, LassoConfig(lam=0.05)))
+    return cases
+
+
+def assert_matches_unscreened_solve(ds, config):
+    sol = solve_lasso(ds, config)
+    beta, obj, sweeps, converged = unscreened_solve(ds, config)
+    assert sol.beta.tobytes() == beta.tobytes()
+    assert sol.objective.hex() == obj.hex()
+    assert (sol.sweeps, sol.converged) == (sweeps, converged)
+    return sol
+
+
+@pytest.mark.parametrize("case", screen_parity_corpus(), ids=lambda c: c[0])
+def test_screened_solver_matches_unscreened_pass_loop_bit_for_bit(case):
+    _, ds, config = case
+    assert_matches_unscreened_solve(ds, config)
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_screen_boundary_matches_unscreened_pass_loop(ulps):
+    # column 130 has the largest |x_j^T Y|, so pass 1 reaches it with r = Y;
+    # lam sits at its step value |fl(x_j . Y) / n| or one ulp to either side,
+    # where the step starts to move. With OpenBLAS 0.3.31 the gemv over
+    # columns 128-191 reads |g_k| 4 ulps under the step's ddot, so at one ulp
+    # below, a screen without the rounding slack would skip this move.
+    rng = np.random.default_rng(21)
+    n, p, k = 50, 200, 130
+    X = rng.standard_normal((n, p))
+    Y = rng.standard_normal(n)
+    X[:, k] *= 4.0
+    assert int(np.argmax(np.abs(X.T @ Y))) == k
+    t = float(np.ascontiguousarray(X[:, k]) @ Y)
+    lam = float(np.nextafter(abs(t / n), math.inf * ulps)) if ulps else abs(t / n)
+    ds = MixedDataset(X=X, Y=Y, noise=uniform_profile(n))
+    sol = assert_matches_unscreened_solve(ds, LassoConfig(lam=lam, max_sweeps=40))
+    assert (sol.beta[k] != 0.0) == (ulps < 0)
+
+
+def test_wide_solve_allocates_a_small_fraction_of_the_design():
+    sig = SparseSignal(p=5000, support=tuple(range(8)), values=(1.0, -1.0) * 4)
+    noise = NoiseProfile(n1=150, n2=150, sigma1_sq=0.1, sigma2_sq=0.4)
+    ds = generate_dataset(sig, noise, seed=3)
+    lam = lambda_schedule(noise.sigma_avg_sq, p=5000, s=8, n=300, rho=1.0)
+    tracemalloc.start()
+    try:
+        sol = solve_lasso(ds, LassoConfig(lam=lam))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.converged
+    assert peak < ds.X.nbytes / 4
 
 
 def test_lasso_config_validation():
