@@ -28,10 +28,16 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 from . import rng
-from .model import NoiseProfile, Setting, SparseSignal, index_fields
+from .model import (
+    NoiseProfile,
+    Setting,
+    SparseSignal,
+    as_index,
+    index_fields,
+    wilson_ci95,
+)
 from .planner import (
     exponent_arg,
     relaxed_theta,
@@ -259,12 +265,12 @@ def empirical_misrank(
     count. The factor's residual variance Var t - Cov^2 / Var d is taken
     in Lagrange-identity form, a sum of squares that cannot go negative
     and is exactly 0 when c and c' are parallel. A candidate equal to the
-    truth gives d = 0 and an estimate of exactly 1. The half-width ci95 is
-    the exact binomial (Clopper-Pearson) 95% interval's.
+    truth gives d = 0 and an estimate of exactly 1. ci95 is the Wilson 95%
+    half-width (model.wilson_ci95), the interval of summary.csv's ci95.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cand = sorted(int(j) for j in candidate)
+    cand = sorted(as_index(j, "candidate index") for j in candidate)
     if len(cand) != signal.s or len(set(cand)) != len(cand):
         raise ValueError("candidate support must hold s distinct indices")
     if cand[0] < 0 or cand[-1] >= signal.p:
@@ -303,11 +309,4 @@ def empirical_misrank(
         delta_loss = np.add.reduce(w * d * t, axis=1)
         successes += int(np.count_nonzero(delta_loss <= 0.0))
 
-    estimate = successes / trials
-    lo = 0.0 if successes == 0 else float(
-        betaincinv(successes, trials - successes + 1, 0.025)
-    )
-    hi = 1.0 if successes == trials else float(
-        betaincinv(successes + 1, trials - successes, 0.975)
-    )
-    return MisrankEstimate(estimate=estimate, ci95=(hi - lo) / 2.0)
+    return MisrankEstimate(successes / trials, wilson_ci95(successes, trials))

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import rng
 from .errors import ResourceCapError
-from .model import MixedDataset, Setting
+from .model import MixedDataset, Setting, as_index
 
 __all__ = [
     "DecodeResult",
@@ -267,7 +267,7 @@ def support_loss(
     each row weighted by the reciprocal of its block variance.
     """
     w1, w2 = dataset.noise.block_weights(setting)
-    idx = sorted(int(i) for i in support)
+    idx = sorted(as_index(i, "support index") for i in support)
     if len(idx) == 0:
         raise ValueError("support must be nonempty")
     if len(set(idx)) != len(idx):

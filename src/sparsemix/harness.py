@@ -27,6 +27,7 @@ from .model import (
     index_fields,
     sign_mismatches,
     support_error,
+    wilson_ci95,
     write_lines,
 )
 
@@ -35,14 +36,10 @@ __all__ = [
     "ExperimentConfig",
     "TrialRecord",
     "SummaryRow",
-    "wilson_ci95",
     "run_sweep",
     "summarize",
     "emit_outputs",
 ]
-
-_WILSON_Z = 1.959963984540054  # 97.5% normal quantile
-
 
 class DecoderKind(str, enum.Enum):
     AGNOSTIC_SCAN = "AgnosticScan"
@@ -161,23 +158,6 @@ class SummaryRow:
     n_star: float
     n_inf: float
     n_alg: float
-
-
-def wilson_ci95(successes: int, trials: int) -> float:
-    """Half-width of the Wilson 95% score interval for a binomial rate."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 <= successes <= trials:
-        raise ValueError("successes must lie in [0, trials]")
-    z = _WILSON_Z
-    phat = successes / trials
-    denom = 1.0 + z * z / trials
-    half = (
-        z
-        * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials))
-        / denom
-    )
-    return half
 
 
 def _trial_signal(config: ExperimentConfig, trial_seed: int) -> SparseSignal:

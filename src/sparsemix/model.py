@@ -41,6 +41,7 @@ __all__ = [
     "signed_support_match",
     "save_dataset",
     "load_dataset",
+    "wilson_ci95",
 ]
 
 # Finite-size SNR cutoffs used only for regime labeling in reports.
@@ -51,6 +52,8 @@ REGIME_LOW = 0.1
 MAX_DESIGN_ENTRIES = 100_000_000
 
 _ZERO_TOL = 1e-9  # sign checks count estimate entries this close to 0 as 0
+
+_WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 
 
 class Regime(str, enum.Enum):
@@ -87,9 +90,10 @@ class SparseSignal:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        index_fields(self, "p")
         if self.p < 1:
             raise ValueError("dimension p must be >= 1")
-        support = tuple(int(i) for i in self.support)
+        support = tuple(as_index(i, "support index") for i in self.support)
         values = tuple(float(v) for v in self.values)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "values", values)
@@ -119,16 +123,19 @@ class SparseSignal:
         return beta
 
 
+def as_index(value: object, name: str) -> int:
+    """operator.index of a value, so numpy integers pass as int; anything
+    else (2.5, "3") raises ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer: {value!r}") from None
+
+
 def index_fields(obj: object, *names: str) -> None:
-    """Store each named field of a frozen dataclass as operator.index of
-    its value, so numpy integers pass as int; anything else (2.5, "3")
-    raises ValueError."""
+    """Store each named field of a frozen dataclass as its as_index value."""
     for name in names:
-        value = getattr(obj, name)
-        try:
-            object.__setattr__(obj, name, operator.index(value))
-        except TypeError:
-            raise ValueError(f"{name} must be an integer: {value!r}") from None
+        object.__setattr__(obj, name, as_index(getattr(obj, name), name))
 
 
 def validate_variances(sigma1_sq: float, sigma2_sq: float) -> None:
@@ -330,6 +337,18 @@ def signed_support_match(estimate: np.ndarray, truth: SparseSignal) -> bool:
 def fmt_float(x: float) -> str:
     """CSV float text: 17 significant digits round-trip IEEE doubles exactly."""
     return "%.17g" % x
+
+
+def wilson_ci95(successes: int, trials: int) -> float:
+    """Half-width of the Wilson 95% score interval for a binomial rate."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not 0 <= successes <= trials:
+        raise ValueError("successes must lie in [0, trials]")
+    z = _WILSON_Z
+    phat = successes / trials
+    spread = math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials))
+    return z * spread / (1.0 + z * z / trials)
 
 
 def write_lines(path: str, lines: Iterable[str]) -> None:

@@ -19,6 +19,7 @@ from sparsemix import (
     m_for_error_budget,
     optimal_theta_agnostic,
     pair_coefficients,
+    wilson_ci95,
 )
 
 
@@ -363,11 +364,15 @@ def test_empirical_misrank_trivial_cases():
     sig = SparseSignal(p=6, support=(0, 1, 2, 3), values=(1.0,) * 4)
     noise = NoiseProfile(n1=8, n2=8, sigma1_sq=1.0, sigma2_sq=4.0)
     same = empirical_misrank(sig, noise, (0, 1, 2, 3), 500, seed=1)
-    assert same.estimate == 1.0
+    assert same == (1.0, wilson_ci95(500, 500))
     silent = NoiseProfile(n1=8, n2=8, sigma1_sq=0.0, sigma2_sq=0.0)
     zero = empirical_misrank(sig, silent, (2, 3, 4, 5), 500, seed=1)
-    assert zero.estimate == 0.0
-    assert zero.ci95 >= 0.0
+    assert zero == (0.0, wilson_ci95(0, 500))
+    # ci95 is the Wilson half-width of the count, as in summary.csv
+    mid = empirical_misrank(sig, noise, (2, 3, 4, 5), 500, seed=1)
+    k = round(mid.estimate * 500)
+    assert 0 < k < 500 and k / 500 == mid.estimate
+    assert mid.ci95 == wilson_ci95(k, 500)
 
 
 def test_empirical_misrank_deterministic_and_below_bound():
@@ -446,6 +451,14 @@ def test_empirical_misrank_validates_candidate():
         empirical_misrank(sig, noise, (0, 1, 2, 9), 100, seed=0)
     with pytest.raises(ValueError):
         empirical_misrank(sig, noise, (0, 1, 2, 3), 0, seed=0)
+    # fractional indices are refused rather than truncated; numpy integers pass
+    for cand in ((0.2, 1.9, 3.3, 4), (0, 1, 2, 3.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            empirical_misrank(sig, noise, cand, 100, seed=0)
+    cand = tuple(np.arange(2, 6))
+    assert empirical_misrank(sig, noise, cand, 100, seed=0) == empirical_misrank(
+        sig, noise, (2, 3, 4, 5), 100, seed=0
+    )
     silent = NoiseProfile(n1=8, n2=8, sigma1_sq=0.0, sigma2_sq=4.0)
     with pytest.raises(ValueError):
         empirical_misrank(sig, silent, (2, 3, 4, 5), 100, seed=0, setting=Setting.INFORMED)

@@ -113,6 +113,13 @@ def test_support_loss_validation():
         support_loss(ds, (1, 8), Setting.AGNOSTIC)
     with pytest.raises(ValueError):
         support_loss(ds, (-1, 3), Setting.AGNOSTIC)
+    # fractional indices are refused rather than truncated; numpy integers pass
+    for bad in ((0.9, 1.2, 2.5), (1, 3.0), (1, "3")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            support_loss(ds, bad, Setting.AGNOSTIC)
+    assert support_loss(ds, (np.int64(1), np.uint8(3)), Setting.AGNOSTIC) == support_loss(
+        ds, (1, 3), Setting.AGNOSTIC
+    )
 
 
 def test_informed_requires_positive_variances():

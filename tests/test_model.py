@@ -59,6 +59,12 @@ def test_sparse_signal_validation():
         SparseSignal(p=5, support=(1, 2), values=(1.0, math.nan))
     with pytest.raises(ValueError):
         SparseSignal(p=0, support=(), values=())
+    # indices are integers: numpy integers pass as int, fractions are refused
+    sig = SparseSignal(p=np.int64(5), support=(np.int32(0), np.uint8(2)), values=(1.0, 1.0))
+    assert (sig.p, sig.support, type(sig.p), type(sig.support[1])) == (5, (0, 2), int, int)
+    for kw in (dict(p=5.0), dict(p="5"), dict(support=(0.5, 2.7)), dict(support=(0, 2.0))):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SparseSignal(**{"p": 5, "support": (0, 2), "values": (1.0, 1.0), **kw})
 
 
 def test_noise_profile_validation_and_average():
