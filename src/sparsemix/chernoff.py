@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,11 +90,12 @@ class ChernoffQuery:
             object.__setattr__(self, "theta", self.default_theta())
         if not (math.isfinite(self.theta) and self.theta >= 0.0):
             raise ValueError("theta must be a finite nonnegative real")
-        if any(
-            1.0 - 2.0 * exponent_arg(self.setting, self.theta, self.m, v) == math.inf
-            for n, v in ((self.n1, self.sigma1_sq), (self.n2, self.sigma2_sq))
-            if n
-        ):
+
+        def overflows(n: int, v: float) -> bool:
+            g = exponent_arg(self.setting, self.theta, self.m, v)
+            return 1.0 - 2.0 * g == math.inf
+
+        if any(_per_block(self, overflows, False)):
             raise ValueError("theta makes a block's 1 - 2 g overflow the float range")
 
     def default_theta(self) -> float:
@@ -128,20 +129,24 @@ def m_for_error_budget(delta: float, s: int) -> int:
     return int(round(m))
 
 
-def _block_log_mgf(query: ChernoffQuery, theta: float, n: int, v: float) -> float:
-    """n ln(1 - 2 g) of n rows at variance v; 0 if n = 0, -inf off-domain."""
-    if n == 0:
-        return 0.0
-    g = exponent_arg(query.setting, theta, query.m, v)
-    return n * math.log1p(-2.0 * g) if g < 0.5 else -math.inf
+def _per_block(query: ChernoffQuery, term: Callable, empty: object) -> list:
+    """term(n, v) of each block in order, or `empty` for a block without
+    rows: an empty block contributes no factor and no domain limit."""
+    return [
+        term(n, v) if n else empty
+        for n, v in ((query.n1, query.sigma1_sq), (query.n2, query.sigma2_sq))
+    ]
 
 
 def chernoff_log_bound(query: ChernoffQuery) -> float:
     """ln of the misranking bound at the query's theta; +inf off-domain."""
-    return -0.5 * (
-        _block_log_mgf(query, query.theta, query.n1, query.sigma1_sq)
-        + _block_log_mgf(query, query.theta, query.n2, query.sigma2_sq)
-    )
+
+    def log_mgf(n: int, v: float) -> float:  # n ln(1 - 2 g); -inf off-domain
+        g = exponent_arg(query.setting, query.theta, query.m, v)
+        return n * math.log1p(-2.0 * g) if g < 0.5 else -math.inf
+
+    block1, block2 = _per_block(query, log_mgf, 0.0)
+    return -0.5 * (block1 + block2)
 
 
 def chernoff_bound(query: ChernoffQuery) -> float:
@@ -168,12 +173,13 @@ def lq_domain_limit(query: ChernoffQuery) -> float:
     without rows has no limit, +inf.
     """
     m, agnostic = query.m, query.setting is Setting.AGNOSTIC
-    roots = [
-        (m + math.sqrt(m * m + 4.0 * m * v)) / (4.0 * m * (v if agnostic else 1.0))
-        for n, v in ((query.n1, query.sigma1_sq), (query.n2, query.sigma2_sq))
-        if n
-    ]
-    return min(roots, default=math.inf)
+
+    def root(n: int, v: float) -> float:
+        scale = v if agnostic else 1.0
+        return (m + math.sqrt(m * m + 4.0 * m * v)) / (4.0 * m * scale)
+
+    roots = _per_block(query, root, None)
+    return min((r for r in roots if r is not None), default=math.inf)
 
 
 def _log_bound_slope(query: ChernoffQuery, theta: float) -> float:
@@ -184,14 +190,15 @@ def _log_bound_slope(query: ChernoffQuery, theta: float) -> float:
     domain's edge, and where its 1 - 2 g_b overflows, so that the
     bisection never leaves the float range either.
     """
-    slope = 0.0
-    for n, v in ((query.n1, query.sigma1_sq), (query.n2, query.sigma2_sq)):
-        if n:
-            d = 1.0 - 2.0 * exponent_arg(Setting.AGNOSTIC, theta, query.m, v)
-            if not 0.0 < d < math.inf:
-                return math.inf
-            slope += n * query.m * (4.0 * v * theta - 1.0) / d
-    return slope
+
+    def term(n: int, v: float) -> float:
+        d = 1.0 - 2.0 * exponent_arg(Setting.AGNOSTIC, theta, query.m, v)
+        if not 0.0 < d < math.inf:
+            return math.inf
+        return n * query.m * (4.0 * v * theta - 1.0) / d
+
+    block1, block2 = _per_block(query, term, 0.0)
+    return block1 + block2
 
 
 def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
@@ -214,7 +221,7 @@ def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
         raise ValueError("theta optimization applies to the agnostic setting")
     relaxed = query.default_theta()
     lo, hi = 0.0, min(lq_domain_limit(query), sys.float_info.max)
-    if not (query.n1 or query.n2):
+    if not any(_per_block(query, lambda n, v: True, False)):
         hi = 0.0  # no rows: nothing to bracket
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if _log_bound_slope(query, mid) < 0.0:

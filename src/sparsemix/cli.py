@@ -35,16 +35,15 @@ from .model import (
 __all__ = ["main"]
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+def _list(text: str, kind: type) -> list:
+    """Comma-separated values of one type; empty items are skipped."""
+    return [kind(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
-
-
-def _setting(name: str) -> Setting:
-    return {"agnostic": Setting.AGNOSTIC, "informed": Setting.INFORMED}[name]
+def _blocks(args: argparse.Namespace) -> dict:
+    """The block flags as keyword arguments of NoiseProfile or ChernoffQuery."""
+    names = ("n1", "n2", "sigma1_sq", "sigma2_sq")
+    return {name: getattr(args, name) for name in names}
 
 
 def _emit(obj) -> None:
@@ -54,22 +53,18 @@ def _emit(obj) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.support is not None:
-        support = tuple(_int_list(args.support))
+        support = tuple(_list(args.support, int))
     else:
         support = tuple(range(args.s))
     if args.values is not None:
-        values = tuple(_float_list(args.values))
+        values = tuple(_list(args.values, float))
     else:
         values = (1.0,) * len(support)
     signal = SparseSignal(p=args.p, support=support, values=values)
     if args.s != signal.s:
         raise ValueError("--s disagrees with the support length")
-    noise = NoiseProfile(
-        n1=args.n1, n2=args.n2, sigma1_sq=args.sigma1_sq, sigma2_sq=args.sigma2_sq
-    )
-    dataset = generate_dataset(signal, noise, args.seed)
-    manifest = save_dataset(dataset, args.out)
-    report = snr_report(signal.s, noise)
+    noise = NoiseProfile(**_blocks(args))
+    manifest = save_dataset(generate_dataset(signal, noise, args.seed), args.out)
     _emit(
         {
             "written": manifest,
@@ -78,22 +73,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             "n1": args.n1,
             "n2": args.n2,
             "seed": args.seed,
-            "snr": {
-                "sigma_avg_sq": report.sigma_avg_sq,
-                "snr": report.snr,
-                "snr1": report.snr1,
-                "snr2": report.snr2,
-                "regime": report.regime.value,
-            },
+            "snr": dataclasses.asdict(snr_report(signal.s, noise)),
         }
     )
     return 0
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    growth = planner.Growth.LINEAR if args.growth == "linear" else planner.Growth.SUBLINEAR
+    growth = planner.Growth(args.growth.title())
     regime = planner.RegimeSpec(growth=growth, p=args.p, s=args.s, alpha=args.alpha)
-    setting = _setting(args.setting)
+    setting = Setting(args.setting.title())
     out: dict = {
         "n_star": planner.recovery_threshold(planner.ThresholdKind.N_STAR, regime),
         "n_alg": planner.recovery_threshold(planner.ThresholdKind.N_ALG, regime),
@@ -102,22 +91,16 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         out["n_inf"] = planner.recovery_threshold(planner.ThresholdKind.N_INF, regime)
     except ValueError:
         out["n_inf"] = None
+    variances = (args.sigma1_sq, args.sigma2_sq)
     out["price_of_quality"] = planner.price_of_quality(
-        setting, args.sigma1_sq, args.sigma2_sq, args.s, args.delta
+        setting, *variances, args.s, args.delta
     )
     if (args.n1 is None) != (args.n2 is None):
         raise ValueError("pass both --n1 and --n2, or neither")
+    requirement = (args.s, args.delta, args.epsilon, regime)
     if args.n1 is not None:
         chk = planner.check_sufficient(
-            setting,
-            args.n1,
-            args.n2,
-            args.sigma1_sq,
-            args.sigma2_sq,
-            args.s,
-            args.delta,
-            args.epsilon,
-            regime,
+            setting, args.n1, args.n2, *variances, *requirement
         )
         out["check"] = {
             "alpha1": chk.alpha1,
@@ -128,18 +111,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         }
     if args.frontier_n1 is not None:
         pts = planner.sample_frontier(
-            setting,
-            args.sigma1_sq,
-            args.sigma2_sq,
-            args.s,
-            args.delta,
-            args.epsilon,
-            regime,
-            _int_list(args.frontier_n1),
+            setting, *variances, *requirement, _list(args.frontier_n1, int)
         )
-        out["frontier"] = [
-            {"n1": q.n1, "n2": q.n2, "n2_continuous": q.n2_continuous} for q in pts
-        ]
+        out["frontier"] = [dataclasses.asdict(q) for q in pts]
     _emit(out)
     return 0
 
@@ -153,19 +127,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         s = dataset.signal.s
     else:
         raise ValueError("dataset has no ground truth; pass --s")
-    setting = Setting.INFORMED if args.decoder == "informed" else Setting.AGNOSTIC
     if args.decoder == "local":
         res = decoders.decode_local_search(
-            dataset, s, setting, restarts=args.restarts, seed=args.seed
+            dataset, s, Setting.AGNOSTIC, restarts=args.restarts, seed=args.seed
         )
     else:
-        res = decoders.decode_exhaustive(dataset, s, setting)
-    out = {
-        "support": list(res.support),
-        "loss": res.loss,
-        "scanned": res.scanned,
-        "exhaustive": res.exhaustive,
-    }
+        res = decoders.decode_exhaustive(dataset, s, Setting(args.decoder.title()))
+    out = dataclasses.asdict(res)
     if dataset.signal is not None:
         err = support_error(res.support, dataset.signal.support)
         out["error_count"] = err
@@ -227,15 +195,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         m = chernoff.m_for_error_budget(args.delta, args.s)
     else:
         raise ValueError("pass --m, or both --delta and --s")
-    setting = _setting(args.setting)
+    setting = Setting(args.setting.title())
     query = chernoff.ChernoffQuery(
-        setting=setting,
-        n1=args.n1,
-        n2=args.n2,
-        sigma1_sq=args.sigma1_sq,
-        sigma2_sq=args.sigma2_sq,
-        m=m,
-        theta=args.theta,
+        setting=setting, m=m, theta=args.theta, **_blocks(args)
     )
     out: dict = {
         "m": m,
@@ -245,31 +207,19 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     }
     if args.optimize:
         best = chernoff.optimal_theta_agnostic(query)
-        out["optimal"] = {
-            "theta": best.theta,
-            "bound": math.exp(best.log_bound),
-            "log_bound": best.log_bound,
-        }
+        out["optimal"] = {**best._asdict(), "bound": math.exp(best.log_bound)}
     if args.mc_trials is not None:
         if m % 2 != 0:
             raise ValueError("Monte Carlo checks need an even m")
         s = args.s if args.s is not None else m
         p = args.p if args.p is not None else s + m // 2
-        signal = SparseSignal(
-            p=p, support=tuple(range(s)), values=(1.0,) * s
-        )
+        signal = SparseSignal(p=p, support=tuple(range(s)), values=(1.0,) * s)
         candidate = tuple(range(m // 2, s)) + tuple(range(s, s + m // 2))
-        noise = NoiseProfile(
-            n1=args.n1, n2=args.n2, sigma1_sq=args.sigma1_sq, sigma2_sq=args.sigma2_sq
-        )
+        noise = NoiseProfile(**_blocks(args))
         est = chernoff.empirical_misrank(
             signal, noise, candidate, args.mc_trials, args.seed, setting
         )
-        out["monte_carlo"] = {
-            "trials": args.mc_trials,
-            "estimate": est.estimate,
-            "ci95": est.ci95,
-        }
+        out["monte_carlo"] = {"trials": args.mc_trials, **est._asdict()}
     _emit(out)
     return 0
 
@@ -307,34 +257,44 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _shared(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring flags that mean the same in every
+    subcommand that takes them."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag in flags:
+        parent.add_argument(flag, **kwargs)
+    return parent
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sparsemix",
         description="Sparse support recovery from mixed-quality Gaussian measurements",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    shape = _shared("--p", "--s", type=int, required=True)
+    blocks = _shared("--n1", "--n2", type=int, required=True)
+    variances = _shared("--sigma1-sq", "--sigma2-sq", type=float, required=True)
+    setting = _shared("--setting", choices=["agnostic", "informed"], default="agnostic")
 
-    g = sub.add_parser("gen", help="synthesize a dataset directory")
-    g.add_argument("--p", type=int, required=True)
-    g.add_argument("--s", type=int, required=True)
-    g.add_argument("--n1", type=int, required=True)
-    g.add_argument("--n2", type=int, required=True)
-    g.add_argument("--sigma1-sq", type=float, required=True)
-    g.add_argument("--sigma2-sq", type=float, required=True)
+    g = sub.add_parser(
+        "gen", parents=[shape, blocks, variances], help="synthesize a dataset directory"
+    )
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--support", help="comma-separated indices (default: first s)")
     g.add_argument("--values", help="comma-separated coefficients (default: 1.0 each)")
     g.set_defaults(func=_cmd_gen)
 
-    pl = sub.add_parser("plan", help="thresholds, sufficiency, price of quality")
-    pl.add_argument("--p", type=int, required=True)
-    pl.add_argument("--s", type=int, required=True)
-    pl.add_argument("--growth", choices=["sublinear", "linear"], default="sublinear")
-    pl.add_argument("--alpha", type=float, default=None)
-    pl.add_argument("--setting", choices=["agnostic", "informed"], default="agnostic")
-    pl.add_argument("--sigma1-sq", type=float, required=True)
-    pl.add_argument("--sigma2-sq", type=float, required=True)
+    # a parent too, so that plan's help lists --growth and --alpha after --p and --s
+    gr = argparse.ArgumentParser(add_help=False)
+    gr.add_argument("--growth", choices=["sublinear", "linear"], default="sublinear")
+    gr.add_argument("--alpha", type=float, default=None)
+    pl = sub.add_parser(
+        "plan",
+        parents=[shape, gr, setting, variances],
+        help="thresholds, sufficiency, price of quality",
+    )
     pl.add_argument("--delta", type=float, default=planner.DEFAULT_DELTA)
     pl.add_argument("--epsilon", type=float, default=planner.DEFAULT_EPSILON)
     pl.add_argument("--n1", type=int, default=None)
@@ -361,12 +321,11 @@ def _build_parser() -> argparse.ArgumentParser:
     la.add_argument("--witness", action="store_true")
     la.set_defaults(func=_cmd_lasso)
 
-    bo = sub.add_parser("bound", help="misranking bound and Monte Carlo check")
-    bo.add_argument("--setting", choices=["agnostic", "informed"], default="agnostic")
-    bo.add_argument("--n1", type=int, required=True)
-    bo.add_argument("--n2", type=int, required=True)
-    bo.add_argument("--sigma1-sq", type=float, required=True)
-    bo.add_argument("--sigma2-sq", type=float, required=True)
+    bo = sub.add_parser(
+        "bound",
+        parents=[setting, blocks, variances],
+        help="misranking bound and Monte Carlo check",
+    )
     bo.add_argument("--m", type=int, default=None)
     bo.add_argument("--delta", type=float, default=None)
     bo.add_argument("--s", type=int, default=None)

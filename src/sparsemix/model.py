@@ -407,15 +407,15 @@ def load_dataset(directory: str) -> MixedDataset:
     X = np.loadtxt(os.path.join(directory, "X.csv"), delimiter=",", ndmin=2)
     Y = np.loadtxt(os.path.join(directory, "Y.csv"), ndmin=1)
     noise = NoiseProfile(
-        n1=int(meta["n1"]),
-        n2=int(meta["n2"]),
+        n1=meta["n1"],
+        n2=meta["n2"],
         sigma1_sq=float(meta["sigma1_sq"]),
         sigma2_sq=float(meta["sigma2_sq"]),
     )
     signal = None
     if meta.get("support") is not None:
         signal = SparseSignal(
-            p=int(meta["p"]),
+            p=meta["p"],
             support=tuple(meta["support"]),
             values=tuple(meta["values"]),
         )

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Setting, validate_variances
+from .model import Setting, as_index, index_fields, validate_variances
 
 __all__ = [
     "Growth",
@@ -78,6 +78,7 @@ class RegimeSpec:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
+        index_fields(self, "p", "s")
         if self.p < 2:
             raise ValueError("dimension p must be >= 2")
         if not 1 <= self.s < self.p:
@@ -253,6 +254,7 @@ def check_sufficient(
     """
     n_star = _n_star(s, epsilon, regime)
     target = (1.0 + epsilon) * n_star
+    n1, n2 = as_index(n1, "n1"), as_index(n2, "n2")
     if n1 < 0 or n2 < 0:
         raise ValueError("block sizes must be nonnegative")
     a1, a2 = pair_coefficients(setting, sigma1_sq, sigma2_sq, s, delta)
@@ -304,7 +306,7 @@ def sample_frontier(
     a1, a2 = pair_coefficients(setting, sigma1_sq, sigma2_sq, s, delta)
     points = []
     for n1 in n1_grid:
-        n1 = int(n1)
+        n1 = as_index(n1, "n1")
         if n1 < 0:
             raise ValueError("n1 values must be nonnegative")
         shortfall = target - n1 * a1

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -12,6 +13,8 @@ import pytest
 
 import sparsemix
 from sparsemix.cli import main
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
 def run_cli(capsys, *argv):
@@ -264,6 +267,17 @@ def test_exit_code_missing_data_directory(tmp_path, capsys):
     assert code == 4
 
 
+def test_solve_refuses_a_dataset_with_fractional_counts(tmp_path, capsys):
+    data = str(tmp_path / "ds")
+    assert run_cli(capsys, *gen_args(data))[0] == 0
+    meta_path = os.path.join(data, "meta.json")
+    with open(meta_path, "r", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    with open(meta_path, "w", encoding="utf-8") as fh:
+        json.dump({**meta, "n1": 8.6}, fh)
+    assert run_cli(capsys, "solve", "--data", data) == (2, "")
+
+
 def test_exit_code_resource_cap(tmp_path, capsys):
     data = str(tmp_path / "wide")
     code, _ = run_cli(capsys, *gen_args(data, p=30, s=2, n1=4, n2=4))
@@ -385,13 +399,53 @@ def test_edge_inputs_exit_with_a_documented_code(tmp_path, case):
 
 def test_readme_python_examples_run():
     # the blocks build on each other, so they share one namespace
-    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
-    with open(readme, encoding="utf-8") as fh:
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         blocks = re.findall(r"```python\n(.*?)```", fh.read(), flags=re.DOTALL)
     assert blocks
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def key_paths(value, prefix=""):
+    """Every key path in a JSON value; the items of a list share `[]`."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = (("[]", item) for item in value)
+    else:
+        return set()
+    paths = set()
+    for key, item in items:
+        paths |= {prefix + key} | key_paths(item, prefix + key + ".")
+    return paths
+
+
+def test_readme_cli_examples_print_the_documented_keys(tmp_path, monkeypatch, capsys):
+    # each `sparsemix` shell block runs in turn in one directory; the JSON
+    # block after it shows what it prints, the one before sweep its config
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```(\w+)\n(.*?)```", fh.read(), flags=re.DOTALL)
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for i, (lang, body) in enumerate(blocks):
+        if lang != "sh" or not body.startswith("sparsemix "):
+            continue
+        argv = shlex.split(body.replace("\\\n", " "))[1:]
+        if argv[0] == "sweep":
+            assert blocks[i - 1][0] == "json"
+            (tmp_path / "sweep.json").write_text(blocks[i - 1][1], encoding="utf-8")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        ran.append(argv[0])
+        if argv[0] == "sweep":
+            for name in ("summary.csv", "trials.csv", "phase.svg"):
+                assert (tmp_path / "results" / name).is_file()
+        else:
+            assert blocks[i + 1][0] == "json", argv
+            documented = json.loads(blocks[i + 1][1])
+            assert key_paths(json.loads(out)) == key_paths(documented), argv
+    assert ran == ["gen", "plan", "solve", "lasso", "bound", "sweep"]
 
 
 def _opens_for_writing(call):
@@ -409,16 +463,20 @@ def _opens_for_writing(call):
                 and not set(mode.value) & set("wax+"))
 
 
+def package_trees():
+    """(file name, AST) of each module of the package."""
+    src = os.path.join(ROOT, "src", "sparsemix")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
 def test_only_write_lines_opens_files_for_writing():
     # one writer keeps the in-place rewrite: opening with "w" truncates an
     # existing file to zero, which ext4 flushes to disk on close
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "sparsemix")
     offenders = []
-    for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(src, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in package_trees():
         allowed = set()
         if name == "model.py":
             writer = next(node for node in tree.body
@@ -429,6 +487,15 @@ def test_only_write_lines_opens_files_for_writing():
             if isinstance(node, ast.Call) and id(node) not in allowed
             and _opens_for_writing(node)
         ]
+    assert offenders == []
+
+
+def test_package_has_no_assert_statements():
+    # invariants raise typed errors: python -O strips assert statements
+    offenders = [
+        f"{name}:{node.lineno}" for name, tree in package_trees()
+        for node in ast.walk(tree) if isinstance(node, ast.Assert)
+    ]
     assert offenders == []
 
 

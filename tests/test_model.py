@@ -279,6 +279,21 @@ def test_dataset_round_trip(tmp_path):
         assert first == second
 
 
+@pytest.mark.parametrize("field, value", [("p", 10.9), ("n1", 8.6), ("n2", 8.9)])
+def test_load_dataset_refuses_fractional_counts(tmp_path, field, value):
+    # a fractional count in meta.json is refused, not truncated to an int
+    noise = NoiseProfile(n1=8, n2=8, sigma1_sq=0.5, sigma2_sq=1.5)
+    out = str(tmp_path / "data")
+    save_dataset(generate_dataset(make_signal(), noise, seed=1), out)
+    meta_path = os.path.join(out, "meta.json")
+    with open(meta_path, "r", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    with open(meta_path, "w", encoding="utf-8") as fh:
+        json.dump({**meta, field: value}, fh)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        load_dataset(out)
+
+
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()

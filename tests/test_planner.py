@@ -108,6 +108,16 @@ def test_regime_spec_validation():
         RegimeSpec(growth=Growth.SUBLINEAR, p=8, s=0)
 
 
+def test_regime_spec_refuses_fractional_dimension_and_sparsity():
+    # a fractional p or s is refused, not carried into the thresholds
+    with pytest.raises(ValueError, match="p must be an integer"):
+        RegimeSpec(growth=Growth.SUBLINEAR, p=24.5, s=4.5)
+    with pytest.raises(ValueError, match="s must be an integer"):
+        RegimeSpec(growth=Growth.SUBLINEAR, p=24, s=4.5)
+    spec = RegimeSpec(growth=Growth.SUBLINEAR, p=np.int64(24), s=np.int64(4))
+    assert type(spec.p) is int and type(spec.s) is int
+
+
 def test_recovery_thresholds_frozen_values():
     # 2 s ln(p/s) with p=100, s=8: 16 ln 12.5
     assert math.isclose(
@@ -232,6 +242,20 @@ def test_check_sufficient_matches_manual_arithmetic():
         Setting.AGNOSTIC, 30, 40, 1.0, 4.0, 8, 0.5, 0.0, SUBLINEAR_100_8
     )
     assert not tight.holds
+
+
+def test_check_sufficient_refuses_fractional_block_sizes():
+    # a fractional block size is refused, not checked and reported as given
+    for n1, n2 in ((2.5, 3.5), (2, 3.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            check_sufficient(
+                Setting.AGNOSTIC, n1, n2, 1.0, 4.0, 8, 0.5, 0.0, SUBLINEAR_100_8
+            )
+    n1, n2 = np.int64(2), np.int64(3)
+    chk = check_sufficient(
+        Setting.AGNOSTIC, n1, n2, 1.0, 4.0, 8, 0.5, 0.0, SUBLINEAR_100_8
+    )
+    assert (chk.n1, chk.n2) == (2, 3)
 
 
 def test_check_sufficient_epsilon_raises_the_bar():
@@ -370,6 +394,18 @@ def test_sample_frontier_frozen_example():
     assert pts[0].n2 == 100
     # continuous value is 16 ln(12.5) / ln(1.5)
     assert math.isclose(pts[0].n2_continuous, 99.6674128076925, rel_tol=1e-10)
+
+
+def test_sample_frontier_refuses_fractional_budgets():
+    # a fractional n1 budget is refused, not truncated to an int
+    with pytest.raises(ValueError, match="n1 must be an integer"):
+        sample_frontier(
+            Setting.AGNOSTIC, 1.0, 4.0, 8, 0.5, 0.0, SUBLINEAR_100_8, [2.5, 7.9]
+        )
+    pts = sample_frontier(
+        Setting.AGNOSTIC, 1.0, 4.0, 8, 0.5, 0.0, SUBLINEAR_100_8, np.arange(2)
+    )
+    assert [type(q.n1) for q in pts] == [int, int]
 
 
 def test_sample_frontier_points_are_minimal_and_sufficient():
