@@ -31,6 +31,7 @@ from .model import (
     signed_support_match,
     snr_report,
     support_error,
+    wilson_ci95,
 )
 from .planner import (
     DEFAULT_DELTA,
@@ -81,7 +82,6 @@ from .harness import (
     emit_outputs,
     run_sweep,
     summarize,
-    wilson_ci95,
 )
 
 __version__ = "0.1.0"

@@ -15,9 +15,10 @@ on the sign of its slope over (0, lq_domain_limit).
 
 One rule covers the float range: a theta at which some nonempty block's
 1 - 2 g_b overflows (g_b hugely negative, at a subnormal variance or a
-theta near float max) is refused. The true bound there is positive, but
-ln(1 - 2 g_b) is lost, and a log-bound of -inf would claim a misranking
-probability of exactly 0. Where every 1 - 2 g_b is finite nothing changes.
+theta near float max), or is NaN (theta = 0 where 2 v overflows), is
+refused. The true bound there is positive, but ln(1 - 2 g_b) is lost, and
+a log-bound of -inf would claim a misranking probability of exactly 0.
+Where every 1 - 2 g_b is finite nothing changes.
 """
 
 from __future__ import annotations
@@ -30,20 +31,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import rng
-from .model import (
-    NoiseProfile,
-    Setting,
-    SparseSignal,
-    as_index,
-    index_fields,
-    wilson_ci95,
-)
-from .planner import (
-    exponent_arg,
-    relaxed_theta,
-    validate_delta,
-    validate_positive_variances,
-)
+from .errors import as_index, as_real, index_fields, support_indices
+from .model import NoiseProfile, Setting, SparseSignal, validate_variances, wilson_ci95
+from .planner import exponent_arg, relaxed_theta, validate_delta
 
 __all__ = [
     "ChernoffQuery",
@@ -68,7 +58,7 @@ class ChernoffQuery:
     a query built without one holds default_theta(). Either way the
     theta held must be finite and nonnegative, so a variance too small
     for 1/(4 sigma2_sq) to be finite is refused, and so is a theta at
-    which a nonempty block's 1 - 2 g overflows (see the module docstring).
+    which a nonempty block's 1 - 2 g overflows or is NaN (module docstring).
     """
 
     setting: Setting
@@ -80,23 +70,20 @@ class ChernoffQuery:
     theta: float | None = None
 
     def __post_init__(self) -> None:
-        index_fields(self, "n1", "n2", "m")
-        if self.n1 < 0 or self.n2 < 0:
-            raise ValueError("block sizes must be nonnegative")
-        validate_positive_variances(self.sigma1_sq, self.sigma2_sq)
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
+        index_fields(self, "n1", "n2", low=0)
+        index_fields(self, "m", low=1)
+        as_real(self.sigma1_sq, "sigma1_sq", positive=True)
+        validate_variances(self.sigma1_sq, self.sigma2_sq)
         if self.theta is None:
             object.__setattr__(self, "theta", self.default_theta())
-        if not (math.isfinite(self.theta) and self.theta >= 0.0):
-            raise ValueError("theta must be a finite nonnegative real")
+        as_real(self.theta, "theta")
 
-        def overflows(n: int, v: float) -> bool:
+        def overflows(n: int, v: float) -> bool:  # or NaN: inf * 0 at theta = 0
             g = exponent_arg(self.setting, self.theta, self.m, v)
-            return 1.0 - 2.0 * g == math.inf
+            return not 1.0 - 2.0 * g < math.inf
 
         if any(_per_block(self, overflows, False)):
-            raise ValueError("theta makes a block's 1 - 2 g overflow the float range")
+            raise ValueError("theta makes a block's 1 - 2 g overflow or read NaN")
 
     def default_theta(self) -> float:
         """Relaxed agnostic point 1/(4 sigma2_sq); exact informed point 1/4."""
@@ -121,8 +108,7 @@ def m_for_error_budget(delta: float, s: int) -> int:
     bound is evaluated at the smallest excluded overlap.
     """
     validate_delta(delta)
-    if s < 1:
-        raise ValueError("s must be positive")
+    s = as_index(s, "s", low=1)
     m = 2.0 * delta * s
     if abs(m - round(m)) > 1e-9 or round(m) < 1:
         raise ValueError("2 * delta * s must be a positive integer")
@@ -169,14 +155,20 @@ def lq_domain_limit(query: ChernoffQuery) -> float:
 
     A nonempty block at variance v reaches g = 1/2 at the positive root
     (m + sqrt(m^2 + 4 m v)) / (4 m v) agnostic, or / (4 m) informed, so
-    the noisiest block binds agnostic and the cleanest informed. A query
-    without rows has no limit, +inf.
+    the noisiest block binds agnostic and the cleanest informed. Where
+    m^2 + 4 m v overflows, the root is taken in a scaled form whose
+    factors stay in the float range. A query without rows has no limit,
+    +inf.
     """
     m, agnostic = query.m, query.setting is Setting.AGNOSTIC
 
     def root(n: int, v: float) -> float:
         scale = v if agnostic else 1.0
-        return (m + math.sqrt(m * m + 4.0 * m * v)) / (4.0 * m * scale)
+        disc = m * m + 4.0 * m * v
+        if disc == math.inf:  # m + S = (1 + m / S) S with S = 2 sqrt(m) sqrt(v) t
+            a, b, t = math.sqrt(m), math.sqrt(v), math.sqrt(1.0 + 0.25 * m / v)
+            return (1.0 + a / (2.0 * b * t)) * t * (b / scale) / (2.0 * a)
+        return (m + math.sqrt(disc)) / (4.0 * m * scale)
 
     roots = _per_block(query, root, None)
     return min((r for r in roots if r is not None), default=math.inf)
@@ -275,13 +267,10 @@ def empirical_misrank(
     truth gives d = 0 and an estimate of exactly 1. ci95 is the Wilson 95%
     half-width (model.wilson_ci95), the interval of summary.csv's ci95.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    cand = sorted(as_index(j, "candidate index") for j in candidate)
-    if len(cand) != signal.s or len(set(cand)) != len(cand):
-        raise ValueError("candidate support must hold s distinct indices")
-    if cand[0] < 0 or cand[-1] >= signal.p:
-        raise ValueError("candidate indices must lie in [0, p)")
+    trials, seed = as_index(trials, "trials", low=1), as_index(seed, "seed")
+    cand = support_indices(candidate, signal.p, "candidate")
+    if len(cand) != signal.s:
+        raise ValueError("candidate support must hold s indices")
     w = np.repeat(noise.block_weights(setting), (noise.n1, noise.n2))
 
     union = sorted(set(cand) | set(signal.support))

@@ -56,8 +56,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import rng
-from .errors import ResourceCapError
-from .model import MixedDataset, Setting, as_index
+from .errors import ResourceCapError, as_index, support_indices
+from .model import MixedDataset, Setting
 
 __all__ = [
     "DecodeResult",
@@ -267,13 +267,7 @@ def support_loss(
     each row weighted by the reciprocal of its block variance.
     """
     w1, w2 = dataset.noise.block_weights(setting)
-    idx = sorted(as_index(i, "support index") for i in support)
-    if len(idx) == 0:
-        raise ValueError("support must be nonempty")
-    if len(set(idx)) != len(idx):
-        raise ValueError("support indices must be distinct")
-    if idx[0] < 0 or idx[-1] >= dataset.p:
-        raise ValueError("support indices must lie in [0, p)")
+    idx = support_indices(support, dataset.p, "support")
     return float(_canonical_losses(dataset, np.array([idx]), w1, w2)[0])
 
 
@@ -295,8 +289,7 @@ def decode_exhaustive(
     EXHAUSTIVE_CAP candidates; use decode_local_search for those.
     """
     p = dataset.p
-    if not 1 <= s <= p:
-        raise ValueError("sparsity must satisfy 1 <= s <= p")
+    s = as_index(s, "s", low=1, high=p)
     total = math.comb(p, s)
     if total > EXHAUSTIVE_CAP:
         raise ResourceCapError(
@@ -440,10 +433,8 @@ def decode_local_search(
     running the restarts one after another.
     """
     p = dataset.p
-    if not 1 <= s <= p:
-        raise ValueError("sparsity must satisfy 1 <= s <= p")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    s = as_index(s, "s", low=1, high=p)
+    restarts, seed = as_index(restarts, "restarts", low=1), as_index(seed, "seed")
     w1, w2 = dataset.noise.block_weights(setting)
     gram = _GramForm(dataset, w1, w2)
     margin = gram.margin(s, s + 2)

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 import os
 import time
 from dataclasses import dataclass, fields
 
 from . import decoders, lasso, planner, rng
 from .errors import InvalidConfigError, ResourceCapError, SparsemixError
+from .errors import as_index, as_real, index_fields
 from .model import (
     MAX_DESIGN_ENTRIES,
     NoiseProfile,
@@ -24,7 +24,6 @@ from .model import (
     SparseSignal,
     fmt_float,
     generate_dataset,
-    index_fields,
     sign_mismatches,
     support_error,
     wilson_ci95,
@@ -78,31 +77,25 @@ class ExperimentConfig:
     restarts: int = 8
 
     def __post_init__(self) -> None:
-        index_fields(self, "p", "s", "trials", "master_seed", "restarts")
+        index_fields(self, "p", "s", "master_seed")
+        index_fields(self, "trials", "restarts", low=1)
         try:
-            grid = tuple((operator.index(a), operator.index(b)) for a, b in self.grid)
-        except TypeError:
+            grid = tuple((as_index(a, "n1"), as_index(b, "n2")) for a, b in self.grid)
+        except ValueError:
             raise ValueError(f"grid entries must be integers: {self.grid!r}") from None
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "decoder", DecoderKind(self.decoder))
         planner.RegimeSpec(growth=planner.Growth.SUBLINEAR, p=self.p, s=self.s)
-        if not (math.isfinite(self.rho) and self.rho > 0.0):
-            raise ValueError("rho must be positive")
+        as_real(self.rho, "rho", positive=True)
         if not self.grid:
             raise ValueError("grid must be nonempty")
         noises = [
             NoiseProfile(n1, n2, sigma1_sq=self.sigma1_sq, sigma2_sq=self.sigma2_sq)
             for n1, n2 in grid
         ]
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         planner.validate_delta(self.delta)
-        if self.lambda_value is not None and not (
-            math.isfinite(self.lambda_value) and self.lambda_value >= 0.0
-        ):
-            raise ValueError("lambda_value must be finite and nonnegative")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        if self.lambda_value is not None:
+            as_real(self.lambda_value, "lambda_value")
         if self.decoder in (DecoderKind.AGNOSTIC_SCAN, DecoderKind.INFORMED_MLE):
             if math.comb(self.p, self.s) > decoders.EXHAUSTIVE_CAP:
                 raise ResourceCapError(
@@ -234,11 +227,10 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[TrialRecord]:
 
     Each trial is seeded by derive(master_seed, point, trial), so records
     are deterministic up to wall_ms. Solver failures mark the trial failed
-    rather than aborting the sweep. threads must be >= 1 but selects
-    nothing: every trial runs in the calling thread.
+    rather than aborting the sweep. threads must be an integer >= 1 but
+    selects nothing: every trial runs in the calling thread.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    as_index(threads, "threads", low=1)
     return [
         _run_one(config, point, trial)
         for point in range(len(config.grid))

@@ -27,7 +27,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DegenerateInstanceError, SparsemixError
-from .model import MixedDataset, SparseSignal, index_fields
+from .errors import as_index, as_real, index_fields
+from .model import MixedDataset, SparseSignal
 
 __all__ = [
     "LassoConfig",
@@ -56,13 +57,9 @@ class LassoConfig:
     max_sweeps: int = 100_000
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.lam) or self.lam < 0.0:
-            raise ValueError("lam must be finite and nonnegative")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError("tol must be finite and positive")
-        index_fields(self, "max_sweeps")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
+        as_real(self.lam, "lam")
+        as_real(self.tol, "tol", positive=True)
+        index_fields(self, "max_sweeps", low=1)
 
 
 @dataclass(frozen=True)
@@ -263,14 +260,11 @@ def lambda_schedule(
     leave the smallest coefficient visible. Requires p - s >= 2 so the
     logarithm is positive.
     """
+    p, s, n = as_index(p, "p"), as_index(s, "s", low=1), as_index(n, "n", low=1)
     if p - s < 2:
         raise ValueError("schedule requires p - s >= 2")
-    if s < 1 or n < 1:
-        raise ValueError("s and n must be positive")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    if sigma_avg_sq <= 0.0:
-        raise ValueError("sigma_avg_sq must be positive")
+    as_real(rho, "rho", positive=True)
+    as_real(sigma_avg_sq, "sigma_avg_sq", positive=True)
     return (sigma_avg_sq * math.log(p - s) / ((1.0 + s / rho**2) * n)) ** 0.25
 
 
@@ -293,8 +287,7 @@ def kkt_recovery_witness(
     SVD; a support Gram condition number above 1e12 raises
     DegenerateInstanceError rather than certifying anything.
     """
-    if lam < 0.0 or not math.isfinite(lam):
-        raise ValueError("lam must be finite and nonnegative")
+    as_real(lam, "lam")
     X, Y = dataset.X, dataset.Y
     n, p = X.shape
     s = truth.s

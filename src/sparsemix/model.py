@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import operator
 import os
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -20,6 +19,7 @@ import numpy as np
 
 from . import rng
 from .errors import DataError, ResourceCapError
+from .errors import as_index, as_real, index_fields, support_indices
 
 __all__ = [
     "Regime",
@@ -31,7 +31,6 @@ __all__ = [
     "REGIME_HIGH",
     "REGIME_LOW",
     "MAX_DESIGN_ENTRIES",
-    "index_fields",
     "validate_variances",
     "generate_dataset",
     "snr_report",
@@ -90,21 +89,15 @@ class SparseSignal:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        index_fields(self, "p")
-        if self.p < 1:
-            raise ValueError("dimension p must be >= 1")
+        index_fields(self, "p", low=1)
         support = tuple(as_index(i, "support index") for i in self.support)
         values = tuple(float(v) for v in self.values)
+        if list(support) != support_indices(support, self.p, "support"):  # sorted
+            raise ValueError("support must be strictly increasing")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "values", values)
         if len(support) != len(values):
             raise ValueError("support and values must have equal length")
-        if len(support) == 0:
-            raise ValueError("support must be nonempty")
-        if any(b <= a for a, b in zip(support, support[1:])):
-            raise ValueError("support must be strictly increasing")
-        if support[0] < 0 or support[-1] >= self.p:
-            raise ValueError("support indices must lie in [0, p)")
         if not all(math.isfinite(v) and v != 0.0 for v in values):
             raise ValueError("support values must be finite and nonzero")
 
@@ -123,28 +116,11 @@ class SparseSignal:
         return beta
 
 
-def as_index(value: object, name: str) -> int:
-    """operator.index of a value, so numpy integers pass as int; anything
-    else (2.5, "3") raises ValueError naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer: {value!r}") from None
-
-
-def index_fields(obj: object, *names: str) -> None:
-    """Store each named field of a frozen dataclass as its as_index value."""
-    for name in names:
-        object.__setattr__(obj, name, as_index(getattr(obj, name), name))
-
-
 def validate_variances(sigma1_sq: float, sigma2_sq: float) -> None:
     """Refuse block variances that are not finite, nonnegative and ordered;
     zero is allowed for noiseless runs, and callers that divide check > 0."""
-    if not (math.isfinite(sigma1_sq) and math.isfinite(sigma2_sq)):
-        raise ValueError("variances must be finite")
-    if sigma1_sq < 0.0 or sigma2_sq < 0.0:
-        raise ValueError("variances must be nonnegative")
+    as_real(sigma1_sq, "sigma1_sq")
+    as_real(sigma2_sq, "sigma2_sq")
     if sigma1_sq > sigma2_sq:
         raise ValueError("sigma1_sq must not exceed sigma2_sq (low-noise block first)")
 
@@ -159,9 +135,7 @@ class NoiseProfile:
     sigma2_sq: float
 
     def __post_init__(self) -> None:
-        index_fields(self, "n1", "n2")
-        if self.n1 < 0 or self.n2 < 0:
-            raise ValueError("block sizes must be nonnegative")
+        index_fields(self, "n1", "n2", low=0)
         if self.n1 + self.n2 < 1:
             raise ValueError("total sample count must be >= 1")
         validate_variances(self.sigma1_sq, self.sigma2_sq)
@@ -254,7 +228,7 @@ def generate_dataset(
     Raises ResourceCapError, before allocating, when the design would hold
     more than MAX_DESIGN_ENTRIES entries.
     """
-    n, p = noise.n, signal.p
+    seed, n, p = as_index(seed, "seed"), noise.n, signal.p
     if n * p > MAX_DESIGN_ENTRIES:
         raise ResourceCapError(
             f"design would hold {n * p} entries, above the cap of {MAX_DESIGN_ENTRIES}"
@@ -273,9 +247,9 @@ def classify_regime(snr1: float, snr2: float) -> Regime:
     The labels are reporting conveniences at finite size, not statements
     with asymptotic content.
     """
-    if snr1 < snr2:
+    if not snr1 >= snr2:  # written so that NaN fails
         raise ValueError("snr1 must be >= snr2 (block 1 is the cleaner block)")
-    if snr1 <= 0.0 or snr2 <= 0.0:
+    if not snr2 > 0.0:
         raise ValueError("SNR values must be positive")
     if snr2 >= REGIME_HIGH:
         return Regime.HIGH_SNR
@@ -293,8 +267,7 @@ def snr_report(s: int, noise: NoiseProfile) -> SnrReport:
     sigma2_sq, and the headline number uses the sample-weighted average
     variance. Zero variances produce infinite ratios.
     """
-    if s < 1:
-        raise ValueError("sparsity must be >= 1")
+    s = as_index(s, "s", low=1)
 
     def ratio(v: float) -> float:
         return s / v if v > 0.0 else math.inf
@@ -341,10 +314,8 @@ def fmt_float(x: float) -> str:
 
 def wilson_ci95(successes: int, trials: int) -> float:
     """Half-width of the Wilson 95% score interval for a binomial rate."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 <= successes <= trials:
-        raise ValueError("successes must lie in [0, trials]")
+    trials = as_index(trials, "trials", low=1)
+    successes = as_index(successes, "successes", low=0, high=trials)
     z = _WILSON_Z
     phat = successes / trials
     spread = math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials))

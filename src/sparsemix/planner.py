@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Setting, as_index, index_fields, validate_variances
+from .errors import as_index, as_real, index_fields
+from .model import Setting, validate_variances
 
 __all__ = [
     "Growth",
@@ -37,7 +38,6 @@ __all__ = [
     "binary_entropy",
     "recovery_threshold",
     "validate_delta",
-    "validate_positive_variances",
     "exponent_arg",
     "relaxed_theta",
     "pair_coefficients",
@@ -78,9 +78,8 @@ class RegimeSpec:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
-        index_fields(self, "p", "s")
-        if self.p < 2:
-            raise ValueError("dimension p must be >= 2")
+        index_fields(self, "p", low=2)
+        index_fields(self, "s")
         if not 1 <= self.s < self.p:
             raise ValueError("sparsity must satisfy 1 <= s < p")
         if self.growth is Growth.LINEAR:
@@ -144,8 +143,7 @@ def recovery_threshold(kind: ThresholdKind, regime: RegimeSpec) -> float:
             return 2.0 * binary_entropy(regime.alpha) * p
         return 2.0 * s * math.log(p / s)
     if kind is ThresholdKind.N_INF:
-        if s < 2:
-            raise ValueError("the necessity scale requires s >= 2")
+        as_index(s, "s", low=2)  # the necessity scale divides by ln s
         return 2.0 * s * math.log(p / s) / math.log(s)
     if kind is ThresholdKind.N_ALG:
         return 2.0 * s * math.log(p - s) + s + 1.0
@@ -154,18 +152,10 @@ def recovery_threshold(kind: ThresholdKind, regime: RegimeSpec) -> float:
 
 def _n_star(s: int, epsilon: float, regime: RegimeSpec) -> float:
     """Check epsilon and that s is regime.s; return the query's n_star."""
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError("epsilon must be finite and nonnegative")
+    as_real(epsilon, "epsilon")
     if s != regime.s:
         raise ValueError(f"sparsity {s} disagrees with the regime's s = {regime.s}")
     return recovery_threshold(ThresholdKind.N_STAR, regime)
-
-
-def validate_positive_variances(sigma1_sq: float, sigma2_sq: float) -> None:
-    """Refuse what model.validate_variances refuses, and a zero variance."""
-    validate_variances(sigma1_sq, sigma2_sq)
-    if sigma1_sq <= 0.0:  # sigma1_sq <= sigma2_sq
-        raise ValueError("variances must be positive")
 
 
 def validate_delta(delta: float) -> None:
@@ -214,10 +204,10 @@ def pair_coefficients(
     that is not finite (a variance so small that theta0 or the exponent
     argument leaves the float range).
     """
-    if s < 1:
-        raise ValueError("sparsity must be >= 1")
+    s = as_index(s, "s", low=1)
     validate_delta(delta)
-    validate_positive_variances(sigma1_sq, sigma2_sq)
+    as_real(sigma1_sq, "sigma1_sq", positive=True)  # sigma1_sq <= sigma2_sq
+    validate_variances(sigma1_sq, sigma2_sq)
     m = 2.0 * delta * s
     theta = relaxed_theta(setting, sigma2_sq)
     a1 = math.log1p(-2.0 * exponent_arg(setting, theta, m, sigma1_sq))
@@ -254,9 +244,7 @@ def check_sufficient(
     """
     n_star = _n_star(s, epsilon, regime)
     target = (1.0 + epsilon) * n_star
-    n1, n2 = as_index(n1, "n1"), as_index(n2, "n2")
-    if n1 < 0 or n2 < 0:
-        raise ValueError("block sizes must be nonnegative")
+    n1, n2 = as_index(n1, "n1", low=0), as_index(n2, "n2", low=0)
     a1, a2 = pair_coefficients(setting, sigma1_sq, sigma2_sq, s, delta)
     lhs = n1 * a1 + n2 * a2
     return SufficiencyCheck(
@@ -306,9 +294,7 @@ def sample_frontier(
     a1, a2 = pair_coefficients(setting, sigma1_sq, sigma2_sq, s, delta)
     points = []
     for n1 in n1_grid:
-        n1 = as_index(n1, "n1")
-        if n1 < 0:
-            raise ValueError("n1 values must be nonnegative")
+        n1 = as_index(n1, "n1", low=0)
         shortfall = target - n1 * a1
         n2_cont = max(0.0, shortfall / a2)
 

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import as_index
+
 __all__ = [
     "X_STREAM",
     "NOISE_STREAM",
@@ -153,9 +155,9 @@ def derive(seed: int, *words: int) -> int:
     general. Used throughout the package to give every (purpose, grid
     point, trial) combination its own independent counter stream.
     """
-    h = np.uint64(seed & _MASK)
+    h = np.uint64(as_index(seed, "seed") & _MASK)
     for w in words:
-        h = _fold(h, np.uint64(w & _MASK))
+        h = _fold(h, np.uint64(as_index(w, "words") & _MASK))
     return int(h)
 
 
@@ -176,9 +178,8 @@ def derive_vec(seeds, words) -> np.ndarray:
 
 def raw_words(seed: int, count: int) -> np.ndarray:
     """Return the raw 64-bit words at counter positions 0..count-1."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return _words(np.uint64(seed & _MASK), count)
+    count = as_index(count, "count", low=0)
+    return _words(np.uint64(as_index(seed, "seed") & _MASK), count)
 
 
 def uniforms(seed: int, count: int) -> np.ndarray:
@@ -196,9 +197,7 @@ def uniforms_grid(seeds: np.ndarray, count: int) -> np.ndarray:
     Row i equals uniforms(seeds[i], count), as normals_grid is to normals.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return _unit(_words(seeds, count))
+    return _unit(_words(seeds, as_index(count, "count", low=0)))
 
 
 def normals(seed: int, count: int) -> np.ndarray:
@@ -208,9 +207,8 @@ def normals(seed: int, count: int) -> np.ndarray:
     built from uniform counters (2j, 2j+1); an odd count drops the last
     sine.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return _box_muller(np.array([seed & _MASK], dtype=np.uint64), count)[0]
+    seed, count = as_index(seed, "seed") & _MASK, as_index(count, "count", low=0)
+    return _box_muller(np.array([seed], dtype=np.uint64), count)[0]
 
 
 def normals_grid(seeds: np.ndarray, count: int) -> np.ndarray:
@@ -221,6 +219,4 @@ def normals_grid(seeds: np.ndarray, count: int) -> np.ndarray:
     vectorized call.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return _box_muller(seeds, count)
+    return _box_muller(seeds, as_index(count, "count", low=0))

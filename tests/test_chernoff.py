@@ -1,6 +1,7 @@
 """Tests for the misranking bounds and the Monte Carlo misrank estimator."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -492,3 +493,31 @@ def test_query_refuses_non_finite_variances():
     for s1, s2 in ((1.0, math.inf), (math.inf, math.inf), (math.nan, 2.0), (1.0, math.nan)):
         with pytest.raises(ValueError, match="finite"):
             query(s1=s1, s2=s2)
+
+
+def test_float_max_variances_refuse_a_nan_exponent():
+    # at v = 1.7e308 the default theta 1/(4 v) rounds to 0 and 2 v overflows,
+    # so g = m (inf * 0 - 0) is NaN: refused, not read as a bound of +inf
+    with pytest.raises(ValueError, match="overflow or read NaN"):
+        query(n1=0, n2=3, s1=1.7e308, s2=1.7e308, m=5)
+    with pytest.raises(ValueError, match="overflow or read NaN"):
+        query(s1=1.0, s2=1e308, theta=0.0)
+    # below 2 v's overflow theta = 0 is still a bound of exactly 1
+    assert chernoff_bound(query(n1=0, n2=3, s1=5e307, s2=5e307)) == 1.0
+
+
+@pytest.mark.parametrize("setting", [Setting.AGNOSTIC, Setting.INFORMED])
+def test_domain_limit_stays_finite_where_4mv_overflows(setting):
+    # the noisy root (m + sqrt(m^2 + 4 m v)) / (4 m v) read inf / inf = NaN
+    # agnostic and inf informed, and min() dropped a NaN that came second
+    def root(m, v):
+        with localcontext() as ctx:
+            ctx.prec = 40
+            scale = Decimal(v) if setting is Setting.AGNOSTIC else 1
+            return (m + (m * m + 4 * m * Decimal(v)).sqrt()) / (4 * m * scale)
+
+    for m, v in ((5, 4e307), (8, 1.7e308), (10**12, 1e300)):
+        for n1 in (0, 3):
+            q = query(setting, n1=n1, n2=3, s1=1.0, s2=v, m=m, theta=1e-200)
+            want = float(min([root(m, v)] + [root(m, 1.0)] * (n1 > 0)))
+            assert math.isclose(lq_domain_limit(q), want, rel_tol=1e-14)

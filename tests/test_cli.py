@@ -509,3 +509,12 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_bound_refuses_float_max_variances(capsys):
+    # the default theta rounds to 0 and 2 sigma2_sq overflows: the exponent
+    # argument is NaN, which printed "theta": 0.0 next to "bound": Infinity
+    argv = ["bound", "--n1", "0", "--n2", "3", "--m", "5",
+            "--sigma1-sq", "1.7e308", "--sigma2-sq", "1.7e308"]
+    for extra in ([], ["--optimize"]):
+        assert run_cli(capsys, *argv, *extra) == (2, "")

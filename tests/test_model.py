@@ -355,3 +355,13 @@ def test_save_dataset_over_a_larger_dataset_leaves_no_stale_rows(tmp_path):
     save_dataset(small, fresh)
     for name in ("X.csv", "Y.csv", "meta.json"):
         assert read_bytes(os.path.join(out, name)) == read_bytes(os.path.join(fresh, name))
+
+
+def test_classify_regime_refuses_nan():
+    # NaN fails every comparison, so a test written as `snr1 < snr2` let it through
+    for snr1, snr2 in ((math.nan, math.nan), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            classify_regime(snr1, snr2)
+    # a zero variance gives an infinite SNR, which stays allowed
+    assert classify_regime(math.inf, math.inf) is Regime.HIGH_SNR
+    assert classify_regime(math.inf, 0.05) is Regime.LOW_SNR2_HIGH_SNR1
