@@ -1,0 +1,139 @@
+"""Run alternating parent/change pairs of bench/run.py and write BENCH_<n>.json.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \
+        --out BENCH_22.json
+
+Both directories are checkouts holding src/, bench/ and BENCHMARK.json;
+each run executes `bench/run.py` inside its checkout, so this script only
+invokes the benchmark and never imports it. Pair k runs every workload
+of the change's BENCHMARK.json at seed k for its `run_seconds`, parent
+first when k is odd, for k = 1..10.
+Every run's two stdout lines (detail, result) are kept as printed. The
+summary gives, per workload and end-to-end metric, the median and the
+inclusive quartiles of each side, the pairs the change won, and whether
+the gap of the medians exceeds the parent's interquartile range; the
+items_per_s rows also carry the medians of the unscaled raw_items_per_s.
+The file is written in any case; the exit code is 1 when a run failed or
+was not `correct`, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+PAIRS = 10
+
+
+def simd_found() -> list[str]:
+    """The SIMD extensions numpy dispatches to here, as np.show_runtime()
+    lists them under simd_extensions.found."""
+    try:  # numpy >= 2
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [name for name in __cpu_dispatch__ if __cpu_features__[name]]
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One bench/run.py run: its detail and result lines, or its failure."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        return {"returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
+    return {"result": json.loads(lines[-1]), "detail": json.loads(lines[-2])}
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], declared: dict) -> list[dict]:
+    rows = []
+    for workload in declared["workloads"]:
+        done = [p for p in pairs if p["workload"] == workload["name"]
+                and all("result" in p[side] for side in ("parent", "change"))]
+        if len(done) < 2:
+            continue
+        for metric in declared["end_to_end"]:
+            name, higher = metric["name"], metric["better"] == "higher"
+            value = {side: [p[side]["result"]["metrics"][name]["value"] for p in done]
+                     for side in ("parent", "change")}
+            parent, change = quartiles(value["parent"]), quartiles(value["change"])
+            row = {
+                "workload": workload["name"],
+                "metric": name,
+                "better": metric["better"],
+                "bound": metric["bound"],
+                "parent": parent,
+                "change": change,
+                "delta_median_frac": change["median"] / parent["median"] - 1.0,
+                "change_won": sum((c > p) if higher else (c < p)
+                                  for p, c in zip(value["parent"], value["change"])),
+                "pairs": len(done),
+                "median_gap_exceeds_parent_iqr":
+                    abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"],
+            }
+            if name == "items_per_s":
+                row["raw_items_per_s"] = {
+                    side: statistics.median(p[side]["detail"]["raw_items_per_s"] for p in done)
+                    for side in ("parent", "change")
+                }
+            rows.append(row)
+    return rows
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
+    ap.add_argument("--change", type=Path, required=True, help="change checkout")
+    ap.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to write")
+    ap.add_argument("--note", default="", help="appended to the description")
+    args = ap.parse_args(argv)
+
+    declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds, simd = declared["run_seconds"], simd_found()
+    pairs, ok = [], True
+    for workload in (w["name"] for w in declared["workloads"]):
+        for k in range(1, PAIRS + 1):
+            order = ["parent", "change"] if k % 2 else ["change", "parent"]
+            pair = {"workload": workload, "pair": k, "seed": k, "order": order}
+            for side in order:
+                run = run_once(getattr(args, side), workload, k, seconds)
+                pair[side] = run
+                correct = run.get("result", {}).get("correct") is True
+                ok &= correct
+                print(f"{workload} pair {k} {side}: "
+                      f"{run['result']['metrics'] if correct else run}", file=sys.stderr)
+            pairs.append(pair)
+
+    machine = next((p["change"]["detail"]["machine"] for p in pairs
+                    if "detail" in p["change"]), {})
+    report = {
+        "description": (
+            "Alternating parent/change pairs of bench/run.py on the BENCHMARK.json "
+            "workloads, written by scripts/bench_pairs.py. Odd pairs run the parent "
+            "first. Every run's two stdout lines (detail, result) are kept as printed; "
+            "the summary is computed from their metrics (median and inclusive "
+            "quartiles). " + args.note
+        ).strip(),
+        "command": "python3 bench/run.py --workload <w> --seed <pair> "
+                   f"--seconds {seconds:g} --trace 0",
+        "machine": {**machine, "numpy_simd_found": simd},
+        "summary": summarize(pairs, declared),
+        "pairs": pairs,
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import rng
-from .errors import as_index, as_real, index_fields, support_indices
+from .errors import COUNT_MAX, as_index, as_real, index_fields, support_indices
 from .model import NoiseProfile, Setting, SparseSignal, validate_variances, wilson_ci95
 from .planner import exponent_arg, relaxed_theta, validate_delta
 
@@ -70,8 +70,8 @@ class ChernoffQuery:
     theta: float | None = None
 
     def __post_init__(self) -> None:
-        index_fields(self, "n1", "n2", low=0)
-        index_fields(self, "m", low=1)
+        index_fields(self, "n1", "n2", low=0, high=COUNT_MAX)
+        index_fields(self, "m", low=1, high=COUNT_MAX)
         as_real(self.sigma1_sq, "sigma1_sq", positive=True)
         validate_variances(self.sigma1_sq, self.sigma2_sq)
         if self.theta is None:
@@ -108,7 +108,7 @@ def m_for_error_budget(delta: float, s: int) -> int:
     bound is evaluated at the smallest excluded overlap.
     """
     validate_delta(delta)
-    s = as_index(s, "s", low=1)
+    s = as_index(s, "s", low=1, high=COUNT_MAX)
     m = 2.0 * delta * s
     if abs(m - round(m)) > 1e-9 or round(m) < 1:
         raise ValueError("2 * delta * s must be a positive integer")
@@ -177,17 +177,17 @@ def lq_domain_limit(query: ChernoffQuery) -> float:
 def _log_bound_slope(query: ChernoffQuery, theta: float) -> float:
     """d/dtheta of the agnostic log-bound: sum_b n_b g_b' / (1 - 2 g_b).
 
-    g_b is planner.exponent_arg and g_b' = m (4 v theta - 1) its slope;
-    +inf where a block's g_b >= 1/2, which rounding can give at the
-    domain's edge, and where its 1 - 2 g_b overflows, so that the
-    bisection never leaves the float range either.
+    g_b is planner.exponent_arg and g_b' = m (4 (v theta) - 1) its slope,
+    grouped so that no 4 v overflows; +inf where a block's g_b >= 1/2,
+    which rounding can give at the domain's edge, and where its 1 - 2 g_b
+    overflows, so that the bisection never leaves the float range either.
     """
 
     def term(n: int, v: float) -> float:
         d = 1.0 - 2.0 * exponent_arg(Setting.AGNOSTIC, theta, query.m, v)
         if not 0.0 < d < math.inf:
             return math.inf
-        return n * query.m * (4.0 * v * theta - 1.0) / d
+        return n * query.m * (4.0 * (v * theta) - 1.0) / d
 
     block1, block2 = _per_block(query, term, 0.0)
     return block1 + block2
@@ -267,7 +267,8 @@ def empirical_misrank(
     truth gives d = 0 and an estimate of exactly 1. ci95 is the Wilson 95%
     half-width (model.wilson_ci95), the interval of summary.csv's ci95.
     """
-    trials, seed = as_index(trials, "trials", low=1), as_index(seed, "seed")
+    trials = as_index(trials, "trials", low=1, high=COUNT_MAX)
+    seed = as_index(seed, "seed")
     cand = support_indices(candidate, signal.p, "candidate")
     if len(cand) != signal.s:
         raise ValueError("candidate support must hold s indices")

@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import chernoff, decoders, harness, lasso, planner
-from .errors import DegenerateInstanceError, ResourceCapError
+from .errors import COUNT_MAX, DegenerateInstanceError, ResourceCapError, as_index
 from .model import (
     NoiseProfile,
     Setting,
@@ -55,7 +55,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.support is not None:
         support = tuple(_list(args.support, int))
     else:
-        support = tuple(range(args.s))
+        support = tuple(range(as_index(args.s, "s", low=1, high=COUNT_MAX)))
     if args.values is not None:
         values = tuple(_list(args.values, float))
     else:
@@ -211,7 +211,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     if args.mc_trials is not None:
         if m % 2 != 0:
             raise ValueError("Monte Carlo checks need an even m")
-        s = args.s if args.s is not None else m
+        s = as_index(m if args.s is None else args.s, "s", low=1, high=COUNT_MAX)
         p = args.p if args.p is not None else s + m // 2
         signal = SparseSignal(p=p, support=tuple(range(s)), values=(1.0,) * s)
         candidate = tuple(range(m // 2, s)) + tuple(range(s, s + m // 2))

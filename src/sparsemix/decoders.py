@@ -56,7 +56,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import rng
-from .errors import ResourceCapError, as_index, support_indices
+from .errors import COUNT_MAX, ResourceCapError, as_index, support_indices
 from .model import MixedDataset, Setting
 
 __all__ = [
@@ -434,7 +434,8 @@ def decode_local_search(
     """
     p = dataset.p
     s = as_index(s, "s", low=1, high=p)
-    restarts, seed = as_index(restarts, "restarts", low=1), as_index(seed, "seed")
+    restarts = as_index(restarts, "restarts", low=1, high=COUNT_MAX)
+    seed = as_index(seed, "seed")
     w1, w2 = dataset.noise.block_weights(setting)
     gram = _GramForm(dataset, w1, w2)
     margin = gram.margin(s, s + 2)

@@ -26,6 +26,8 @@ __all__ = [
     "support_indices",
 ]
 
+COUNT_MAX = 2**53  # the count bound: each integer up to it is exact as a float
+
 
 class SparsemixError(Exception):
     """Base class for package errors."""
@@ -67,10 +69,10 @@ def as_index(
     return index
 
 
-def index_fields(obj: object, *names: str, low: int | None = None) -> None:
+def index_fields(obj: object, *names: str, **bounds: int | None) -> None:
     """Store each named field of a frozen dataclass as its as_index value."""
     for name in names:
-        object.__setattr__(obj, name, as_index(getattr(obj, name), name, low=low))
+        object.__setattr__(obj, name, as_index(getattr(obj, name), name, **bounds))
 
 
 def as_real(value: float, name: str, *, positive: bool = False) -> float:

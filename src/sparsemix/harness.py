@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 from . import decoders, lasso, planner, rng
 from .errors import InvalidConfigError, ResourceCapError, SparsemixError
-from .errors import as_index, as_real, index_fields
+from .errors import COUNT_MAX, as_index, as_real, index_fields
 from .model import (
     MAX_DESIGN_ENTRIES,
     NoiseProfile,
@@ -78,7 +78,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         index_fields(self, "p", "s", "master_seed")
-        index_fields(self, "trials", "restarts", low=1)
+        index_fields(self, "trials", "restarts", low=1, high=COUNT_MAX)
         try:
             grid = tuple((as_index(a, "n1"), as_index(b, "n2")) for a, b in self.grid)
         except ValueError:
@@ -230,7 +230,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[TrialRecord]:
     rather than aborting the sweep. threads must be an integer >= 1 but
     selects nothing: every trial runs in the calling thread.
     """
-    as_index(threads, "threads", low=1)
+    as_index(threads, "threads", low=1, high=COUNT_MAX)
     return [
         _run_one(config, point, trial)
         for point in range(len(config.grid))

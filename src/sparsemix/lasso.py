@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DegenerateInstanceError, SparsemixError
-from .errors import as_index, as_real, index_fields
+from .errors import COUNT_MAX, as_index, as_real, index_fields
 from .model import MixedDataset, SparseSignal
 
 __all__ = [
@@ -59,7 +59,7 @@ class LassoConfig:
     def __post_init__(self) -> None:
         as_real(self.lam, "lam")
         as_real(self.tol, "tol", positive=True)
-        index_fields(self, "max_sweeps", low=1)
+        index_fields(self, "max_sweeps", low=1, high=COUNT_MAX)
 
 
 @dataclass(frozen=True)
@@ -260,7 +260,7 @@ def lambda_schedule(
     leave the smallest coefficient visible. Requires p - s >= 2 so the
     logarithm is positive.
     """
-    p, s, n = as_index(p, "p"), as_index(s, "s", low=1), as_index(n, "n", low=1)
+    p, s, n = (as_index(v, k, low=1, high=COUNT_MAX) for k, v in zip("psn", (p, s, n)))
     if p - s < 2:
         raise ValueError("schedule requires p - s >= 2")
     as_real(rho, "rho", positive=True)

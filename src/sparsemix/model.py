@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng
 from .errors import DataError, ResourceCapError
-from .errors import as_index, as_real, index_fields, support_indices
+from .errors import COUNT_MAX, as_index, as_real, index_fields, support_indices
 
 __all__ = [
     "Regime",
@@ -89,7 +89,7 @@ class SparseSignal:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        index_fields(self, "p", low=1)
+        index_fields(self, "p", low=1, high=COUNT_MAX)
         support = tuple(as_index(i, "support index") for i in self.support)
         values = tuple(float(v) for v in self.values)
         if list(support) != support_indices(support, self.p, "support"):  # sorted
@@ -135,7 +135,7 @@ class NoiseProfile:
     sigma2_sq: float
 
     def __post_init__(self) -> None:
-        index_fields(self, "n1", "n2", low=0)
+        index_fields(self, "n1", "n2", low=0, high=COUNT_MAX)
         if self.n1 + self.n2 < 1:
             raise ValueError("total sample count must be >= 1")
         validate_variances(self.sigma1_sq, self.sigma2_sq)
@@ -267,7 +267,7 @@ def snr_report(s: int, noise: NoiseProfile) -> SnrReport:
     sigma2_sq, and the headline number uses the sample-weighted average
     variance. Zero variances produce infinite ratios.
     """
-    s = as_index(s, "s", low=1)
+    s = as_index(s, "s", low=1, high=COUNT_MAX)
 
     def ratio(v: float) -> float:
         return s / v if v > 0.0 else math.inf
@@ -314,7 +314,7 @@ def fmt_float(x: float) -> str:
 
 def wilson_ci95(successes: int, trials: int) -> float:
     """Half-width of the Wilson 95% score interval for a binomial rate."""
-    trials = as_index(trials, "trials", low=1)
+    trials = as_index(trials, "trials", low=1, high=COUNT_MAX)
     successes = as_index(successes, "successes", low=0, high=trials)
     z = _WILSON_Z
     phat = successes / trials

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import as_index, as_real, index_fields
+from .errors import COUNT_MAX, as_index, as_real, index_fields
 from .model import Setting, validate_variances
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
 # Defaults used by the CLI and the experiment harness when unspecified.
 DEFAULT_DELTA = 0.1
 DEFAULT_EPSILON = 0.5
+_BUDGET_MAX = int(sys.float_info.max)  # float-only sample budgets can pass COUNT_MAX
 
 
 class Growth(str, enum.Enum):
@@ -78,7 +80,7 @@ class RegimeSpec:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
-        index_fields(self, "p", low=2)
+        index_fields(self, "p", low=2, high=COUNT_MAX)
         index_fields(self, "s")
         if not 1 <= self.s < self.p:
             raise ValueError("sparsity must satisfy 1 <= s < p")
@@ -204,7 +206,7 @@ def pair_coefficients(
     that is not finite (a variance so small that theta0 or the exponent
     argument leaves the float range).
     """
-    s = as_index(s, "s", low=1)
+    s = as_index(s, "s", low=1, high=COUNT_MAX)
     validate_delta(delta)
     as_real(sigma1_sq, "sigma1_sq", positive=True)  # sigma1_sq <= sigma2_sq
     validate_variances(sigma1_sq, sigma2_sq)
@@ -244,7 +246,8 @@ def check_sufficient(
     """
     n_star = _n_star(s, epsilon, regime)
     target = (1.0 + epsilon) * n_star
-    n1, n2 = as_index(n1, "n1", low=0), as_index(n2, "n2", low=0)
+    n1 = as_index(n1, "n1", low=0, high=_BUDGET_MAX)
+    n2 = as_index(n2, "n2", low=0, high=_BUDGET_MAX)
     a1, a2 = pair_coefficients(setting, sigma1_sq, sigma2_sq, s, delta)
     lhs = n1 * a1 + n2 * a2
     return SufficiencyCheck(
@@ -294,7 +297,7 @@ def sample_frontier(
     a1, a2 = pair_coefficients(setting, sigma1_sq, sigma2_sq, s, delta)
     points = []
     for n1 in n1_grid:
-        n1 = as_index(n1, "n1", low=0)
+        n1 = as_index(n1, "n1", low=0, high=_BUDGET_MAX)
         shortfall = target - n1 * a1
         n2_cont = max(0.0, shortfall / a2)
 

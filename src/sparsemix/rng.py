@@ -19,6 +19,7 @@ Definitions (all arithmetic mod 2**64):
 GOLDEN is 0x9E3779B97F4A7C15. Substreams come from `derive`, which folds
 index words into the seed through the same mixer; it is associative with
 itself in the sense that derive(derive(s, a), b) == derive(s, a, b).
+`derive` folds Python ints; arrays mix as uint64, which wraps silently.
 
 Normals are computed in cache-sized tiles of at most 2**13 pairs, written
 into one preallocated output, so a draw of millions of values builds no
@@ -47,9 +48,9 @@ __all__ = [
     "normals_grid",
 ]
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
-_MUL2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 _TWO_NEG53 = 2.0**-53
 
@@ -69,32 +70,27 @@ _PAIR_OFFSETS = (
 ).reshape(_TILE, 2).T.copy()
 
 
-def _mix(x: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:
-    """The splitmix64 finalizer of a uint64 scalar or array x.
+def _mix_int(x: int) -> int:
+    """The splitmix64 finalizer of a Python int x in [0, 2**64)."""
+    x = (x ^ x >> 30) * _MUL1 & _MASK
+    x = (x ^ x >> 27) * _MUL2 & _MASK
+    return x ^ x >> 31
 
-    An array is mixed in place and returned.
-    """
-    with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(30)
-        x *= _MUL1
-        x ^= x >> np.uint64(27)
-        x *= _MUL2
-        x ^= x >> np.uint64(31)
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer of a uint64 array x, mixed in place."""
+    x ^= x >> 30
+    x *= _MUL1
+    x ^= x >> 27
+    x *= _MUL2
+    x ^= x >> 31
     return x
 
 
-def _fold(
-    h: np.uint64 | np.ndarray, w: np.uint64 | np.ndarray
-) -> np.uint64 | np.ndarray:
-    """One derive step: fold word(s) w into state(s) h, broadcasting."""
-    with np.errstate(over="ignore"):
-        return _mix((h ^ _mix(w * _GOLDEN)) + _GOLDEN)
-
-
-def _words(seeds: np.uint64 | np.ndarray, count: int) -> np.ndarray:
-    """Counter words 0..count-1 of each seed, along a new last axis."""
+def _words(seeds: np.ndarray, count: int) -> np.ndarray:
+    """Counter words 0..count-1 of each uint64 seed, along a new last axis."""
     k = np.arange(1, count + 1, dtype=np.uint64)
-    return _mix(np.asarray(seeds)[..., None] + k * _GOLDEN)
+    return _mix(seeds[..., None] + k * _GOLDEN)
 
 
 def _unit(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -131,7 +127,7 @@ def _box_muller(seeds: np.ndarray, count: int) -> np.ndarray:
             nc = min(cols, npairs - j0)
             w = words[: 2 * nr * nc].reshape(2, nr, nc)
             u = reals[: 2 * nr * nc].reshape(2, nr, nc)
-            shift = np.uint64(2 * j0 * int(_GOLDEN) & _MASK)  # to pair j0's counters
+            shift = 2 * j0 * _GOLDEN & _MASK  # to pair j0's counters
             np.add(_PAIR_OFFSETS[:, None, :nc], block + shift, out=w)
             _unit(_mix(w), out=u)
             radius, angle = u
@@ -155,31 +151,28 @@ def derive(seed: int, *words: int) -> int:
     general. Used throughout the package to give every (purpose, grid
     point, trial) combination its own independent counter stream.
     """
-    h = np.uint64(as_index(seed, "seed") & _MASK)
+    h = as_index(seed, "seed") & _MASK
     for w in words:
-        h = _fold(h, np.uint64(as_index(w, "words") & _MASK))
-    return int(h)
+        w = _mix_int(as_index(w, "words") * _GOLDEN & _MASK)
+        h = _mix_int((h ^ w) + _GOLDEN & _MASK)
+    return h
 
 
 def derive_vec(seeds, words) -> np.ndarray:
     """Vectorized derive: fold words into seeds with broadcasting.
 
     Either side may be a scalar int or a uint64 array; elementwise the
-    result equals derive(seed, word) exactly.
+    result equals derive(seed, word) exactly. Two ints give shape (1,).
     """
-    if isinstance(seeds, (int, np.integer)):
-        seeds = np.uint64(int(seeds) & _MASK)
-    if isinstance(words, (int, np.integer)):
-        words = np.uint64(int(words) & _MASK)
-    return _fold(
-        np.asarray(seeds, dtype=np.uint64), np.asarray(words, dtype=np.uint64)
-    )
+    seeds, words = (x & _MASK if isinstance(x, int) else x for x in (seeds, words))
+    w = _mix(np.atleast_1d(np.asarray(words, dtype=np.uint64)) * _GOLDEN)
+    return _mix((np.asarray(seeds, dtype=np.uint64) ^ w) + _GOLDEN)
 
 
 def raw_words(seed: int, count: int) -> np.ndarray:
     """Return the raw 64-bit words at counter positions 0..count-1."""
     count = as_index(count, "count", low=0)
-    return _words(np.uint64(as_index(seed, "seed") & _MASK), count)
+    return _words(np.array(as_index(seed, "seed") & _MASK, dtype=np.uint64), count)
 
 
 def uniforms(seed: int, count: int) -> np.ndarray:

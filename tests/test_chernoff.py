@@ -1,5 +1,6 @@
 """Tests for the misranking bounds and the Monte Carlo misrank estimator."""
 
+import hashlib
 import math
 from decimal import Decimal, localcontext
 
@@ -521,3 +522,37 @@ def test_domain_limit_stays_finite_where_4mv_overflows(setting):
             q = query(setting, n1=n1, n2=3, s1=1.0, s2=v, m=m, theta=1e-200)
             want = float(min([root(m, v)] + [root(m, 1.0)] * (n1 > 0)))
             assert math.isclose(lq_domain_limit(q), want, rel_tol=1e-14)
+
+
+def theta_parity_corpus():
+    """Seeded agnostic queries with variances up to 1e307, where 4 v is
+    finite, empty blocks, equal variances and m up to 1e15."""
+    rng = np.random.default_rng(22)
+    for _ in range(1000):
+        s2 = float(10.0 ** rng.uniform(-300.0, 307.0))
+        s1 = s2 if rng.uniform() < 0.1 else s2 * float(10.0 ** rng.uniform(-40.0, 0.0))
+        n1, n2 = (int(n) * (rng.uniform() > 0.15) for n in rng.integers(1, 10**6, size=2))
+        yield n1, n2 or 1, s1, s2, int(10 ** rng.uniform(0.0, 15.0))
+
+
+def test_optimal_theta_equals_its_frozen_hex_corpus():
+    # digest of the theta and log-bound .hex() strings before the slope
+    # formed 4 (v theta) in place of (4 v) theta
+    lines = []
+    for n1, n2, s1, s2, m in theta_parity_corpus():
+        try:
+            best = optimal_theta_agnostic(query(n1=n1, n2=n2, s1=s1, s2=s2, m=m))
+        except ValueError:  # a sigma1_sq that underflowed to 0
+            lines.append("refused")
+            continue
+        lines.append(f"{best.theta.hex()} {best.log_bound.hex()}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "954c03199e8db8ec4d98cf25db84f1a709b479d8dcad8cfec2fb36d373f41860"
+
+
+def test_optimal_theta_where_4v_overflows():
+    # 4 v overflows at v = 5e307, so a slope formed as (4 v) theta read +inf
+    # everywhere and the bracket closed on the smallest subnormal
+    best = optimal_theta_agnostic(query(n1=0, n2=3, s1=5e307, s2=5e307, m=5))
+    assert best.theta == 5e-309
+    assert math.isclose(best.log_bound, -3.75e-308, rel_tol=1e-14)

@@ -518,3 +518,30 @@ def test_bound_refuses_float_max_variances(capsys):
             "--sigma1-sq", "1.7e308", "--sigma2-sq", "1.7e308"]
     for extra in ([], ["--optimize"]):
         assert run_cli(capsys, *argv, *extra) == (2, "")
+
+
+HUGE = str(10**400)
+VARIANCES = ["--sigma1-sq", "1", "--sigma2-sq", "2"]
+BOUND = ["bound", "--n1", "1", "--n2", "1", *VARIANCES]
+PLAN = ["plan", "--p", "100", "--s", "4", *VARIANCES]
+# counts that float arithmetic cannot hold: (argument named, argv)
+HUGE_COUNTS = {
+    "bound-m": ("m", [*BOUND, "--m", HUGE]),
+    "bound-m-optimize": ("m", [*BOUND, "--m", str(10**160), "--optimize"]),
+    "bound-budget-s": ("s", [*BOUND, "--delta", "0.5", "--s", HUGE]),
+    "bound-monte-carlo-s": ("s", [*BOUND, "--m", "2", "--mc-trials", "10", "--s", HUGE]),
+    "bound-n1": ("n1", ["bound", "--n1", HUGE, "--n2", "1", "--m", "2", *VARIANCES]),
+    "plan-p": ("p", ["plan", "--p", HUGE, "--s", "4", *VARIANCES]),
+    "plan-n1": ("n1", [*PLAN, "--n1", HUGE, "--n2", "1"]),
+    "plan-frontier-n1": ("n1", [*PLAN, "--frontier-n1", HUGE]),
+    "gen-s": ("s", ["gen", "--p", "10", "--s", HUGE, "--n1", "2", "--n2", "2",
+                    *VARIANCES, "--out", "{out}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_COUNTS))
+def test_counts_past_the_float_range_exit_2_naming_the_argument(tmp_path, capsys, case):
+    arg, argv = HUGE_COUNTS[case]
+    assert main([a.format(out=tmp_path / "out") for a in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {arg} must be an integer in [")
+    assert not (tmp_path / "out").exists()

@@ -10,6 +10,7 @@ skip the check.
 
 import importlib
 import math
+import re
 import typing
 from pathlib import Path
 
@@ -19,9 +20,11 @@ import pytest
 import sparsemix
 from sparsemix import (
     ChernoffQuery,
+    DataError,
     ExperimentConfig,
     Growth,
     LassoConfig,
+    MixedDataset,
     NoiseProfile,
     RegimeSpec,
     Setting,
@@ -31,8 +34,10 @@ from sparsemix import (
     decode_local_search,
     empirical_misrank,
     generate_dataset,
+    kkt_recovery_witness,
     lambda_schedule,
     m_for_error_budget,
+    optimal_theta_agnostic,
     pair_coefficients,
     price_of_quality,
     run_sweep,
@@ -40,7 +45,7 @@ from sparsemix import (
     snr_report,
     wilson_ci95,
 )
-from sparsemix import errors, rng
+from sparsemix import errors, model, rng
 
 AGNOSTIC = Setting.AGNOSTIC
 REGIME = RegimeSpec(Growth.SUBLINEAR, p=100, s=8)
@@ -180,3 +185,60 @@ def test_numpy_integers_pass_as_python_ints():
     )
     assert rng.uniforms(np.uint64(1), np.int32(3)).tolist() == rng.uniforms(1, 3).tolist()
     assert wilson_ci95(np.int64(3), np.int64(10)) == wilson_ci95(3, 10)
+
+
+# (module.name.case, error, message, bad call): refusals of shapes and of
+# one argument against another, which no other test reaches
+SHAPE_REFUSALS = [
+    ("errors.support_indices.empty", ValueError, "^support must be nonempty$",
+     lambda: SparseSignal(p=5, support=(), values=())),
+    ("model.MixedDataset.X", DataError, "^X must be a 2-d array$",
+     lambda: MixedDataset(X=np.zeros(16), Y=np.zeros(16), noise=noise())),
+    ("model.MixedDataset.signal", DataError,
+     "^signal dimension must equal the number of columns$",
+     lambda: MixedDataset(X=dataset().X, Y=dataset().Y, noise=noise(),
+                          signal=SparseSignal(p=7, support=(0,), values=(1.0,)))),
+    ("model.classify_regime.snr2", ValueError, "^SNR values must be positive$",
+     lambda: model.classify_regime(1.0, 0.0)),
+    ("model.sign_mismatches.estimate", DataError, "^estimate must be a length-p vector$",
+     lambda: model.sign_mismatches(np.zeros(5), signal())),
+    ("planner.RegimeSpec.alpha-linear", ValueError, r"^alpha must lie in \(0, 1\)$",
+     lambda: RegimeSpec(Growth.LINEAR, p=24, s=4, alpha=1.5)),
+    ("planner.RegimeSpec.alpha-sublinear", ValueError,
+     "^alpha is only meaningful for linear growth$",
+     lambda: RegimeSpec(Growth.SUBLINEAR, p=24, s=4, alpha=0.25)),
+    ("planner.pair_coefficients.sigma1_sq", ValueError,
+     "^an information coefficient is not finite",
+     lambda: price_of_quality(Setting.INFORMED, 1e-310, 1e-310, 4, 0.25)),
+    ("chernoff.optimal_theta_agnostic.setting", ValueError,
+     "^theta optimization applies to the agnostic setting$",
+     lambda: optimal_theta_agnostic(
+         ChernoffQuery(Setting.INFORMED, n1=3, n2=3, sigma1_sq=1.0, sigma2_sq=4.0, m=2))),
+    ("lasso.kkt_recovery_witness.truth", ValueError,
+     "^signal dimension must match the design$",
+     lambda: kkt_recovery_witness(
+         dataset(), SparseSignal(p=7, support=(0, 1), values=(1.0, 1.0)), 0.1)),
+]
+
+
+@pytest.mark.parametrize(
+    "error, message, call",
+    [pytest.param(e, m, c, id=w) for w, e, m, c in SHAPE_REFUSALS],
+)
+def test_shape_refusal(error, message, call):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_counts_stop_where_floats_stop_being_exact():
+    query = dict(setting=AGNOSTIC, n1=3, n2=3, sigma1_sq=1.0, sigma2_sq=4.0)
+    ChernoffQuery(**query, m=errors.COUNT_MAX)
+    bound = re.escape(f"[1, {2**53}]")
+    with pytest.raises(ValueError, match=rf"^m must be an integer in {bound}: "):
+        ChernoffQuery(**query, m=errors.COUNT_MAX + 1)
+    # sample budgets enter only float arithmetic, so any integer a float holds
+    # passes: a frontier can ask for more than COUNT_MAX samples
+    budget = (AGNOSTIC, 10**300, 0, 1.0, 4.0, 8, 0.5, 0.0, REGIME)
+    assert check_sufficient(*budget).holds
+    with pytest.raises(ValueError, match=r"^n1 must be an integer in \[0, \d+\]: "):
+        check_sufficient(AGNOSTIC, 10**400, *budget[2:])

@@ -6,8 +6,10 @@ against small reference implementations written with plain Python
 integers rather than against recorded outputs.
 """
 
+import hashlib
 import math
 import os
+import random
 import re
 import tracemalloc
 
@@ -211,3 +213,39 @@ def test_trial_stream_tags_are_defined_once_in_rng():
                 if re.search(r"^\s*\w*_STREAM\s*=", fh.read(), flags=re.MULTILINE):
                     owners.append(name)
     assert owners == ["rng.py"]
+
+
+def stream_corpus():
+    """Bytes of every rng entry point over a fixed corpus: derive with 0-4
+    words (negative seeds and words, words of 64 bits and more), derive_vec
+    in both argument orders and on two ints, and draws at the tile edges."""
+    ints = (0, 1, 42, 2**63, MASK, 2**64, 2**70 + 9, -1, -12345, -(2**70) - 3)
+    cases = [(s, ints[i : i + k]) for s in ints for i in range(len(ints)) for k in range(5)]
+    gen = random.Random(20261019)
+    cases += [
+        (gen.randint(-(2**70), 2**70), [gen.randint(-(2**70), 2**70) for _ in range(k)])
+        for k in (0, 1, 2, 3, 4)
+        for _ in range(400)
+    ]
+    yield b"".join(rng.derive(s, *ws).to_bytes(8, "little") for s, ws in cases)
+    arange = np.arange(50, dtype=np.uint64)
+    wide = np.array([0, 1, 2**63, MASK], dtype=np.uint64)
+    for a, b in ((7, arange), (arange, 7), (-3, wide), (wide, 2**64 + 5), (5, 9),
+                 (-1, MASK), (wide[:, None], arange[None, :10])):
+        yield np.asarray(rng.derive_vec(a, b), dtype=np.uint64).tobytes()
+    for count in (0, 1, 2, 3, TILE_EDGE - 1, TILE_EDGE, TILE_EDGE + 1):
+        for seed in (0, MASK, -5, rng.derive(9, rng.X_STREAM)):
+            yield rng.raw_words(seed, count).tobytes()
+            yield rng.uniforms(seed, count).tobytes()
+            yield rng.normals(seed, count).tobytes()
+    seeds = rng.derive_vec(17, np.arange(rng._TILE + 3, dtype=np.uint64))
+    for count, rows in ((0, 3), (1, rng._TILE + 1), (2, rng._TILE + 3), (1000, 17),
+                        (TILE_EDGE, 2), (TILE_EDGE + 2, 2)):
+        yield rng.uniforms_grid(seeds[:rows], count).tobytes()
+        yield rng.normals_grid(seeds[:rows], count).tobytes()
+
+
+def test_streams_equal_their_frozen_digest():
+    # computed before derive moved from numpy scalars to Python ints
+    digest = hashlib.sha256(b"".join(stream_corpus())).hexdigest()
+    assert digest == "537b748c8f700ae331427b949e384089291929089c9feb08aeda5a46c1ebc3a6"
