@@ -1,20 +1,22 @@
 """Run alternating parent/change pairs of bench/run.py and write BENCH_<n>.json.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \
-        --out BENCH_22.json
+        --out BENCH_23.json
 
 Both directories are checkouts holding src/, bench/ and BENCHMARK.json;
 each run executes `bench/run.py` inside its checkout, so this script only
 invokes the benchmark and never imports it. Pair k runs every workload
 of the change's BENCHMARK.json at seed k for its `run_seconds`, parent
-first when k is odd, for k = 1..10.
-Every run's two stdout lines (detail, result) are kept as printed. The
+first when k is odd, for k = 1..10. Pair 1 also runs each side once with
+--trace 1, in the same order, for the per-layer metrics; those lines go
+under `traced`. Every run's two stdout lines (detail, result) are kept as
+printed, and the summary reads the untraced pairs alone. The
 summary gives, per workload and end-to-end metric, the median and the
 inclusive quartiles of each side, the pairs the change won, and whether
 the gap of the medians exceeds the parent's interquartile range; the
 items_per_s rows also carry the medians of the unscaled raw_items_per_s.
-The file is written in any case; the exit code is 1 when a run failed or
-was not `correct`, else 0.
+The file is written in any case; the exit code is 1 when a run, traced
+or not, failed or was not `correct`, else 0.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ def simd_found() -> list[str]:
     return [name for name in __cpu_dispatch__ if __cpu_features__[name]]
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One bench/run.py run: its detail and result lines, or its failure."""
     argv = [sys.executable, "bench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -101,18 +103,23 @@ def main(argv: list[str] | None = None) -> int:
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds, simd = declared["run_seconds"], simd_found()
-    pairs, ok = [], True
+    pairs, traced, ok = [], [], True
     for workload in (w["name"] for w in declared["workloads"]):
         for k in range(1, PAIRS + 1):
             order = ["parent", "change"] if k % 2 else ["change", "parent"]
             pair = {"workload": workload, "pair": k, "seed": k, "order": order}
-            for side in order:
-                run = run_once(getattr(args, side), workload, k, seconds)
-                pair[side] = run
-                correct = run.get("result", {}).get("correct") is True
-                ok &= correct
-                print(f"{workload} pair {k} {side}: "
-                      f"{run['result']['metrics'] if correct else run}", file=sys.stderr)
+            head = dict(pair)
+            for trace in (0, 1) if k == 1 else (0,):
+                for side in order:
+                    run = run_once(getattr(args, side), workload, k, seconds, trace)
+                    if trace:
+                        traced.append({**head, "side": side, **run})
+                    else:
+                        pair[side] = run
+                    correct = run.get("result", {}).get("correct") is True
+                    ok &= correct
+                    print(f"{workload} pair {k} {side} trace {trace}: "
+                          f"{run['result']['metrics'] if correct else run}", file=sys.stderr)
             pairs.append(pair)
 
     machine = next((p["change"]["detail"]["machine"] for p in pairs
@@ -123,13 +130,17 @@ def main(argv: list[str] | None = None) -> int:
             "workloads, written by scripts/bench_pairs.py. Odd pairs run the parent "
             "first. Every run's two stdout lines (detail, result) are kept as printed; "
             "the summary is computed from their metrics (median and inclusive "
-            "quartiles). " + args.note
+            "quartiles). Pair 1 of each workload also ran each side once with --trace 1, "
+            "in that pair's order; those lines are under traced. " + args.note
         ).strip(),
         "command": "python3 bench/run.py --workload <w> --seed <pair> "
                    f"--seconds {seconds:g} --trace 0",
+        "traced_command": f"python3 bench/run.py --workload <w> --seed 1 --seconds {seconds:g} "
+                          "--trace 1 (pair 1 of every workload, in that pair's order)",
         "machine": {**machine, "numpy_simd_found": simd},
         "summary": summarize(pairs, declared),
         "pairs": pairs,
+        "traced": traced,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0 if ok else 1

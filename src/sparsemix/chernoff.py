@@ -285,10 +285,13 @@ def empirical_misrank(
     if var_d > 0.0:
         d_scale = math.sqrt(var_d)
         t_from_d = float(diff @ total) / d_scale
-        # |a|^2 |b|^2 - (a.b)^2 = sum_{i<j} (a_i b_j - a_j b_i)^2
-        wedge = np.outer(diff, total)
+        # |a|^2 |b|^2 - (a.b)^2 = sum_{i<j} (a_i b_j - a_j b_i)^2; a = diff is 0
+        # off the symmetric difference D, so pairs leaving D add |a|^2 b_k^2
+        on = diff != 0.0
+        wedge = np.outer(diff[on], total[on])
         wedge -= wedge.T
-        t_resid = 0.5 * float(np.sum(wedge * wedge)) / var_d
+        rest = total[~on]
+        t_resid = 0.5 * float(np.sum(wedge * wedge)) / var_d + float(rest @ rest)
     else:
         d_scale = t_from_d = t_resid = 0.0
     n = noise.n

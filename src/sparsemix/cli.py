@@ -21,6 +21,7 @@ import sys
 from . import chernoff, decoders, harness, lasso, planner
 from .errors import COUNT_MAX, DegenerateInstanceError, ResourceCapError, as_index
 from .model import (
+    MAX_DESIGN_ENTRIES,
     NoiseProfile,
     Setting,
     SparseSignal,
@@ -51,11 +52,24 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
+def _default_support(s: int, p: int, rows: int) -> tuple[int, ...]:
+    """The default support (0, ..., s - 1), built only once s lies in [1, p]
+    and a rows x p design fits MAX_DESIGN_ENTRIES (ResourceCapError); the
+    cap lies below COUNT_MAX, so it bounds p too."""
+    s = as_index(s, "s", low=1, high=as_index(p, "p", low=1))
+    if rows * p > MAX_DESIGN_ENTRIES:
+        raise ResourceCapError(
+            f"a {rows} x {p} design is above the cap of {MAX_DESIGN_ENTRIES} entries"
+        )
+    return tuple(range(s))
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
+    noise = NoiseProfile(**_blocks(args))
     if args.support is not None:
         support = tuple(_list(args.support, int))
     else:
-        support = tuple(range(as_index(args.s, "s", low=1, high=COUNT_MAX)))
+        support = _default_support(args.s, args.p, noise.n)
     if args.values is not None:
         values = tuple(_list(args.values, float))
     else:
@@ -63,7 +77,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     signal = SparseSignal(p=args.p, support=support, values=values)
     if args.s != signal.s:
         raise ValueError("--s disagrees with the support length")
-    noise = NoiseProfile(**_blocks(args))
     manifest = save_dataset(generate_dataset(signal, noise, args.seed), args.out)
     _emit(
         {
@@ -211,9 +224,10 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     if args.mc_trials is not None:
         if m % 2 != 0:
             raise ValueError("Monte Carlo checks need an even m")
-        s = as_index(m if args.s is None else args.s, "s", low=1, high=COUNT_MAX)
+        # the candidate swaps m/2 of the s support indices for ones past s
+        s = as_index(m if args.s is None else args.s, "s", low=m // 2, high=COUNT_MAX)
         p = args.p if args.p is not None else s + m // 2
-        signal = SparseSignal(p=p, support=tuple(range(s)), values=(1.0,) * s)
+        signal = SparseSignal(p=p, support=_default_support(s, p, 1), values=(1.0,) * s)
         candidate = tuple(range(m // 2, s)) + tuple(range(s, s + m // 2))
         noise = NoiseProfile(**_blocks(args))
         est = chernoff.empirical_misrank(

@@ -108,10 +108,14 @@ def _soft(x: float, t: float) -> float:
     return 0.0
 
 
-def _objective(X: np.ndarray, Y: np.ndarray, beta: np.ndarray, lam: float) -> float:
+def _residual(X: np.ndarray, Y: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Y - X beta from scratch, over the nonzero columns of beta."""
     on = np.flatnonzero(beta)
-    resid = Y - X[:, on] @ beta[on]
-    return 0.5 * float(resid @ resid) / len(Y) + lam * float(np.abs(beta).sum())
+    return Y - X[:, on] @ beta[on]
+
+
+def _objective(resid: np.ndarray, beta: np.ndarray, lam: float) -> float:
+    return 0.5 * float(resid @ resid) / len(resid) + lam * float(np.abs(beta).sum())
 
 
 def _sign_pattern_solution(
@@ -198,8 +202,10 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
     A signed active set unchanged over two passes gets one exact finish:
     the next pass solves its stationarity equations and takes the result
     unless a sign breaks or the objective would rise, then runs the check.
-    An objective rise across a pass raises SparsemixError; every pass
-    counts against max_sweeps, and hitting it sets converged=False.
+    An objective rise across a pass, read from the maintained r, raises
+    SparsemixError; every pass counts against max_sweeps, and hitting it
+    sets converged=False. Only the check, a finish candidate and the
+    returned objective form r from scratch (_residual).
     """
     X, Y, lam, tol = dataset.X, dataset.Y, config.lam, config.tol
     n = len(Y)
@@ -208,7 +214,7 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
     resid = Y.copy()
     coords = np.flatnonzero(diag > 0.0)
     admitted = np.zeros(len(beta), dtype=bool)
-    prev_obj = _objective(X, Y, beta, lam)
+    prev_obj = _objective(resid, beta, lam)
     converged = finish_due = False
     signs = tried = None
     for sweeps in range(1, config.max_sweeps + 1):
@@ -216,8 +222,11 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
         if finish_due:
             exact = _sign_pattern_solution(X, Y, signs, lam)
             tried, max_delta = signs, math.inf
-            if exact is not None and _objective(X, Y, exact, lam) <= prev_obj:
-                beta, max_delta, coords = exact, 0.0, np.flatnonzero(exact)
+            if exact is not None:
+                fresh = _residual(X, Y, exact)
+                if _objective(fresh, exact, lam) <= prev_obj:
+                    beta, resid, max_delta = exact, fresh, 0.0
+                    coords = np.flatnonzero(exact)
         else:
             if sweeps == 1 and len(coords) > _BLOCK:
                 steps = _screened_pass(X, coords, diag, resid, lam)
@@ -232,14 +241,14 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
                     resid -= col * d
                     beta[j] = new
                     max_delta = max(max_delta, abs(d))
-        obj = _objective(X, Y, beta, lam)
+        obj = _objective(resid, beta, lam)
         if obj > prev_obj + 1e-10 * (1.0 + abs(prev_obj)):
             raise SparsemixError(
                 f"objective rose from {prev_obj!r} to {obj!r} on sweep {sweeps}"
             )
         prev_obj = obj
         if max_delta < tol or sweeps % _REFRESH_SWEEPS == 0:
-            resid = Y - X @ beta
+            resid = _residual(X, Y, beta)
             admitted = np.abs((X.T @ resid) / n) > lam  # zero columns have corr 0
             admitted[coords] = False
             if max_delta < tol and not admitted.any():
@@ -248,7 +257,7 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
         coords = np.flatnonzero((beta != 0.0) | admitted)
         signs, last = np.sign(beta), signs
         finish_due = np.array_equal(signs, last) and not np.array_equal(signs, tried)
-    return LassoSolution(beta, prev_obj, sweeps, converged)
+    return LassoSolution(beta, _objective(_residual(X, Y, beta), beta, lam), sweeps, converged)
 
 
 def lambda_schedule(
@@ -300,7 +309,7 @@ def kkt_recovery_witness(
     beta_s = np.asarray(truth.values)
     b = np.sign(beta_s)
     Xs = X[:, support]
-    Z = Y - X @ truth.dense()
+    Z = _residual(X, Y, truth.dense())
 
     u_fac, sv, vt = np.linalg.svd(Xs, full_matrices=False)
     if sv[-1] <= 0.0:

@@ -13,7 +13,7 @@ quality: how many low-quality samples one high-quality sample is worth.
 
 The condition is the Chernoff misranking bound at its relaxed point, so
 both rest on one per-row exponent argument, exponent_arg, which lives
-here: alpha_b = -ln(1 - 2 g_b) at m = 2 delta s, and chernoff raises
+here: alpha_b = ln(1 - 2 g_b) at m = 2 delta s, and chernoff raises
 each row's (1 - 2 g_b)^(-1/2) factor from the same g_b.
 """
 
@@ -193,7 +193,7 @@ def pair_coefficients(
 ) -> tuple[float, float]:
     """Per-sample information coefficients (alpha1, alpha2) for each block.
 
-    alpha_b = -ln(1 - 2 g_b) with g_b = exponent_arg at m = 2 delta s and
+    alpha_b = ln(1 - 2 g_b) with g_b = exponent_arg at m = 2 delta s and
     the relaxed point theta0 = relaxed_theta(setting, sigma2_sq):
         agnostic  alpha1 = ln(1 + delta s (2 sigma2_sq - sigma1_sq) / (2 sigma2_sq^2)),
                   alpha2 = ln(1 + delta s / (2 sigma2_sq))

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import as_index
+from .errors import COUNT_MAX, as_index
 
 __all__ = [
     "X_STREAM",
@@ -171,7 +171,7 @@ def derive_vec(seeds, words) -> np.ndarray:
 
 def raw_words(seed: int, count: int) -> np.ndarray:
     """Return the raw 64-bit words at counter positions 0..count-1."""
-    count = as_index(count, "count", low=0)
+    count = as_index(count, "count", low=0, high=COUNT_MAX)
     return _words(np.array(as_index(seed, "seed") & _MASK, dtype=np.uint64), count)
 
 
@@ -190,7 +190,7 @@ def uniforms_grid(seeds: np.ndarray, count: int) -> np.ndarray:
     Row i equals uniforms(seeds[i], count), as normals_grid is to normals.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    return _unit(_words(seeds, as_index(count, "count", low=0)))
+    return _unit(_words(seeds, as_index(count, "count", low=0, high=COUNT_MAX)))
 
 
 def normals(seed: int, count: int) -> np.ndarray:
@@ -200,7 +200,7 @@ def normals(seed: int, count: int) -> np.ndarray:
     built from uniform counters (2j, 2j+1); an odd count drops the last
     sine.
     """
-    seed, count = as_index(seed, "seed") & _MASK, as_index(count, "count", low=0)
+    seed, count = as_index(seed, "seed") & _MASK, as_index(count, "count", low=0, high=COUNT_MAX)
     return _box_muller(np.array([seed], dtype=np.uint64), count)[0]
 
 
@@ -212,4 +212,4 @@ def normals_grid(seeds: np.ndarray, count: int) -> np.ndarray:
     vectorized call.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    return _box_muller(seeds, as_index(count, "count", low=0))
+    return _box_muller(seeds, as_index(count, "count", low=0, high=COUNT_MAX))

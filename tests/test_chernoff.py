@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -442,6 +443,25 @@ def test_empirical_misrank_independent_of_batch_size(monkeypatch):
         split = empirical_misrank(sig, noise, (1, 2, 4), 3000, seed=4, setting=setting)
         monkeypatch.undo()
         assert split == whole
+
+
+def test_empirical_misrank_memory_does_not_grow_with_the_shared_support():
+    # one index swapped out of s: only the 2 swapped indices enter the
+    # factor, so a 3000 x 3000 outer product is never formed
+    noise = NoiseProfile(n1=2, n2=2, sigma1_sq=1.0, sigma2_sq=2.0)
+    for setting in (Setting.AGNOSTIC, Setting.INFORMED):
+        estimates = []
+        for s in (300, 3000):
+            sig = SparseSignal(p=s + 1, support=tuple(range(s)), values=(1.0,) * s)
+            cand = tuple(range(1, s + 1))
+            tracemalloc.start()
+            try:
+                estimates.append(empirical_misrank(sig, noise, cand, 2000, 7, setting))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 8e6
+        assert estimates[0] == estimates[1]
 
 
 def test_empirical_misrank_validates_candidate():

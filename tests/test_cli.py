@@ -369,6 +369,22 @@ EDGE_CASES = {
     "bound-subnormal-variances-optimize": (2, ["bound", "--n1", "3", "--n2", "3",
                                                "--m", "2", "--sigma1-sq", "1e-320",
                                                "--sigma2-sq", "1e-320", "--optimize"]),
+    # s and the design cap are checked before a support of s indices is built
+    "gen-s-past-p": (2, ["gen", "--p", "10", "--s", str(2**53), "--n1", "2", "--n2", "2",
+                         "--sigma1-sq", "1", "--sigma2-sq", "2", "--out", "{out}"]),
+    "gen-p-past-design-cap": (3, ["gen", "--p", str(2**53), "--s", str(2**53), "--n1", "2",
+                                  "--n2", "2", "--sigma1-sq", "1", "--sigma2-sq", "2",
+                                  "--out", "{out}"]),
+    "bound-monte-carlo-p-past-design-cap": (3, ["bound", "--n1", "2", "--n2", "2", "--m", "2",
+                                                "--sigma1-sq", "1", "--sigma2-sq", "2",
+                                                "--mc-trials", "10", "--s", str(2**53)]),
+    "bound-monte-carlo-m-past-s": (2, ["bound", "--n1", "2", "--n2", "2", "--m", str(2**53),
+                                       "--sigma1-sq", "1", "--sigma2-sq", "2",
+                                       "--mc-trials", "10", "--s", "1"]),
+    # the estimator's memory does not grow with the support the two share
+    "bound-monte-carlo-wide": (0, ["bound", "--n1", "2", "--n2", "2", "--m", "2",
+                                   "--sigma1-sq", "1", "--sigma2-sq", "2",
+                                   "--mc-trials", "10", "--s", "30000"]),
     # theta is optimized for the agnostic bound only
     "informed-optimize": (2, ["bound", "--n1", "3", "--n2", "3", "--m", "2",
                               "--sigma1-sq", "1", "--sigma2-sq", "4", "--setting",

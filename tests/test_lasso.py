@@ -217,6 +217,44 @@ def test_objective_rise_raises_typed_error(monkeypatch):
         solve_lasso(ds, LassoConfig(lam=0.06))
 
 
+def count_from_scratch_residuals(monkeypatch, ds, lam):
+    """Solve with spies; return the solution, the beta of each _residual
+    call and how many of those calls formed a finish candidate's residual."""
+    calls, pending = [], []
+    residual, finish = lasso_mod._residual, lasso_mod._sign_pattern_solution
+
+    def residual_spy(X, Y, beta):
+        calls.append(beta)
+        return residual(X, Y, beta)
+
+    def finish_spy(X, Y, signs, lam):
+        exact = finish(X, Y, signs, lam)
+        if exact is not None:
+            pending.append((len(calls), exact))
+        return exact
+
+    monkeypatch.setattr(lasso_mod, "_residual", residual_spy)
+    monkeypatch.setattr(lasso_mod, "_sign_pattern_solution", finish_spy)
+    sol = solve_lasso(ds, LassoConfig(lam=lam))
+    # each candidate's residual is the very next call
+    assert all(calls[i] is exact for i, exact in pending)
+    return sol, calls, len(pending)
+
+
+def test_no_pass_rebuilds_the_residual_from_scratch(monkeypatch):
+    ds, lam = a01_instance(27, 0)
+    sol, calls, candidates = count_from_scratch_residuals(monkeypatch, ds, lam)
+    assert sol.converged and sol.sweeps >= 10 and candidates
+    assert calls[-1] is sol.beta  # the returned objective
+    checks = len(calls) - candidates - 1
+    assert 1 <= checks < sol.sweeps // 2
+    # with a check after every pass, each pass forms exactly one
+    monkeypatch.setattr(lasso_mod, "_REFRESH_SWEEPS", 1)
+    sol, calls, candidates = count_from_scratch_residuals(monkeypatch, ds, lam)
+    assert sol.sweeps >= 10
+    assert len(calls) == sol.sweeps + candidates + 1
+
+
 def unscreened_solve(ds, config):
     """Oracle: the solver without the pass-1 screen or the per-pass column
     gather. Every pass steps through all of its coordinates on columns of a
@@ -229,7 +267,7 @@ def unscreened_solve(ds, config):
     resid = Y.copy()
     coords = np.flatnonzero(diag > 0.0).tolist()
     admitted = np.zeros(len(beta), dtype=bool)
-    prev_obj = lasso_mod._objective(X, Y, beta, lam)
+    prev_obj = lasso_mod._objective(resid, beta, lam)
     converged = finish_due = False
     signs = tried = None
     for sweeps in range(1, config.max_sweeps + 1):
@@ -237,8 +275,11 @@ def unscreened_solve(ds, config):
         if finish_due:
             exact = lasso_mod._sign_pattern_solution(X, Y, signs, lam)
             tried, max_delta = signs, math.inf
-            if exact is not None and lasso_mod._objective(X, Y, exact, lam) <= prev_obj:
-                beta, max_delta, coords = exact, 0.0, np.flatnonzero(exact)
+            if exact is not None:
+                fresh = lasso_mod._residual(X, Y, exact)
+                if lasso_mod._objective(fresh, exact, lam) <= prev_obj:
+                    beta, resid, max_delta = exact, fresh, 0.0
+                    coords = np.flatnonzero(exact)
         else:
             for j in coords:
                 a = diag[j]
@@ -249,9 +290,9 @@ def unscreened_solve(ds, config):
                     resid -= xf[:, j] * d
                     beta[j] = new
                     max_delta = max(max_delta, abs(d))
-        prev_obj = lasso_mod._objective(X, Y, beta, lam)
+        prev_obj = lasso_mod._objective(resid, beta, lam)
         if max_delta < tol or sweeps % lasso_mod._REFRESH_SWEEPS == 0:
-            resid = Y - X @ beta
+            resid = lasso_mod._residual(X, Y, beta)
             admitted = np.abs((X.T @ resid) / n) > lam
             admitted[coords] = False
             if max_delta < tol and not admitted.any():
@@ -260,7 +301,8 @@ def unscreened_solve(ds, config):
         coords = np.flatnonzero((beta != 0.0) | admitted).tolist()
         signs, last = np.sign(beta), signs
         finish_due = np.array_equal(signs, last) and not np.array_equal(signs, tried)
-    return beta, prev_obj, sweeps, converged
+    obj = lasso_mod._objective(lasso_mod._residual(X, Y, beta), beta, lam)
+    return beta, obj, sweeps, converged
 
 
 def with_design(ds, X):

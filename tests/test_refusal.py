@@ -100,6 +100,11 @@ REFUSALS = [
     ("rng.normals", "seed", lambda: rng.normals(1.5, 3)),
     ("rng.normals", "count", lambda: rng.normals(1, 2.5)),
     ("rng.normals_grid", "count", lambda: rng.normals_grid([1], 2.5)),
+    # past numpy's largest array, which would refuse without naming count
+    ("rng.raw_words-huge", "count", lambda: rng.raw_words(1, 10**400)),
+    ("rng.uniforms_grid-huge", "count", lambda: rng.uniforms_grid([1], 10**400)),
+    ("rng.normals-huge", "count", lambda: rng.normals(0, 10**400)),
+    ("rng.normals_grid-huge", "count", lambda: rng.normals_grid([1], 10**400)),
     ("planner.RegimeSpec", "p", lambda: RegimeSpec(Growth.SUBLINEAR, p=1, s=1)),
     ("planner.RegimeSpec", "s", lambda: RegimeSpec(Growth.SUBLINEAR, p=24, s=4.5)),
     ("planner.pair_coefficients", "s",
