@@ -205,7 +205,8 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
     An objective rise across a pass, read from the maintained r, raises
     SparsemixError; every pass counts against max_sweeps, and hitting it
     sets converged=False. Only the check, a finish candidate and the
-    returned objective form r from scratch (_residual).
+    returned objective form r from scratch (_residual), and none of them
+    when r already is that of the current beta.
     """
     X, Y, lam, tol = dataset.X, dataset.Y, config.lam, config.tol
     n = len(Y)
@@ -215,7 +216,7 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
     coords = np.flatnonzero(diag > 0.0)
     admitted = np.zeros(len(beta), dtype=bool)
     prev_obj = _objective(resid, beta, lam)
-    converged = finish_due = False
+    converged = finish_due = scratch = False  # scratch: resid is _residual's for beta
     signs = tried = None
     for sweeps in range(1, config.max_sweeps + 1):
         max_delta = 0.0
@@ -225,7 +226,7 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
             if exact is not None:
                 fresh = _residual(X, Y, exact)
                 if _objective(fresh, exact, lam) <= prev_obj:
-                    beta, resid, max_delta = exact, fresh, 0.0
+                    beta, resid, max_delta, scratch = exact, fresh, 0.0, True
                     coords = np.flatnonzero(exact)
         else:
             if sweeps == 1 and len(coords) > _BLOCK:
@@ -241,6 +242,7 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
                     resid -= col * d
                     beta[j] = new
                     max_delta = max(max_delta, abs(d))
+                    scratch = False
         obj = _objective(resid, beta, lam)
         if obj > prev_obj + 1e-10 * (1.0 + abs(prev_obj)):
             raise SparsemixError(
@@ -248,7 +250,8 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
             )
         prev_obj = obj
         if max_delta < tol or sweeps % _REFRESH_SWEEPS == 0:
-            resid = _residual(X, Y, beta)
+            if not scratch:
+                resid, scratch = _residual(X, Y, beta), True
             admitted = np.abs((X.T @ resid) / n) > lam  # zero columns have corr 0
             admitted[coords] = False
             if max_delta < tol and not admitted.any():
@@ -257,7 +260,9 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
         coords = np.flatnonzero((beta != 0.0) | admitted)
         signs, last = np.sign(beta), signs
         finish_due = np.array_equal(signs, last) and not np.array_equal(signs, tried)
-    return LassoSolution(beta, _objective(_residual(X, Y, beta), beta, lam), sweeps, converged)
+    if not scratch:
+        resid = _residual(X, Y, beta)
+    return LassoSolution(beta, _objective(resid, beta, lam), sweeps, converged)
 
 
 def lambda_schedule(

@@ -21,14 +21,19 @@ index words into the seed through the same mixer; it is associative with
 itself in the sense that derive(derive(s, a), b) == derive(s, a, b).
 `derive` folds Python ints; arrays mix as uint64, which wraps silently.
 
-Normals are computed in cache-sized tiles of at most 2**13 pairs, written
+Normals are computed in cache-sized tiles of at most 2**14 pairs, written
 into one preallocated output, so a draw of millions of values builds no
-full-length temporaries. Every step is the elementwise operation of the
-definitions above in the same order, so the values equal them bit for
-bit whatever the tile boundaries.
+full-length temporaries. When two CPUs are usable, a draw of at least
+2**14 pairs runs in two halves on two threads, the caller's and one
+worker's, which is started on the first such draw. Every step is the
+elementwise operation of the definitions above in the same order, so the
+values equal them bit for bit whatever the tile boundaries, the split or
+the CPU count.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -60,9 +65,17 @@ NOISE_STREAM = 2  # standardized noise vector
 SIGN_STREAM = 3  # Lasso signal signs
 SEARCH_STREAM = 4  # local-search restarts
 
-# Box-Muller pairs per tile: a tile's two 2 * _TILE-word buffers (256 KB)
+# Box-Muller pairs per tile: a tile's two 2 * _TILE-word buffers (512 KB)
 # stay in a core's L2 cache, where whole-draw temporaries spill to memory.
-_TILE = 1 << 13
+_TILE = 1 << 14
+# A draw of at least 2 * _SPLIT pairs runs in two halves on two threads;
+# on two cores, splitting a smaller draw saved nothing or lost time.
+_SPLIT = 1 << 13
+# The worker thread's executor under key 0, once a draw has split; a
+# forked child, which has no such thread, starts over.
+_WORKER: dict = {}
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_WORKER.clear)
 # Row 0 holds (2j + 1) * GOLDEN and row 1 (2j + 2) * GOLDEN: the counter
 # offsets of pair j's radius and angle words, each row contiguous.
 _PAIR_OFFSETS = (
@@ -77,13 +90,14 @@ def _mix_int(x: int) -> int:
     return x ^ x >> 31
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer of a uint64 array x, mixed in place."""
-    x ^= x >> 30
+def _mix(x: np.ndarray, free: np.ndarray | None = None) -> np.ndarray:
+    """The splitmix64 finalizer of a uint64 array x, mixed in place; its
+    shifts go to free, a uint64 array of x's shape, when one is given."""
+    x ^= np.right_shift(x, 30, out=free)
     x *= _MUL1
-    x ^= x >> 27
+    x ^= np.right_shift(x, 27, out=free)
     x *= _MUL2
-    x ^= x >> 31
+    x ^= np.right_shift(x, 31, out=free)
     return x
 
 
@@ -105,17 +119,20 @@ def _unit(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _box_muller(seeds: np.ndarray, count: int) -> np.ndarray:
-    """Normals 0..count-1 of each seed of 1-D uint64 seeds: (len(seeds), count).
+def _fill(out: np.ndarray, seeds: np.ndarray, first: int) -> None:
+    """Write pairs first, first + 1, ... of each seed of 1-D uint64 seeds into
+    out, a (len(seeds), pairs, 2) view.
 
     A tile is whole rows by up to _TILE pairs, at most _TILE pairs in all.
     Its words land in one buffer as two contiguous blocks, radius words
     then angle words; `_unit` turns them into uniforms in the second
     buffer, the first then takes the cosines and sines, and their
     products with the radii go straight into the interleaved output.
+    The seeds and counter offsets are broadcast to the tile's shape by
+    np.copyto, which needs no buffer, rather than by a ufunc, which
+    allocates numpy's own.
     """
-    rows, npairs = len(seeds), (count + 1) // 2
-    out = np.empty((rows, npairs, 2))
+    rows, npairs = out.shape[:2]
     cols = min(npairs, _TILE) or 1
     tile_rows = _TILE // cols
     size = 2 * min(rows, tile_rows) * cols
@@ -127,9 +144,13 @@ def _box_muller(seeds: np.ndarray, count: int) -> np.ndarray:
             nc = min(cols, npairs - j0)
             w = words[: 2 * nr * nc].reshape(2, nr, nc)
             u = reals[: 2 * nr * nc].reshape(2, nr, nc)
-            shift = 2 * j0 * _GOLDEN & _MASK  # to pair j0's counters
-            np.add(_PAIR_OFFSETS[:, None, :nc], block + shift, out=w)
-            _unit(_mix(w), out=u)
+            free = u.view(np.uint64)  # scratch until _unit writes u
+            np.copyto(w, _PAIR_OFFSETS[:, None, :nc])
+            np.copyto(free, block)
+            w += free
+            if first + j0:  # to pair first + j0's counters; pair 0 needs no add
+                w += 2 * (first + j0) * _GOLDEN & _MASK
+            _unit(_mix(w, free), out=u)
             radius, angle = u
             np.log(radius, out=radius)
             radius *= -2.0
@@ -141,6 +162,56 @@ def _box_muller(seeds: np.ndarray, count: int) -> np.ndarray:
             tile = out[r0 : r0 + nr, j0 : j0 + nc]
             np.multiply(radius, trig[0], out=tile[..., 0])
             np.multiply(radius, trig[1], out=tile[..., 1])
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker():
+    """The one worker thread's executor, created on first use.
+
+    setdefault is atomic, so callers racing here share one executor; a
+    losing one was never submitted to and so never started a thread.
+    """
+    pool = _WORKER.get(0)
+    if pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = _WORKER.setdefault(0, ThreadPoolExecutor(max_workers=1))
+    return pool
+
+
+def _box_muller(seeds: np.ndarray, count: int) -> np.ndarray:
+    """Normals 0..count-1 of each seed of 1-D uint64 seeds: (len(seeds), count).
+
+    A draw of at least 2 * _SPLIT pairs, with two CPUs usable, is cut in
+    two along its longer axis, rows or pairs; the worker thread fills one
+    half while the caller fills the other, and a raise in either half
+    reaches the caller once both have stopped writing.
+    """
+    rows, npairs = len(seeds), (count + 1) // 2
+    out = np.empty((rows, npairs, 2))
+    if rows * npairs < 2 * _SPLIT or _cpus() < 2:
+        _fill(out, seeds, 0)
+    else:
+        if rows > npairs:
+            h = rows // 2
+            mine, theirs = (out[:h], seeds[:h], 0), (out[h:], seeds[h:], 0)
+        else:
+            h = npairs // 2
+            mine, theirs = (out[:, :h], seeds, 0), (out[:, h:], seeds, h)
+        half = _worker().submit(_fill, *theirs)
+        try:
+            _fill(*mine)
+        except BaseException:
+            half.exception()  # wait: out is dropped only once the worker is done
+            raise
+        half.result()
     return out.reshape(rows, 2 * npairs)[:, :count]
 
 

@@ -218,41 +218,43 @@ def test_objective_rise_raises_typed_error(monkeypatch):
 
 
 def count_from_scratch_residuals(monkeypatch, ds, lam):
-    """Solve with spies; return the solution, the beta of each _residual
-    call and how many of those calls formed a finish candidate's residual."""
+    """Solve with spies; return the solution, a copy of the beta of each
+    _residual call and how many of those calls formed a finish candidate's
+    residual."""
     calls, pending = [], []
     residual, finish = lasso_mod._residual, lasso_mod._sign_pattern_solution
 
     def residual_spy(X, Y, beta):
-        calls.append(beta)
+        calls.append(beta.copy())
         return residual(X, Y, beta)
 
     def finish_spy(X, Y, signs, lam):
         exact = finish(X, Y, signs, lam)
         if exact is not None:
-            pending.append((len(calls), exact))
+            pending.append((len(calls), exact.copy()))
         return exact
 
     monkeypatch.setattr(lasso_mod, "_residual", residual_spy)
     monkeypatch.setattr(lasso_mod, "_sign_pattern_solution", finish_spy)
     sol = solve_lasso(ds, LassoConfig(lam=lam))
     # each candidate's residual is the very next call
-    assert all(calls[i] is exact for i, exact in pending)
+    assert all(np.array_equal(calls[i], exact) for i, exact in pending)
     return sol, calls, len(pending)
 
 
 def test_no_pass_rebuilds_the_residual_from_scratch(monkeypatch):
+    # no two consecutive from-scratch residuals are formed for equal betas:
+    # a check after a kept finish and the returned objective after a check
+    # reuse the residual already formed
     ds, lam = a01_instance(27, 0)
-    sol, calls, candidates = count_from_scratch_residuals(monkeypatch, ds, lam)
-    assert sol.converged and sol.sweeps >= 10 and candidates
-    assert calls[-1] is sol.beta  # the returned objective
-    checks = len(calls) - candidates - 1
-    assert 1 <= checks < sol.sweeps // 2
-    # with a check after every pass, each pass forms exactly one
-    monkeypatch.setattr(lasso_mod, "_REFRESH_SWEEPS", 1)
-    sol, calls, candidates = count_from_scratch_residuals(monkeypatch, ds, lam)
-    assert sol.sweeps >= 10
-    assert len(calls) == sol.sweeps + candidates + 1
+    for refresh in (lasso_mod._REFRESH_SWEEPS, 1):  # 1: a check after every pass
+        monkeypatch.setattr(lasso_mod, "_REFRESH_SWEEPS", refresh)
+        sol, calls, candidates = count_from_scratch_residuals(monkeypatch, ds, lam)
+        assert sol.converged and sol.sweeps >= 10 and candidates
+        assert np.array_equal(calls[-1], sol.beta)  # the returned objective's
+        assert not any(np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
+        checks = len(calls) - candidates
+        assert checks <= (sol.sweeps if refresh == 1 else sol.sweeps // 2 - 1)
 
 
 def unscreened_solve(ds, config):

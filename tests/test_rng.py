@@ -11,6 +11,10 @@ import math
 import os
 import random
 import re
+import select
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -116,7 +120,9 @@ TILE_EDGE = 2 * rng._TILE  # normals in one full tile
 
 
 @pytest.mark.parametrize(
-    "count", [0, 1, 2, 3, 1001, TILE_EDGE - 1, TILE_EDGE, TILE_EDGE + 1, 5 * TILE_EDGE + 7]
+    "count",
+    [0, 1, 2, 3, 1001, TILE_EDGE - 1, TILE_EDGE, TILE_EDGE + 1, 5 * TILE_EDGE + 7,
+     16383, 16384, 16385, 81927],  # the edges of the earlier 2**13-pair tiles
 )
 def test_normals_equal_the_untiled_definition_bit_for_bit(count):
     for seed in (0, 2**64 - 1, rng.derive(9, rng.X_STREAM)):
@@ -152,6 +158,144 @@ def test_normals_allocate_little_beyond_their_output():
         finally:
             tracemalloc.stop()
         assert peak <= limit * out.nbytes
+
+
+def spy_fills(monkeypatch, cpus):
+    """Pretend `cpus` CPUs are usable; return the list that gets the id of
+    the thread of every _fill call."""
+    fills, fill = [], rng._fill
+
+    def fill_spy(out, seeds, first):
+        fills.append(threading.get_ident())
+        fill(out, seeds, first)
+
+    monkeypatch.setattr(rng, "_cpus", lambda: cpus)
+    monkeypatch.setattr(rng, "_fill", fill_spy)
+    return fills
+
+
+SPLIT_EDGE = 4 * rng._SPLIT  # normals in the smallest draw that splits
+
+
+@pytest.mark.parametrize(
+    "rows, count",
+    [(1, SPLIT_EDGE - 1), (1, SPLIT_EDGE), (1, SPLIT_EDGE + 1), (1, 5 * SPLIT_EDGE + 3),
+     (1, 1_500_000), (2 * rng._SPLIT // 20 + 2, 40), (2 * rng._SPLIT // 20 + 2, 39),
+     (2 * rng._TILE + 3, 1), (3, SPLIT_EDGE + 1), (5, 7777)],
+)
+def test_split_draws_equal_serial_draws_bit_for_bit(monkeypatch, rows, count):
+    seeds = rng.derive_vec(23, np.arange(rows, dtype=np.uint64))
+    draws = {}
+    for cpus in (1, 2):
+        fills = spy_fills(monkeypatch, cpus)
+        if rows == 1:
+            draws[cpus] = rng.normals(int(seeds[0]), count)
+        else:
+            draws[cpus] = rng.normals_grid(seeds, count)
+        splits = cpus == 2 and rows * ((count + 1) // 2) >= 2 * rng._SPLIT
+        assert len(set(fills)) == len(fills) == 1 + splits
+    assert draws[1].tobytes() == draws[2].tobytes()
+    assert np.array_equal(draws[2].reshape(rows, count), box_muller_reference(seeds, count))
+
+
+def test_import_starts_no_thread_and_small_draws_start_none():
+    script = (
+        "import sys, threading\n"
+        "from sparsemix import rng\n"
+        "def facts():\n"
+        "    print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+        "facts()\n"
+        "rng._cpus = lambda: 2\n"
+        "rng.normals(1, 4 * rng._SPLIT - 2)\n"
+        "facts()\n"
+        "rng.normals(1, 4 * rng._SPLIT)\n"
+        "facts()\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(rng.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=root + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["1 False", "1 False", "2 True"]
+
+
+def test_a_raise_in_the_workers_half_reaches_the_caller(monkeypatch):
+    fill = rng._fill
+
+    def failing_fill(out, seeds, first):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("worker half")
+        fill(out, seeds, first)
+
+    monkeypatch.setattr(rng, "_cpus", lambda: 2)
+    monkeypatch.setattr(rng, "_fill", failing_fill)
+    assert threading.current_thread() is threading.main_thread()
+    with pytest.raises(FloatingPointError, match="worker half"):
+        rng.normals(4, SPLIT_EDGE)
+    monkeypatch.setattr(rng, "_fill", fill)
+    assert np.array_equal(rng.normals(4, SPLIT_EDGE), box_muller_reference([4], SPLIT_EDGE)[0])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+def test_a_forked_child_draws_again(monkeypatch):
+    fills = spy_fills(monkeypatch, 2)
+
+    def digest():
+        return hashlib.sha256(rng.normals(8, 3 * SPLIT_EDGE + 1).tobytes()).hexdigest()
+
+    want = digest()
+    assert len(set(fills)) == 2  # the worker thread exists
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: only this thread survives the fork
+        code = 1
+        try:
+            os.write(write, digest().encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    try:
+        ready = select.select([read], [], [], 60.0)[0]
+        got = os.read(read, 64).decode() if ready else "timed out"
+    finally:
+        os.close(read)
+        if not ready:
+            os.kill(pid, 9)
+        _, status = os.waitpid(pid, 0)
+    assert got == want
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_concurrent_callers_get_the_serial_values(monkeypatch):
+    # more callers than cores, all sharing the one worker
+    seeds = [rng.derive(31, i) for i in range(4)]
+    counts = (SPLIT_EDGE + 1, 3 * SPLIT_EDGE, 1001)
+    monkeypatch.setattr(rng, "_cpus", lambda: 1)
+    want = {(s, c): rng.normals(s, c).tobytes() for s in seeds for c in counts}
+    monkeypatch.setattr(rng, "_cpus", lambda: 2)
+    got, start = {}, threading.Barrier(len(seeds))
+
+    def caller(seed):
+        start.wait()
+        for _ in range(3):
+            for c in counts:
+                got.setdefault((seed, c), set()).add(rng.normals(seed, c).tobytes())
+
+    threads = [threading.Thread(target=caller, args=(s,)) for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {key: {value} for key, value in want.items()}
 
 
 def test_derive_is_order_and_seed_sensitive():
@@ -218,7 +362,10 @@ def test_trial_stream_tags_are_defined_once_in_rng():
 def stream_corpus():
     """Bytes of every rng entry point over a fixed corpus: derive with 0-4
     words (negative seeds and words, words of 64 bits and more), derive_vec
-    in both argument orders and on two ints, and draws at the tile edges."""
+    in both argument orders and on two ints, and draws at the edges of
+    2**13-pair tiles, whose sizes are literals so that the corpus does not
+    follow rng._TILE."""
+    edge = 2 * 2**13
     ints = (0, 1, 42, 2**63, MASK, 2**64, 2**70 + 9, -1, -12345, -(2**70) - 3)
     cases = [(s, ints[i : i + k]) for s in ints for i in range(len(ints)) for k in range(5)]
     gen = random.Random(20261019)
@@ -233,14 +380,14 @@ def stream_corpus():
     for a, b in ((7, arange), (arange, 7), (-3, wide), (wide, 2**64 + 5), (5, 9),
                  (-1, MASK), (wide[:, None], arange[None, :10])):
         yield np.asarray(rng.derive_vec(a, b), dtype=np.uint64).tobytes()
-    for count in (0, 1, 2, 3, TILE_EDGE - 1, TILE_EDGE, TILE_EDGE + 1):
+    for count in (0, 1, 2, 3, edge - 1, edge, edge + 1):
         for seed in (0, MASK, -5, rng.derive(9, rng.X_STREAM)):
             yield rng.raw_words(seed, count).tobytes()
             yield rng.uniforms(seed, count).tobytes()
             yield rng.normals(seed, count).tobytes()
-    seeds = rng.derive_vec(17, np.arange(rng._TILE + 3, dtype=np.uint64))
-    for count, rows in ((0, 3), (1, rng._TILE + 1), (2, rng._TILE + 3), (1000, 17),
-                        (TILE_EDGE, 2), (TILE_EDGE + 2, 2)):
+    seeds = rng.derive_vec(17, np.arange(2**13 + 3, dtype=np.uint64))
+    for count, rows in ((0, 3), (1, 2**13 + 1), (2, 2**13 + 3), (1000, 17),
+                        (edge, 2), (edge + 2, 2)):
         yield rng.uniforms_grid(seeds[:rows], count).tobytes()
         yield rng.normals_grid(seeds[:rows], count).tobytes()
 
