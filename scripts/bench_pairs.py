@@ -7,7 +7,8 @@ Both directories are checkouts holding src/, bench/ and BENCHMARK.json;
 each run executes `bench/run.py` inside its checkout, so this script only
 invokes the benchmark and never imports it. Pair k runs every workload
 of the change's BENCHMARK.json at seed k for its `run_seconds`, parent
-first when k is odd, for k = 1..10. Pair 1 also runs each side once with
+first when k is odd, for k = 1..10. Before pair 1 both checkouts' src/
+is byte-compiled, so that no run of either side compiles it from source. Pair 1 also runs each side once with
 --trace 1, in the same order, for the per-layer metrics; those lines go
 under `traced`. Every run's two stdout lines (detail, result) are kept as
 printed, and the summary reads the untraced pairs alone. The
@@ -51,6 +52,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     if proc.returncode != 0 or len(lines) < 2:
         return {"returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
     return {"result": json.loads(lines[-1]), "detail": json.loads(lines[-2])}
+
+
+def compile_sources(checkout: Path) -> None:
+    """Byte-compile the checkout's src/ with this interpreter, which runs it."""
+    argv = [sys.executable, "-m", "compileall", "-q", str(checkout / "src")]
+    subprocess.run(argv, check=True, capture_output=True)
 
 
 def quartiles(values: list[float]) -> dict:
@@ -104,6 +111,8 @@ def main(argv: list[str] | None = None) -> int:
     declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds, simd = declared["run_seconds"], simd_found()
     pairs, traced, ok = [], [], True
+    for checkout in (args.parent, args.change):
+        compile_sources(checkout)
     for workload in (w["name"] for w in declared["workloads"]):
         for k in range(1, PAIRS + 1):
             order = ["parent", "change"] if k % 2 else ["change", "parent"]
@@ -131,7 +140,9 @@ def main(argv: list[str] | None = None) -> int:
             "first. Every run's two stdout lines (detail, result) are kept as printed; "
             "the summary is computed from their metrics (median and inclusive "
             "quartiles). Pair 1 of each workload also ran each side once with --trace 1, "
-            "in that pair's order; those lines are under traced. " + args.note
+            "in that pair's order; those lines are under traced. Before pair 1 "
+            "both checkouts' src/ was byte-compiled (python -m compileall), so no run "
+            "compiled the package from source. " + args.note
         ).strip(),
         "command": "python3 bench/run.py --workload <w> --seed <pair> "
                    f"--seconds {seconds:g} --trace 0",

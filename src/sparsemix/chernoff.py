@@ -13,20 +13,20 @@ Everything is accumulated in log space. The log-bound is convex in
 theta on the MGF domain, so the agnostic optimum is found by bisection
 on the sign of its slope over (0, lq_domain_limit).
 
-One rule covers the float range: a theta at which some nonempty block's
-1 - 2 g_b overflows (g_b hugely negative, at a subnormal variance or a
-theta near float max), or is NaN (theta = 0 where 2 v overflows), is
-refused. The true bound there is positive, but ln(1 - 2 g_b) is lost, and
-a log-bound of -inf would claim a misranking probability of exactly 0.
-Where every 1 - 2 g_b is finite nothing changes.
+One rule covers the float range (_in_float_range): a theta at which some
+nonempty block's 1 - 2 g_b overflows (g_b hugely negative, at a subnormal
+variance or a theta near float max), or is NaN (theta = 0 where 2 v
+overflows), is refused. The true bound there is positive, but ln(1 - 2 g_b)
+is lost, and a log-bound of -inf would claim a misranking probability of
+exactly 0. Where every 1 - 2 g_b is finite nothing changes.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,6 +70,7 @@ class ChernoffQuery:
     theta: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "setting", Setting(self.setting))
         index_fields(self, "n1", "n2", low=0, high=COUNT_MAX)
         index_fields(self, "m", low=1, high=COUNT_MAX)
         as_real(self.sigma1_sq, "sigma1_sq", positive=True)
@@ -77,12 +78,7 @@ class ChernoffQuery:
         if self.theta is None:
             object.__setattr__(self, "theta", self.default_theta())
         as_real(self.theta, "theta")
-
-        def overflows(n: int, v: float) -> bool:  # or NaN: inf * 0 at theta = 0
-            g = exponent_arg(self.setting, self.theta, self.m, v)
-            return not 1.0 - 2.0 * g < math.inf
-
-        if any(_per_block(self, overflows, False)):
+        if not _in_float_range(_blocks(self, self.theta)):
             raise ValueError("theta makes a block's 1 - 2 g overflow or read NaN")
 
     def default_theta(self) -> float:
@@ -115,24 +111,27 @@ def m_for_error_budget(delta: float, s: int) -> int:
     return int(round(m))
 
 
-def _per_block(query: ChernoffQuery, term: Callable, empty: object) -> list:
-    """term(n, v) of each block in order, or `empty` for a block without
-    rows: an empty block contributes no factor and no domain limit."""
-    return [
-        term(n, v) if n else empty
-        for n, v in ((query.n1, query.sigma1_sq), (query.n2, query.sigma2_sq))
-    ]
+def _blocks(query: ChernoffQuery, theta: float) -> list[tuple[int, float, float]]:
+    """(rows n, variance v, exponent argument g at theta) of each block with rows."""
+    pairs = ((query.n1, query.sigma1_sq), (query.n2, query.sigma2_sq))
+    return [(n, v, exponent_arg(query.setting, theta, query.m, v)) for n, v in pairs if n]
+
+
+def _in_float_range(blocks: list[tuple[int, float, float]]) -> bool:
+    """The float-range rule: every 1 - 2 g is below +inf, which NaN is not."""
+    return all(1.0 - 2.0 * g < math.inf for _, _, g in blocks)
+
+
+def _log_bound(blocks: list[tuple[int, float, float]]) -> float:
+    """-(t1 + t2) / 2, t_b = n_b ln(1 - 2 g_b) or 0.0 without rows; +inf if a g_b >= 1/2."""
+    terms = [n * math.log1p(-2.0 * g) if g < 0.5 else -math.inf for n, _, g in blocks]
+    t1, t2, *_ = terms + [0.0, 0.0]
+    return -0.5 * (t1 + t2)
 
 
 def chernoff_log_bound(query: ChernoffQuery) -> float:
     """ln of the misranking bound at the query's theta; +inf off-domain."""
-
-    def log_mgf(n: int, v: float) -> float:  # n ln(1 - 2 g); -inf off-domain
-        g = exponent_arg(query.setting, query.theta, query.m, v)
-        return n * math.log1p(-2.0 * g) if g < 0.5 else -math.inf
-
-    block1, block2 = _per_block(query, log_mgf, 0.0)
-    return -0.5 * (block1 + block2)
+    return _log_bound(_blocks(query, query.theta))
 
 
 def chernoff_bound(query: ChernoffQuery) -> float:
@@ -162,7 +161,7 @@ def lq_domain_limit(query: ChernoffQuery) -> float:
     """
     m, agnostic = query.m, query.setting is Setting.AGNOSTIC
 
-    def root(n: int, v: float) -> float:
+    def root(v: float) -> float:
         scale = v if agnostic else 1.0
         disc = m * m + 4.0 * m * v
         if disc == math.inf:  # m + S = (1 + m / S) S with S = 2 sqrt(m) sqrt(v) t
@@ -170,8 +169,7 @@ def lq_domain_limit(query: ChernoffQuery) -> float:
             return (1.0 + a / (2.0 * b * t)) * t * (b / scale) / (2.0 * a)
         return (m + math.sqrt(disc)) / (4.0 * m * scale)
 
-    roots = _per_block(query, root, None)
-    return min((r for r in roots if r is not None), default=math.inf)
+    return min((root(v) for _, v, _ in _blocks(query, query.theta)), default=math.inf)
 
 
 def _log_bound_slope(query: ChernoffQuery, theta: float) -> float:
@@ -182,15 +180,11 @@ def _log_bound_slope(query: ChernoffQuery, theta: float) -> float:
     which rounding can give at the domain's edge, and where its 1 - 2 g_b
     overflows, so that the bisection never leaves the float range either.
     """
-
-    def term(n: int, v: float) -> float:
-        d = 1.0 - 2.0 * exponent_arg(Setting.AGNOSTIC, theta, query.m, v)
-        if not 0.0 < d < math.inf:
-            return math.inf
-        return n * query.m * (4.0 * (v * theta) - 1.0) / d
-
-    block1, block2 = _per_block(query, term, 0.0)
-    return block1 + block2
+    slope = 0.0
+    for n, v, g in _blocks(query, theta):
+        d = 1.0 - 2.0 * g
+        slope += n * query.m * (4.0 * (v * theta) - 1.0) / d if 0.0 < d < math.inf else math.inf
+    return slope
 
 
 def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
@@ -206,27 +200,23 @@ def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
     A limit past float max (a variance so small that the root overflows)
     is cut to float max. Where a block's 1 - 2 g overflows the slope reads
     +inf, so the bracket closes on the last theta in the float range, and
-    a point that ChernoffQuery refuses does not compete. Without rows
-    the bound is 1 at every theta and the relaxed point stands alone.
+    a point that ChernoffQuery refuses does not compete. Without rows the
+    slope and log-bound are 0 everywhere, so the relaxed point wins the tie.
     """
     if query.setting is not Setting.AGNOSTIC:
         raise ValueError("theta optimization applies to the agnostic setting")
     relaxed = query.default_theta()
     lo, hi = 0.0, min(lq_domain_limit(query), sys.float_info.max)
-    if not any(_per_block(query, lambda n, v: True, False)):
-        hi = 0.0  # no rows: nothing to bracket
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if _log_bound_slope(query, mid) < 0.0:
             lo = mid
         else:
             hi = mid
     best = OptimalTheta(relaxed, math.inf)
-    # an end off the domain has log-bound +inf and never wins
+    # an end off the domain, or one ChernoffQuery refuses, scores +inf and never wins
     for t in (relaxed, lo, hi):
-        try:
-            lb = chernoff_log_bound(replace(query, theta=t))
-        except ValueError:  # refused by ChernoffQuery
-            continue
+        blocks = _blocks(query, t)
+        lb = _log_bound(blocks) if _in_float_range(blocks) else math.inf
         if lb < best.log_bound:
             best = OptimalTheta(t, lb)
     return best

@@ -21,10 +21,10 @@ import sys
 from . import chernoff, decoders, harness, lasso, planner
 from .errors import COUNT_MAX, DegenerateInstanceError, ResourceCapError, as_index
 from .model import (
-    MAX_DESIGN_ENTRIES,
     NoiseProfile,
     Setting,
     SparseSignal,
+    check_design_cap,
     generate_dataset,
     load_dataset,
     save_dataset,
@@ -53,14 +53,10 @@ def _emit(obj) -> None:
 
 
 def _default_support(s: int, p: int, rows: int) -> tuple[int, ...]:
-    """The default support (0, ..., s - 1), built only once s lies in [1, p]
-    and a rows x p design fits MAX_DESIGN_ENTRIES (ResourceCapError); the
-    cap lies below COUNT_MAX, so it bounds p too."""
+    """The default support (0, ..., s - 1), built once s lies in [1, p] and
+    check_design_cap passes; that cap lies below COUNT_MAX, so it bounds p too."""
     s = as_index(s, "s", low=1, high=as_index(p, "p", low=1))
-    if rows * p > MAX_DESIGN_ENTRIES:
-        raise ResourceCapError(
-            f"a {rows} x {p} design is above the cap of {MAX_DESIGN_ENTRIES} entries"
-        )
+    check_design_cap(rows, p, s)
     return tuple(range(s))
 
 

@@ -62,6 +62,7 @@ from .model import MixedDataset, Setting
 __all__ = [
     "DecodeResult",
     "EXHAUSTIVE_CAP",
+    "exhaustive_candidates",
     "support_loss",
     "decode_exhaustive",
     "decode_local_search",
@@ -233,19 +234,18 @@ def _pair_scores(H: np.ndarray, cands: np.ndarray) -> np.ndarray:
 def _support_table(p: int, s: int) -> np.ndarray:
     """Every size-s support of range(p), one row each, in lexicographic order."""
     combos = itertools.chain.from_iterable(itertools.combinations(range(p), s))
-    table = np.fromiter(combos, np.intp, count=math.comb(p, s) * s).reshape(-1, s)
+    table = np.fromiter(combos, np.intp).reshape(-1, s)
     table.flags.writeable = False
     return table
 
 
-def _support_blocks(p: int, s: int, rows: int) -> Iterator[np.ndarray]:
+def _support_blocks(p: int, s: int, total: int, rows: int) -> Iterator[np.ndarray]:
     """The size-s supports of range(p) in lexicographic order, `rows` at a time.
 
-    A table of at most _CHUNK_ENTRIES // 8 entries is built once per
-    (p, s) and cached; a larger one is streamed, so a scan holds one
-    block of it at a time.
+    total is their count, C(p, s). A table of at most _CHUNK_ENTRIES // 8
+    entries is built once per (p, s) and cached; a larger one is streamed,
+    so a scan holds one block of it at a time.
     """
-    total = math.comb(p, s)
     if total * s <= _CHUNK_ENTRIES // 8:
         table = _support_table(p, s)
         for start in range(0, total, rows):
@@ -271,6 +271,18 @@ def support_loss(
     return float(_canonical_losses(dataset, np.array([idx]), w1, w2)[0])
 
 
+def exhaustive_candidates(p: int, s: int) -> int:
+    """The count C(p, s) of size-s supports of range(p), refused above
+    EXHAUSTIVE_CAP; the product stops past the cap, so a huge p costs no C(p, s)."""
+    p = as_index(p, "p", low=0)
+    total, s = 1, as_index(s, "s", low=0, high=p)
+    for i in range(min(s, p - s)):
+        if (total := total * (p - i) // (i + 1)) > EXHAUSTIVE_CAP:  # C(p, i + 1)
+            raise ResourceCapError(f"C({p}, {s}) candidate supports exceed the cap of "
+                                   f"{EXHAUSTIVE_CAP}; use local search instead")
+    return total
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def decode_exhaustive(
     dataset: MixedDataset, s: int, setting: Setting
@@ -290,12 +302,7 @@ def decode_exhaustive(
     """
     p = dataset.p
     s = as_index(s, "s", low=1, high=p)
-    total = math.comb(p, s)
-    if total > EXHAUSTIVE_CAP:
-        raise ResourceCapError(
-            f"{total} candidate supports exceed the cap of {EXHAUSTIVE_CAP}; "
-            "use decode_local_search instead"
-        )
+    total = exhaustive_candidates(p, s)
     w1, w2 = dataset.noise.block_weights(setting)
     H = None
     if p * p <= _CHUNK_ENTRIES:
@@ -306,7 +313,7 @@ def decode_exhaustive(
     low = math.inf
     chunk = max(16, min(4096, _CHUNK_ENTRIES // max(1, s * dataset.n)))
     best = None
-    for cands in _support_blocks(p, s, chunk):
+    for cands in _support_blocks(p, s, total, chunk):
         if H is not None:
             (keep,), low = _screen(_pair_scores(H, cands), margin, low)
             if keep.size == 0:

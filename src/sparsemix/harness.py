@@ -15,13 +15,13 @@ import time
 from dataclasses import dataclass, fields
 
 from . import decoders, lasso, planner, rng
-from .errors import InvalidConfigError, ResourceCapError, SparsemixError
+from .errors import InvalidConfigError, SparsemixError
 from .errors import COUNT_MAX, as_index, as_real, index_fields
 from .model import (
-    MAX_DESIGN_ENTRIES,
     NoiseProfile,
     Setting,
     SparseSignal,
+    check_design_cap,
     fmt_float,
     generate_dataset,
     sign_mismatches,
@@ -56,9 +56,9 @@ class ExperimentConfig:
     lambda_value, or lasso.lambda_schedule when that is None; combinatorial
     decoders use the all-ones signal and judge recovery by the delta
     budget (symmetric difference below 2*delta*s). A config that would
-    fail every trial is refused here: ResourceCapError when a scan
-    decoder meets more than decoders.EXHAUSTIVE_CAP candidates or a grid
-    point needs more than model.MAX_DESIGN_ENTRIES design entries, and
+    fail every trial is refused here: ResourceCapError where
+    decoders.exhaustive_candidates refuses a scan decoder's count or
+    model.check_design_cap a grid point's design or the support, and
     InvalidConfigError when the schedule refuses a grid point (p - s < 2,
     or zero average noise variance).
     """
@@ -97,24 +97,15 @@ class ExperimentConfig:
         if self.lambda_value is not None:
             as_real(self.lambda_value, "lambda_value")
         if self.decoder in (DecoderKind.AGNOSTIC_SCAN, DecoderKind.INFORMED_MLE):
-            if math.comb(self.p, self.s) > decoders.EXHAUSTIVE_CAP:
-                raise ResourceCapError(
-                    "candidate count exceeds the exhaustive cap, "
-                    "choose the LocalSearch decoder for this size"
-                )
+            decoders.exhaustive_candidates(self.p, self.s)
         for noise in noises:
-            point = (noise.n1, noise.n2)
-            if noise.n * self.p > MAX_DESIGN_ENTRIES:
-                raise ResourceCapError(
-                    f"grid point {point} needs {noise.n * self.p} design "
-                    f"entries, above the cap of {MAX_DESIGN_ENTRIES}"
-                )
+            check_design_cap(noise.n, self.p, self.s)
             if self.decoder is DecoderKind.LASSO:
                 try:
                     _lasso_penalty(self, noise)
                 except ValueError as exc:
                     raise InvalidConfigError(
-                        f"grid point {point}: {exc}; set lambda_value"
+                        f"grid point {(noise.n1, noise.n2)}: {exc}; set lambda_value"
                     ) from exc
 
 

@@ -118,6 +118,10 @@ def _objective(resid: np.ndarray, beta: np.ndarray, lam: float) -> float:
     return 0.5 * float(resid @ resid) / len(resid) + lam * float(np.abs(beta).sum())
 
 
+def _rose(obj: float, prev: float) -> bool:
+    return obj > prev + 1e-10 * (1.0 + abs(prev))  # by more than rounding
+
+
 def _sign_pattern_solution(
     X: np.ndarray, Y: np.ndarray, signs: np.ndarray, lam: float
 ) -> np.ndarray | None:
@@ -201,8 +205,8 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
     a pass that moved nothing by tol converges.
     A signed active set unchanged over two passes gets one exact finish:
     the next pass solves its stationarity equations and takes the result
-    unless a sign breaks or the objective would rise, then runs the check.
-    An objective rise across a pass, read from the maintained r, raises
+    unless a sign breaks or the objective would rise (_rose), then runs the check.
+    An objective rise across a pass (_rose), read from the maintained r, raises
     SparsemixError; every pass counts against max_sweeps, and hitting it
     sets converged=False. Only the check, a finish candidate and the
     returned objective form r from scratch (_residual), and none of them
@@ -225,7 +229,7 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
             tried, max_delta = signs, math.inf
             if exact is not None:
                 fresh = _residual(X, Y, exact)
-                if _objective(fresh, exact, lam) <= prev_obj:
+                if not _rose(_objective(fresh, exact, lam), prev_obj):
                     beta, resid, max_delta, scratch = exact, fresh, 0.0, True
                     coords = np.flatnonzero(exact)
         else:
@@ -244,7 +248,7 @@ def solve_lasso(dataset: MixedDataset, config: LassoConfig) -> LassoSolution:
                     max_delta = max(max_delta, abs(d))
                     scratch = False
         obj = _objective(resid, beta, lam)
-        if obj > prev_obj + 1e-10 * (1.0 + abs(prev_obj)):
+        if _rose(obj, prev_obj):
             raise SparsemixError(
                 f"objective rose from {prev_obj!r} to {obj!r} on sweep {sweeps}"
             )

@@ -31,6 +31,7 @@ __all__ = [
     "REGIME_HIGH",
     "REGIME_LOW",
     "MAX_DESIGN_ENTRIES",
+    "check_design_cap",
     "validate_variances",
     "generate_dataset",
     "snr_report",
@@ -217,6 +218,16 @@ class SnrReport:
     regime: Regime = field(compare=False)
 
 
+def check_design_cap(rows: int, p: int, s: int) -> None:
+    """Refuse, before anything that size is built, a rows x p design above
+    MAX_DESIGN_ENTRIES entries or s support indices whose tuples outgrow it."""
+    rows, p, s = (as_index(v, k, low=0) for k, v in (("rows", rows), ("p", p), ("s", s)))
+    most = 8 * MAX_DESIGN_ENTRIES // 70  # about 70 B per index and value in tuples
+    if rows * p > MAX_DESIGN_ENTRIES or s > most:
+        raise ResourceCapError(f"a {rows} x {p} design with {s} support indices is above "
+                               f"the cap of {MAX_DESIGN_ENTRIES} entries and {most} indices")
+
+
 def generate_dataset(
     signal: SparseSignal, noise: NoiseProfile, seed: int
 ) -> MixedDataset:
@@ -225,14 +236,10 @@ def generate_dataset(
     Entirely deterministic in (signal, noise, seed): X is filled row-major
     from substream derive(seed, rng.X_STREAM) and the standardized noise
     vector from derive(seed, rng.NOISE_STREAM), then scaled per block.
-    Raises ResourceCapError, before allocating, when the design would hold
-    more than MAX_DESIGN_ENTRIES entries.
+    Raises ResourceCapError, before allocating, where check_design_cap does.
     """
     seed, n, p = as_index(seed, "seed"), noise.n, signal.p
-    if n * p > MAX_DESIGN_ENTRIES:
-        raise ResourceCapError(
-            f"design would hold {n * p} entries, above the cap of {MAX_DESIGN_ENTRIES}"
-        )
+    check_design_cap(n, p, signal.s)
     X = rng.normals(rng.derive(seed, rng.X_STREAM), n * p).reshape(n, p)
     w = rng.normals(rng.derive(seed, rng.NOISE_STREAM), n)
     z = w * np.sqrt(noise.row_variances())

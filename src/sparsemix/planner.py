@@ -185,6 +185,8 @@ def exponent_arg(setting: Setting, theta: float, m: float, v: float) -> float:
 
 def relaxed_theta(setting: Setting, sigma2_sq: float) -> float:
     """The relaxed evaluation point: 1/(4 sigma2_sq) agnostic, exactly 1/4 informed."""
+    if not isinstance(setting, Setting):
+        raise ValueError(f"unknown setting: {setting!r}")
     return 1.0 / (4.0 * sigma2_sq) if setting is Setting.AGNOSTIC else 0.25
 
 

@@ -114,7 +114,9 @@ def _unit(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     double exactly, and faster than uint64 does.
     """
     w >>= 11
-    out = np.add(w.view(np.int64), 0.5, out=out)
+    out = np.empty(w.shape) if out is None else out
+    np.copyto(out, w.view(np.int64))  # a ufunc taking the view would buffer the cast
+    out += 0.5
     out *= _TWO_NEG53
     return out
 

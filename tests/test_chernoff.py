@@ -22,6 +22,7 @@ from sparsemix import (
     m_for_error_budget,
     optimal_theta_agnostic,
     pair_coefficients,
+    planner,
     wilson_ci95,
 )
 
@@ -507,6 +508,24 @@ def test_query_validation():
     for kw in (dict(n1=2.5), dict(n2=3.0), dict(m=2.5), dict(m="2")):
         with pytest.raises(ValueError, match="must be an integer"):
             query(**kw)
+
+
+def test_setting_strings_dispatch_through_the_enum():
+    # a setting's value names it: without rows "Agnostic" held the informed
+    # point 1/4, and with rows it was refused as an unknown setting
+    assert ChernoffQuery("Agnostic", 0, 0, 1.0, 2.0, 2).theta == 0.125
+    named = ChernoffQuery("Agnostic", 3, 5, 1.0, 2.0, 2)
+    assert named.setting is Setting.AGNOSTIC
+    assert named == ChernoffQuery(Setting.AGNOSTIC, 3, 5, 1.0, 2.0, 2)
+    assert chernoff_log_bound(named) == chernoff_log_bound(
+        ChernoffQuery(Setting.AGNOSTIC, 3, 5, 1.0, 2.0, 2))
+    assert ChernoffQuery("Informed", 3, 5, 1.0, 2.0, 2).theta == 0.25
+    for setting in ("agnostic", "Neither", None):
+        with pytest.raises(ValueError, match="is not a valid Setting"):
+            ChernoffQuery(setting, 3, 5, 1.0, 2.0, 2)
+    for setting in ("Agnostic", "Informed", None):
+        with pytest.raises(ValueError, match="^unknown setting: "):
+            planner.relaxed_theta(setting, 2.0)
 
 
 def test_query_refuses_non_finite_variances():

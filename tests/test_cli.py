@@ -561,3 +561,63 @@ def test_counts_past_the_float_range_exit_2_naming_the_argument(tmp_path, capsys
     assert main([a.format(out=tmp_path / "out") for a in argv]) == 2
     assert capsys.readouterr().err.startswith(f"error: {arg} must be an integer in [")
     assert not (tmp_path / "out").exists()
+
+
+# (p, s, n1, n2, cap): the least MAX_DESIGN_ENTRIES that passes; the first
+# case is bound by the 16 x 10 design, the second by its 4 support indices
+DESIGN_CAP_CASES = [(10, 2, 8, 8, 160), (5, 4, 1, 0, 35)]
+
+
+@pytest.mark.parametrize("p, s, n1, n2, cap", DESIGN_CAP_CASES)
+def test_one_design_cap_moves_every_refusal(tmp_path, monkeypatch, capsys, p, s, n1, n2, cap):
+    # generate_dataset, ExperimentConfig, gen and bound read model's cap when called
+    signal = sparsemix.SparseSignal(p=p, support=tuple(range(s)), values=(1.0,) * s)
+    noise = sparsemix.NoiseProfile(n1=n1, n2=n2, sigma1_sq=0.25, sigma2_sq=1.0)
+    config = dict(decoder="LocalSearch", p=p, s=s, rho=1.0, sigma1_sq=0.25,
+                  sigma2_sq=1.0, grid=[(n1, n2)], trials=1)
+    # bound checks one row of its p columns: --p n p gives it the same design size
+    bound = ["bound", "--n1", "2", "--n2", "2", "--m", "2", *VARIANCES,
+             "--mc-trials", "10", "--s", str(s), "--p", str((n1 + n2) * p)]
+    for cap, refused in ((cap, False), (cap - 1, True)):
+        monkeypatch.setattr(sparsemix.model, "MAX_DESIGN_ENTRIES", cap)
+        for call in (lambda: sparsemix.generate_dataset(signal, noise, 0),
+                     lambda: sparsemix.ExperimentConfig(**config)):
+            if refused:
+                with pytest.raises(sparsemix.ResourceCapError):
+                    call()
+            else:
+                call()
+        gen = gen_args(str(tmp_path / f"gen{cap}"), p=p, s=s, n1=n1, n2=n2)
+        for argv in (gen, bound):
+            assert main(argv) == (3 if refused else 0), (argv[0], cap)
+    capsys.readouterr()
+
+
+def limited_run(argv, limit=1_500_000_000):
+    """Run the CLI in a child process that caps its own address space."""
+    code = ("import resource, sys; from sparsemix.cli import main; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+            f"sys.exit(main({argv!r}))")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+
+
+def test_supports_past_the_cap_are_refused_before_they_are_built(tmp_path):
+    # each of these would build a tuple of 10**8 ints, which a 1.5 GB
+    # address space cannot hold
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps(
+        {"decoder": "LocalSearch", "p": 10**8, "s": 10**8 - 1, "rho": 1.0,
+         "sigma1_sq": 0.25, "sigma2_sq": 1.0, "grid": [[1, 0]], "trials": 1}))
+    commands = [
+        ["bound", "--n1", "2", "--n2", "2", *VARIANCES, "--m", "2",
+         "--mc-trials", "10", "--s", "99999999"],
+        ["gen", "--p", str(10**8), "--s", str(10**8), "--n1", "1", "--n2", "0",
+         *VARIANCES, "--out", str(tmp_path / "gen")],
+        ["sweep", "--config", str(config), "--out", str(tmp_path / "sweep")],
+    ]
+    for argv in commands:
+        proc = limited_run(argv)
+        assert proc.returncode == 3, (argv[0], proc.stderr[-2000:])
+        assert proc.stderr.startswith("error: ") and "MemoryError" not in proc.stderr
+    assert not any(tmp_path.glob("gen*")) and not (tmp_path / "sweep").exists()

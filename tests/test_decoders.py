@@ -167,6 +167,22 @@ def test_column_permutation_equivariance():
     assert math.isclose(moved.loss, base.loss, rel_tol=1e-12)
 
 
+def test_candidate_count_is_the_binomial_until_the_cap(monkeypatch):
+    monkeypatch.setattr(decoders, "EXHAUSTIVE_CAP", 10**6)
+    for p in range(0, 40):
+        for s in range(0, p + 1):
+            if math.comb(p, s) <= decoders.EXHAUSTIVE_CAP:
+                assert decoders.exhaustive_candidates(p, s) == math.comb(p, s)
+            else:
+                with pytest.raises(ResourceCapError, match=rf"^C\({p}, {s}\) candidate"):
+                    decoders.exhaustive_candidates(p, s)
+    # a count past the cap is refused without forming it: C(10**8, 5 * 10**7)
+    # has 30 million digits, and forming C(10**6, 5 * 10**5) took seconds
+    with pytest.raises(ResourceCapError):
+        decoders.exhaustive_candidates(10**8, 5 * 10**7)
+    assert decoders.exhaustive_candidates(10**8, 10**8) == 1
+
+
 def test_exhaustive_cap_mentions_local_search(monkeypatch):
     ds = binary_dataset(30, (0, 1), 5, 5, 0.5, 1.0, seed=1)
     with pytest.raises(ResourceCapError) as info:

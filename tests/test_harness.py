@@ -11,7 +11,12 @@ from sparsemix import (
     DecoderKind,
     ExperimentConfig,
     InvalidConfigError,
+    NoiseProfile,
     ResourceCapError,
+    Setting,
+    SparseSignal,
+    decoders,
+    generate_dataset,
     emit_outputs,
     run_sweep,
     summarize,
@@ -119,6 +124,24 @@ def test_combinatorial_configs_respect_the_exhaustive_cap():
         decoder="LocalSearch", p=30, s=15, rho=1.0, sigma1_sq=0.5,
         sigma2_sq=1.0, grid=[(20, 20)], trials=1,
     )
+
+
+def test_one_scan_cap_moves_the_config_and_the_decoder_together(monkeypatch):
+    # ExperimentConfig and decode_exhaustive read decoders.EXHAUSTIVE_CAP when called
+    ds = generate_dataset(SparseSignal(p=8, support=(0, 1), values=(1.0, 1.0)),
+                          NoiseProfile(n1=3, n2=3, sigma1_sq=0.5, sigma2_sq=1.0), 0)
+    for cap, refused in ((28, False), (27, True)):  # C(8, 2) = 28 candidates
+        monkeypatch.setattr(decoders, "EXHAUSTIVE_CAP", cap)
+        for call in (lambda: tiny_config(),
+                     lambda: decoders.decode_exhaustive(ds, 2, Setting.AGNOSTIC)):
+            if refused:
+                with pytest.raises(ResourceCapError, match="use local search"):
+                    call()
+            else:
+                call()
+    # a count past the cap is refused at once, not formed: C(10**8, 5 * 10**7)
+    with pytest.raises(ResourceCapError):
+        tiny_config(p=10**8, s=5 * 10**7, grid=[(1, 0)])
 
 
 def test_configs_that_fail_every_trial_are_refused():

@@ -279,7 +279,8 @@ def unscreened_solve(ds, config):
             tried, max_delta = signs, math.inf
             if exact is not None:
                 fresh = lasso_mod._residual(X, Y, exact)
-                if lasso_mod._objective(fresh, exact, lam) <= prev_obj:
+                finish_obj = lasso_mod._objective(fresh, exact, lam)
+                if finish_obj <= prev_obj + 1e-10 * (1.0 + abs(prev_obj)):
                     beta, resid, max_delta = exact, fresh, 0.0
                     coords = np.flatnonzero(exact)
         else:

@@ -45,7 +45,7 @@ from sparsemix import (
     snr_report,
     wilson_ci95,
 )
-from sparsemix import errors, model, rng
+from sparsemix import decoders, errors, model, rng
 
 AGNOSTIC = Setting.AGNOSTIC
 REGIME = RegimeSpec(Growth.SUBLINEAR, p=100, s=8)
@@ -87,6 +87,9 @@ REFUSALS = [
     ("model.NoiseProfile", "n1", lambda: noise(n1=-1)),
     ("model.NoiseProfile", "n2", lambda: noise(n2=-1)),
     ("model.generate_dataset", "seed", lambda: generate_dataset(signal(), noise(), 1.5)),
+    ("model.check_design_cap", "rows", lambda: model.check_design_cap(1.5, 10, 2)),
+    ("model.check_design_cap", "p", lambda: model.check_design_cap(1, 10.5, 2)),
+    ("model.check_design_cap", "s", lambda: model.check_design_cap(1, 10, -1)),
     ("model.snr_report", "s", lambda: snr_report(2.5, noise())),
     ("model.wilson_ci95", "successes", lambda: wilson_ci95(2.5, 10)),
     ("model.wilson_ci95", "trials", lambda: wilson_ci95(3, 10.5)),
@@ -120,6 +123,8 @@ REFUSALS = [
     ("planner.sample_frontier", "s",
      lambda: sample_frontier(AGNOSTIC, 1.0, 4.0, 8.0, 0.5, 0.0, REGIME, [0])),
     ("decoders.decode_exhaustive", "s", lambda: decode_exhaustive(dataset(), 0, AGNOSTIC)),
+    ("decoders.exhaustive_candidates", "p", lambda: decoders.exhaustive_candidates(-1, 0)),
+    ("decoders.exhaustive_candidates", "s", lambda: decoders.exhaustive_candidates(10, 11)),
     ("decoders.decode_local_search", "s",
      lambda: decode_local_search(dataset(), 7, AGNOSTIC)),
     ("decoders.decode_local_search", "restarts",

@@ -160,6 +160,26 @@ def test_normals_allocate_little_beyond_their_output():
         assert peak <= limit * out.nbytes
 
 
+def test_a_tile_allocates_no_cast_buffer(monkeypatch):
+    # _unit casts a tile's words to doubles by np.copyto; np.add on their
+    # int64 view allocated a 64 KB cast buffer in every tile
+    monkeypatch.setattr(rng, "_cpus", lambda: 1)  # one thread fills the tile
+    seeds = rng.derive_vec(5, np.arange(819, dtype=np.uint64))
+    for draw, pairs in (
+        (lambda: rng.normals(3, 2 * rng._TILE), rng._TILE),
+        (lambda: rng.normals_grid(seeds, 40), 819 * 20),
+    ):
+        draw()
+        tracemalloc.start()
+        try:
+            out = draw()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beyond the output: the tile's uint64 and float64 buffers, 2 words per pair
+        assert peak - out.nbytes - 32 * pairs < 32 * 1024
+
+
 def spy_fills(monkeypatch, cpus):
     """Pretend `cpus` CPUs are usable; return the list that gets the id of
     the thread of every _fill call."""
