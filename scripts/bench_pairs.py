@@ -15,7 +15,10 @@ printed, and the summary reads the untraced pairs alone. The
 summary gives, per workload and end-to-end metric, the median and the
 inclusive quartiles of each side, the pairs the change won, and whether
 the gap of the medians exceeds the parent's interquartile range; the
-items_per_s rows also carry the medians of the unscaled raw_items_per_s.
+items_per_s rows also carry the medians of the unscaled raw_items_per_s,
+the median per-pair change/parent ratio of raw_items_per_s with the pairs
+the change won on it, and the median per-pair change/parent ratio of
+reference_kernel_s, the time that scales every round.
 The file is written in any case; the exit code is 1 when a run, traced
 or not, failed or was not `correct`, else 0.
 """
@@ -92,10 +95,15 @@ def summarize(pairs: list[dict], declared: dict) -> list[dict]:
                     abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"],
             }
             if name == "items_per_s":
-                row["raw_items_per_s"] = {
-                    side: statistics.median(p[side]["detail"]["raw_items_per_s"] for p in done)
-                    for side in ("parent", "change")
-                }
+                raw, kernel = ({side: [p[side]["detail"][key] for p in done]
+                                for side in ("parent", "change")}
+                               for key in ("raw_items_per_s", "reference_kernel_s"))
+                row["raw_items_per_s"] = {side: statistics.median(v) for side, v in raw.items()}
+                row["raw_ratio_median"] = statistics.median(
+                    c / p for p, c in zip(raw["parent"], raw["change"]))
+                row["raw_change_won"] = sum(c > p for p, c in zip(raw["parent"], raw["change"]))
+                row["kernel_ratio_median"] = statistics.median(
+                    c / p for p, c in zip(kernel["parent"], kernel["change"]))
             rows.append(row)
     return rows
 

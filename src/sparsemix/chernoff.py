@@ -251,9 +251,16 @@ def empirical_misrank(
 
     Each row is drawn from 2 standard normals through the Cholesky factor
     of that covariance, so the count has exactly the law of the full-design
-    count. The factor's residual variance Var t - Cov^2 / Var d is taken
-    in Lagrange-identity form, a sum of squares that cannot go negative
-    and is exactly 0 when c and c' are parallel. A candidate equal to the
+    count. The factor reads only the swap structure: c - c' is +-1 on the
+    symmetric difference D (m indices, half of them the truth-only A) and
+    0 on the shared indices I. With u_j = (c - c')_j (c + c')_j, which is
+    2 beta_j - 1 on A and 1 on D - A, Lagrange's identity gives
+
+        Var d = m,   Cov = sum_D u_j,
+        |c + c'|^2 - Cov^2 / m = sum_D (u_j - Cov / m)^2 + sum_I (2 beta_j - 2)^2,
+
+    a sum of squares that cannot go negative and is exactly 0 in the one
+    parallel case, beta = 1 on the whole support. A candidate equal to the
     truth gives d = 0 and an estimate of exactly 1. ci95 is the Wilson 95%
     half-width (model.wilson_ci95), the interval of summary.csv's ci95.
     """
@@ -264,24 +271,15 @@ def empirical_misrank(
         raise ValueError("candidate support must hold s indices")
     w = np.repeat(noise.block_weights(setting), (noise.n1, noise.n2))
 
-    union = sorted(set(cand) | set(signal.support))
-    values = dict(zip(signal.support, signal.values))
-    beta_u = np.array([values.get(j, 0.0) for j in union])
-    coef_cand = beta_u - np.isin(union, cand)
-    coef_true = beta_u - np.isin(union, signal.support)
-    diff = coef_cand - coef_true
-    total = coef_cand + coef_true
-    var_d = float(diff @ diff)
-    if var_d > 0.0:
-        d_scale = math.sqrt(var_d)
-        t_from_d = float(diff @ total) / d_scale
-        # |a|^2 |b|^2 - (a.b)^2 = sum_{i<j} (a_i b_j - a_j b_i)^2; a = diff is 0
-        # off the symmetric difference D, so pairs leaving D add |a|^2 b_k^2
-        on = diff != 0.0
-        wedge = np.outer(diff[on], total[on])
-        wedge -= wedge.T
-        rest = total[~on]
-        t_resid = 0.5 * float(np.sum(wedge * wedge)) / var_d + float(rest @ rest)
+    beta = np.array(signal.values)
+    shared = np.isin(signal.support, cand)
+    lost = beta[~shared]  # the truth-only indices; as many are candidate-only
+    u = np.concatenate([2.0 * lost - 1.0, np.ones(lost.size)])
+    rest = 2.0 * beta[shared] - 2.0
+    if u.size:
+        cov, d_scale = float(u.sum()), math.sqrt(u.size)
+        dev = u - cov / u.size
+        t_from_d, t_resid = cov / d_scale, float(dev @ dev) + float(rest @ rest)
     else:
         d_scale = t_from_d = t_resid = 0.0
     n = noise.n

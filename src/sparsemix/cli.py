@@ -21,6 +21,7 @@ import sys
 from . import chernoff, decoders, harness, lasso, planner
 from .errors import COUNT_MAX, DegenerateInstanceError, ResourceCapError, as_index
 from .model import (
+    JSON_ENCODER,
     NoiseProfile,
     Setting,
     SparseSignal,
@@ -48,16 +49,16 @@ def _blocks(args: argparse.Namespace) -> dict:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True, default=str)
+    sys.stdout.writelines(JSON_ENCODER.iterencode(obj))
     sys.stdout.write("\n")
 
 
-def _default_support(s: int, p: int, rows: int) -> tuple[int, ...]:
-    """The default support (0, ..., s - 1), built once s lies in [1, p] and
-    check_design_cap passes; that cap lies below COUNT_MAX, so it bounds p too."""
+def _support_size(s: int, p: int, rows: int) -> int:
+    """s, once it lies in [1, p] and check_design_cap passes for a rows x p
+    design; that cap lies below COUNT_MAX, so it bounds p too."""
     s = as_index(s, "s", low=1, high=as_index(p, "p", low=1))
     check_design_cap(rows, p, s)
-    return tuple(range(s))
+    return s
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -65,7 +66,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.support is not None:
         support = tuple(_list(args.support, int))
     else:
-        support = _default_support(args.s, args.p, noise.n)
+        support = tuple(range(_support_size(args.s, args.p, noise.n)))
     if args.values is not None:
         values = tuple(_list(args.values, float))
     else:
@@ -168,7 +169,7 @@ def _cmd_lasso(args: argparse.Namespace) -> int:
     sol = lasso.solve_lasso(
         dataset, lasso.LassoConfig(lam=lam, tol=args.tol, max_sweeps=args.max_sweeps)
     )
-    nonzero = [int(j) for j in range(dataset.p) if sol.beta[j] != 0.0]
+    nonzero = sol.beta.nonzero()[0].tolist()
     out: dict = {
         "lam": lam,
         "objective": sol.objective,
@@ -220,14 +221,15 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     if args.mc_trials is not None:
         if m % 2 != 0:
             raise ValueError("Monte Carlo checks need an even m")
-        # the candidate swaps m/2 of the s support indices for ones past s
+        # only the m swapped indices are sampled: shared unit ones leave the estimate as is
         s = as_index(m if args.s is None else args.s, "s", low=m // 2, high=COUNT_MAX)
         p = args.p if args.p is not None else s + m // 2
-        signal = SparseSignal(p=p, support=_default_support(s, p, 1), values=(1.0,) * s)
-        candidate = tuple(range(m // 2, s)) + tuple(range(s, s + m // 2))
+        if _support_size(s, p, 1) + m // 2 > p:
+            raise ValueError(f"p must be at least s + m/2 = {s + m // 2}: {p}")
+        signal = SparseSignal(p=m, support=tuple(range(m // 2)), values=(1.0,) * (m // 2))
         noise = NoiseProfile(**_blocks(args))
         est = chernoff.empirical_misrank(
-            signal, noise, candidate, args.mc_trials, args.seed, setting
+            signal, noise, range(m // 2, m), args.mc_trials, args.seed, setting
         )
         out["monte_carlo"] = {"trials": args.mc_trials, **est._asdict()}
     _emit(out)

@@ -338,16 +338,16 @@ def kkt_recovery_witness(
     dual_dir = u_fac @ ((1.0 / sv) * (vt @ b))
     resid_perp = (Z - u_fac @ (u_fac.T @ Z)) / n
     w = lam * dual_dir + resid_perp
-    on_support = set(support)
-    off = [j for j in range(p) if j not in on_support]
-    v_vec = X[:, off].T @ w if off else np.empty(0)
+    off = np.ones(p, dtype=bool)
+    off[support] = False
+    v_vec = X[:, off].T @ w
 
     slack = np.abs(beta_s) - np.abs(u_vec)
     margin = lam - np.abs(v_vec)
     condition1 = bool(slack.min() > _STRICT_MARGIN)
-    condition2 = bool(margin.min() >= -_EQ_TOL) if off else True
+    condition2 = bool(margin.min() >= -_EQ_TOL) if margin.size else True
     boundary = bool(np.abs(slack).min() < 10.0 * _STRICT_MARGIN)
-    if off and np.abs(margin).min() < 10.0 * _EQ_TOL:
+    if margin.size and np.abs(margin).min() < 10.0 * _EQ_TOL:
         boundary = True
     return KktWitnessReport(
         on_support_slack=slack,

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -54,6 +54,11 @@ MAX_DESIGN_ENTRIES = 100_000_000
 _ZERO_TOL = 1e-9  # sign checks count estimate entries this close to 0 as 0
 
 _WILSON_Z = 1.959963984540054  # 97.5% normal quantile
+
+_CSV_BLOCK = 4096  # X.csv values formatted per piece of a line
+
+# the one JSON format, of stdout and meta.json alike; iterencode streams it
+JSON_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, default=str)
 
 
 class Regime(str, enum.Enum):
@@ -329,8 +334,9 @@ def wilson_ci95(successes: int, trials: int) -> float:
     return z * spread / (1.0 + z * z / trials)
 
 
-def write_lines(path: str, lines: Iterable[str]) -> None:
-    """Write UTF-8 text, one line each, with Unix newlines.
+def write_lines(path: str, lines: Iterable[str | Iterable[str]]) -> None:
+    """Write UTF-8 text, one line each, with Unix newlines; a line is a str
+    or an iterable of its pieces, written as they come.
 
     An existing file is rewritten in place and cut at the end of what was
     written, keeping its inode, mode and any symlink to it. Opening with
@@ -343,10 +349,20 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
     with open(os.open(path, flags, 0o666), "w", encoding="utf-8", newline="\n") as fh:
         try:
             for line in lines:
-                fh.write(line)
+                if isinstance(line, str):
+                    fh.write(line)
+                else:
+                    fh.writelines(line)
                 fh.write("\n")
         finally:
             fh.truncate()
+
+
+def _csv_pieces(row: np.ndarray) -> Iterator[str]:
+    """One X.csv line, the row's values joined by commas, in pieces of
+    _CSV_BLOCK values."""
+    for start in range(0, len(row), _CSV_BLOCK):
+        yield ("," if start else "") + ",".join(map(fmt_float, row[start : start + _CSV_BLOCK]))
 
 
 def save_dataset(dataset: MixedDataset, directory: str) -> list[str]:
@@ -354,7 +370,8 @@ def save_dataset(dataset: MixedDataset, directory: str) -> list[str]:
 
     X.csv is the n-by-p design, one row per line, no header; Y.csv is one
     response value per line. meta.json records the noise layout, the seed,
-    and the true support/values when present.
+    and the true support/values when present. Each file is streamed, so
+    no file's whole text, nor a whole line of X.csv, is held in memory.
     """
     os.makedirs(directory, exist_ok=True)
     meta = {
@@ -365,14 +382,14 @@ def save_dataset(dataset: MixedDataset, directory: str) -> list[str]:
         "sigma1_sq": dataset.noise.sigma1_sq,
         "sigma2_sq": dataset.noise.sigma2_sq,
         "seed": dataset.seed,
-        "support": list(dataset.signal.support) if dataset.signal is not None else None,
-        "values": list(dataset.signal.values) if dataset.signal is not None else None,
+        "support": dataset.signal.support if dataset.signal is not None else None,
+        "values": dataset.signal.values if dataset.signal is not None else None,
     }
     meta_path = os.path.join(directory, "meta.json")
     x_path = os.path.join(directory, "X.csv")
     y_path = os.path.join(directory, "Y.csv")
-    write_lines(meta_path, [json.dumps(meta, indent=2, sort_keys=True)])
-    write_lines(x_path, (",".join(map(fmt_float, row)) for row in dataset.X))
+    write_lines(meta_path, [JSON_ENCODER.iterencode(meta)])
+    write_lines(x_path, map(_csv_pieces, dataset.X))
     write_lines(y_path, map(fmt_float, dataset.Y))
     return [meta_path, x_path, y_path]
 

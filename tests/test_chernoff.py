@@ -23,6 +23,7 @@ from sparsemix import (
     optimal_theta_agnostic,
     pair_coefficients,
     planner,
+    rng,
     wilson_ci95,
 )
 
@@ -435,6 +436,39 @@ def test_empirical_misrank_matches_full_design_reference(setting, candidate):
     assert abs(est.estimate - ref) <= est.ci95 + ref_ci
 
 
+def definition_misrank(signal, noise, candidate, trials, seed, setting):
+    """Reference: the estimator with its factor taken from the definition,
+    over all p coordinates, on the estimator's own draws."""
+    cols = np.arange(signal.p)
+    c = signal.dense() - np.isin(cols, candidate)
+    c_true = signal.dense() - np.isin(cols, signal.support)
+    a, b = c - c_true, c + c_true
+    var_d, cov = float(a @ a), float(a @ b)
+    resid = max(float(b @ b) - cov * cov / var_d, 0.0) if var_d else 0.0
+    n = noise.n
+    g = rng.normals_grid(rng.derive_vec(seed, np.arange(trials, dtype=np.uint64)), 2 * n)
+    d = math.sqrt(var_d) * g[:, :n]
+    t = (cov / math.sqrt(var_d) if var_d else 0.0) * g[:, :n]
+    t += np.sqrt(resid + 4.0 * noise.row_variances()) * g[:, n:]
+    w = np.repeat(noise.block_weights(setting), (noise.n1, noise.n2))
+    return int(np.count_nonzero(np.add.reduce(w * d * t, axis=1) <= 0.0)) / trials
+
+
+@pytest.mark.parametrize("setting", [Setting.AGNOSTIC, Setting.INFORMED])
+def test_closed_form_factor_matches_its_definition(setting):
+    gen = np.random.default_rng(26)
+    for _ in range(12):
+        s = int(gen.integers(1, 9))
+        p = s + int(gen.integers(0, 9))
+        values = gen.choice([-1.0, 1.0], s) * gen.uniform(0.2, 3.0, s)
+        sig = SparseSignal(p=p, support=tuple(range(s)), values=tuple(values.tolist()))
+        cand = tuple(sorted(gen.choice(p, s, replace=False).tolist()))
+        noise = NoiseProfile(n1=int(gen.integers(1, 6)), n2=int(gen.integers(0, 6)),
+                             sigma1_sq=0.3, sigma2_sq=1.7)
+        est = empirical_misrank(sig, noise, cand, 2000, 11, setting)
+        assert est.estimate == definition_misrank(sig, noise, cand, 2000, 11, setting)
+
+
 def test_empirical_misrank_independent_of_batch_size(monkeypatch):
     sig = SparseSignal(p=7, support=(0, 1, 2), values=(1.3, -0.7, 2.0))
     noise = NoiseProfile(n1=5, n2=7, sigma1_sq=0.5, sigma2_sq=2.0)
@@ -463,6 +497,21 @@ def test_empirical_misrank_memory_does_not_grow_with_the_shared_support():
                 tracemalloc.stop()
         assert peak < 8e6
         assert estimates[0] == estimates[1]
+
+
+def test_misrank_memory_does_not_grow_with_the_square_of_the_swaps():
+    # |D| = 4000 swapped indices: a D x D product would take 128 MB
+    noise = NoiseProfile(n1=2, n2=2, sigma1_sq=1.0, sigma2_sq=2.0)
+    sig = SparseSignal(p=4000, support=tuple(range(2000)), values=(1.0,) * 2000)
+    cand = tuple(range(2000, 4000))
+    tracemalloc.start()
+    try:
+        est = empirical_misrank(sig, noise, cand, 2000, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert 0.0 <= est.estimate < 1.0
 
 
 def test_empirical_misrank_validates_candidate():

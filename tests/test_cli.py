@@ -621,3 +621,17 @@ def test_supports_past_the_cap_are_refused_before_they_are_built(tmp_path):
         assert proc.returncode == 3, (argv[0], proc.stderr[-2000:])
         assert proc.stderr.startswith("error: ") and "MemoryError" not in proc.stderr
     assert not any(tmp_path.glob("gen*")) and not (tmp_path / "sweep").exists()
+
+
+def test_monte_carlo_bounds_sample_only_the_swapped_indices(capsys):
+    # the s - m/2 shared indices leave a unit signal's estimate as it is and
+    # are never built, and no product over the m swapped ones is formed: both
+    # commands used to end in MemoryError under 1.5 GB
+    base = ["bound", "--n1", "2", "--n2", "2", *VARIANCES, "--mc-trials", "10"]
+    for extra in (["--m", "2", "--s", "11428571"], ["--m", "20000"]):
+        proc = limited_run(base + extra)
+        assert proc.returncode == 0, (extra, proc.stderr[-2000:])
+        assert json.loads(proc.stdout)["monte_carlo"]["trials"] == 10
+    # the candidate's m/2 new indices must fit past the support in p
+    assert main([*base, "--m", "4", "--s", "6", "--p", "7"]) == 2
+    assert capsys.readouterr() == ("", "error: p must be at least s + m/2 = 8: 7\n")

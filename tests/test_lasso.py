@@ -210,6 +210,32 @@ def test_finish_that_would_raise_the_objective_is_skipped(monkeypatch):
     assert_matches_full_sweep_reference(ds, lam)
 
 
+def test_singular_finish_falls_back_to_descent(monkeypatch):
+    # column 5 is twice column 4, so a sign pattern holding both has a
+    # singular stationarity system; the finish skips it and descent goes on
+    gen = np.random.default_rng(0)
+    X = gen.standard_normal((30, 12))
+    X[:, 5] = 2 * X[:, 4]
+    Y = 3 * X[:, 4] + X[:, :3].sum(1) + 0.1 * gen.standard_normal(30)
+    noise = NoiseProfile(n1=15, n2=15, sigma1_sq=0.1, sigma2_sq=0.1)
+    ds = MixedDataset(X=X, Y=Y, noise=noise)
+    singular, solve = [], np.linalg.solve
+
+    def spy(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(a)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    sol = solve_lasso(ds, LassoConfig(lam=0.05))
+    assert singular
+    assert sol.converged and sol.sweeps == 78
+    monkeypatch.undo()
+    assert_matches_full_sweep_reference(ds, 0.05)
+
+
 def test_objective_rise_raises_typed_error(monkeypatch):
     ds, _ = random_dataset(40, 20, seed=12)
     monkeypatch.setattr(lasso_mod, "_soft", lambda x, t: 2 * x)
@@ -466,6 +492,15 @@ def test_witness_zero_penalty_zero_noise_recovers():
     rep = kkt_recovery_witness(ds, sig, 0.0)
     assert rep.recovery
     assert rep.boundary  # equality margins sit exactly on the boundary
+
+
+def test_witness_on_a_full_support_has_no_margins():
+    # with s = p no column lies off the support, so condition2 holds vacuously
+    sig = SparseSignal(p=3, support=(0, 1, 2), values=(1.0, -1.0, 2.0))
+    noise = NoiseProfile(n1=6, n2=6, sigma1_sq=0.0, sigma2_sq=0.0)
+    rep = kkt_recovery_witness(generate_dataset(sig, noise, seed=2), sig, 0.1)
+    assert rep.off_support_margin.shape == (0,)
+    assert rep.condition2 and rep.recovery == rep.condition1
 
 
 def test_witness_flags_degenerate_design():

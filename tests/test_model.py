@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,37 @@ def test_write_lines_keeps_the_prefix_when_the_iterable_raises(tmp_path):
     with pytest.raises(RuntimeError):
         write_lines(path, lines())
     assert read_bytes(path) == b"only\n"
+
+
+def test_write_lines_takes_a_line_as_its_pieces(tmp_path):
+    path = str(tmp_path / "out.csv")
+    write_lines(path, ["a", iter(["b", "c", "d"]), ("e",), []])
+    assert read_bytes(path) == b"a\nbcd\ne\n\n"
+
+
+def test_save_dataset_streams_the_bytes_of_the_whole_text(tmp_path):
+    # 2 x 40,000 design with 20,000 support indices: neither meta.json's
+    # text nor an X.csv line is held whole, and the bytes are json.dumps's
+    # and the comma-joined rows'
+    p, s = 40_000, 20_000
+    values = tuple((-1.0) ** i * (1.0 + i / 7.0) for i in range(s))
+    sig = SparseSignal(p=p, support=tuple(range(0, p, 2)), values=values)
+    noise = NoiseProfile(n1=1, n2=1, sigma1_sq=0.5, sigma2_sq=1.5)
+    ds = generate_dataset(sig, noise, seed=3)
+    out = tmp_path / "data"
+    tracemalloc.start()
+    try:
+        save_dataset(ds, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    meta = {"p": p, "s": s, "n1": 1, "n2": 1, "sigma1_sq": 0.5, "sigma2_sq": 1.5,
+            "seed": 3, "support": list(sig.support), "values": list(values)}
+    text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    assert read_bytes(out / "meta.json") == text.encode()
+    rows = "".join(",".join("%.17g" % x for x in row) + "\n" for row in ds.X)
+    assert read_bytes(out / "X.csv") == rows.encode()
 
 
 def test_save_dataset_over_a_larger_dataset_leaves_no_stale_rows(tmp_path):

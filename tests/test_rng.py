@@ -15,6 +15,7 @@ import select
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -255,6 +256,23 @@ def test_a_raise_in_the_workers_half_reaches_the_caller(monkeypatch):
         rng.normals(4, SPLIT_EDGE)
     monkeypatch.setattr(rng, "_fill", fill)
     assert np.array_equal(rng.normals(4, SPLIT_EDGE), box_muller_reference([4], SPLIT_EDGE)[0])
+
+
+def test_a_raise_in_the_callers_half_waits_for_the_workers_half(monkeypatch):
+    fill, worker_done = rng._fill, threading.Event()
+
+    def slow_worker_fill(out, seeds, first):
+        if threading.current_thread() is threading.main_thread():
+            raise FloatingPointError("caller half")
+        time.sleep(0.2)  # still writing long after the caller's half raised
+        fill(out, seeds, first)
+        worker_done.set()
+
+    monkeypatch.setattr(rng, "_cpus", lambda: 2)
+    monkeypatch.setattr(rng, "_fill", slow_worker_fill)
+    with pytest.raises(FloatingPointError, match="caller half"):
+        rng.normals(4, SPLIT_EDGE)
+    assert worker_done.is_set()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
