@@ -18,7 +18,8 @@ the gap of the medians exceeds the parent's interquartile range; the
 items_per_s rows also carry the medians of the unscaled raw_items_per_s,
 the median per-pair change/parent ratio of raw_items_per_s with the pairs
 the change won on it, and the median per-pair change/parent ratio of
-reference_kernel_s, the time that scales every round.
+reference_kernel_s, the time that scales every round. Each row ends in a
+verdict (see `verdict`).
 The file is written in any case; the exit code is 1 when a run, traced
 or not, failed or was not `correct`, else 0.
 """
@@ -68,6 +69,35 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(row: dict, parent: list[float], change: list[float]) -> str:
+    """What a summary row shows, from its runs on each side.
+
+    - regression: the change median is worse than the parent's by more
+      than the metric's bound, a fraction of the parent median;
+    - gain: the change won at least 9 of 10 pairs and its median is better
+      by more than the parent's interquartile range; an items_per_s row
+      must also have won 9 of 10 pairs on raw_items_per_s, with a median
+      raw ratio above 1;
+    - unresolved: the parent's interquartile range exceeds the bound, and
+      not every change run beats every parent run;
+    - within bound: any other row.
+    """
+    sign = 1.0 if row["better"] == "higher" else -1.0
+    median, most = row["parent"]["median"], 0.9 * row["pairs"]
+    gap = sign * (row["change"]["median"] - median)
+    if gap < -row["bound"] * median:
+        return "regression"
+    won = row["change_won"] >= most and gap > 0 and row["median_gap_exceeds_parent_iqr"]
+    if "raw_change_won" in row:
+        won = won and row["raw_change_won"] >= most and row["raw_ratio_median"] > 1.0
+    if won:
+        return "gain"
+    iqr = row["parent"]["q3"] - row["parent"]["q1"]
+    if iqr > row["bound"] * median and min(sign * c for c in change) <= max(sign * p for p in parent):
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(pairs: list[dict], declared: dict) -> list[dict]:
     rows = []
     for workload in declared["workloads"]:
@@ -104,6 +134,7 @@ def summarize(pairs: list[dict], declared: dict) -> list[dict]:
                 row["raw_change_won"] = sum(c > p for p, c in zip(raw["parent"], raw["change"]))
                 row["kernel_ratio_median"] = statistics.median(
                     c / p for p, c in zip(kernel["parent"], kernel["change"]))
+            row["verdict"] = verdict(row, value["parent"], value["change"])
             rows.append(row)
     return rows
 

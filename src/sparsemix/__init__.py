@@ -73,6 +73,7 @@ from .chernoff import (
     lq_domain_limit,
     m_for_error_budget,
     optimal_theta_agnostic,
+    unit_misrank,
 )
 from .harness import (
     DecoderKind,

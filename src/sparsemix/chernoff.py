@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import rng
+from . import model, rng
 from .errors import COUNT_MAX, as_index, as_real, index_fields, support_indices
 from .model import NoiseProfile, Setting, SparseSignal, validate_variances, wilson_ci95
 from .planner import exponent_arg, relaxed_theta, validate_delta
@@ -44,6 +44,7 @@ __all__ = [
     "optimal_theta_agnostic",
     "lq_domain_limit",
     "empirical_misrank",
+    "unit_misrank",
     "m_for_error_budget",
 ]
 
@@ -222,7 +223,34 @@ def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
     return best
 
 
-_BATCH = 4096
+_BATCH = 4096  # trials per batch, at most
+_ENTRIES = 2**18  # normals per batch, at most: up to n = 32 a batch is _BATCH trials
+
+
+def _sample(factor: tuple[float, float, float], noise: NoiseProfile, trials: int,
+            seed: int, setting: Setting) -> MisrankEstimate:
+    """The estimate of empirical_misrank from its factor (d_scale, t_from_d,
+    t_resid), drawn in batches of at most _BATCH trials and _ENTRIES normals
+    but at least one trial; the count does not depend on where they are cut."""
+    trials = as_index(trials, "trials", low=1, high=COUNT_MAX)
+    seed = as_index(seed, "seed")
+    n = noise.n
+    model.check_design_cap(n, 8, 1)  # a row's floats: 2 normals, 4 products, w, t_own
+    d_scale, t_from_d, t_resid = factor
+    w = np.repeat(noise.block_weights(setting), (noise.n1, noise.n2))
+    t_own = np.sqrt(t_resid + 4.0 * noise.row_variances())
+    batch = min(_BATCH, max(1, _ENTRIES // (2 * n)))
+    successes = 0
+    for start in range(0, trials, batch):
+        stop = min(start + batch, trials)
+        st = rng.derive_vec(seed, np.arange(start, stop, dtype=np.uint64))
+        g = rng.normals_grid(st, 2 * n)
+        g1 = g[:, :n]
+        d = d_scale * g1
+        t = t_from_d * g1 + t_own * g[:, n:]
+        delta_loss = np.add.reduce(w * d * t, axis=1)
+        successes += int(np.count_nonzero(delta_loss <= 0.0))
+    return MisrankEstimate(successes / trials, wilson_ci95(successes, trials))
 
 
 def empirical_misrank(
@@ -264,37 +292,29 @@ def empirical_misrank(
     truth gives d = 0 and an estimate of exactly 1. ci95 is the Wilson 95%
     half-width (model.wilson_ci95), the interval of summary.csv's ci95.
     """
-    trials = as_index(trials, "trials", low=1, high=COUNT_MAX)
-    seed = as_index(seed, "seed")
     cand = support_indices(candidate, signal.p, "candidate")
     if len(cand) != signal.s:
         raise ValueError("candidate support must hold s indices")
-    w = np.repeat(noise.block_weights(setting), (noise.n1, noise.n2))
-
     beta = np.array(signal.values)
     shared = np.isin(signal.support, cand)
     lost = beta[~shared]  # the truth-only indices; as many are candidate-only
     u = np.concatenate([2.0 * lost - 1.0, np.ones(lost.size)])
     rest = 2.0 * beta[shared] - 2.0
+    factor = (0.0, 0.0, 0.0)  # a candidate equal to the truth: d = 0 in every row
     if u.size:
         cov, d_scale = float(u.sum()), math.sqrt(u.size)
         dev = u - cov / u.size
-        t_from_d, t_resid = cov / d_scale, float(dev @ dev) + float(rest @ rest)
-    else:
-        d_scale = t_from_d = t_resid = 0.0
-    n = noise.n
-    row_var = noise.row_variances()
-    t_own = np.sqrt(t_resid + 4.0 * row_var)
+        factor = (d_scale, cov / d_scale, float(dev @ dev) + float(rest @ rest))
+    return _sample(factor, noise, trials, seed, setting)
 
-    successes = 0
-    for start in range(0, trials, _BATCH):
-        stop = min(start + _BATCH, trials)
-        st = rng.derive_vec(seed, np.arange(start, stop, dtype=np.uint64))
-        g = rng.normals_grid(st, 2 * n)
-        g1 = g[:, :n]
-        d = d_scale * g1
-        t = t_from_d * g1 + t_own * g[:, n:]
-        delta_loss = np.add.reduce(w * d * t, axis=1)
-        successes += int(np.count_nonzero(delta_loss <= 0.0))
 
-    return MisrankEstimate(successes / trials, wilson_ci95(successes, trials))
+def unit_misrank(query: ChernoffQuery, trials: int, seed: int) -> MisrankEstimate:
+    """empirical_misrank of the query's candidate for a unit signal. There u = 1
+    on the m swapped indices and the shared ones add 0, so the factor is that of
+    support range(m/2) against range(m/2, m), (sqrt m, m / sqrt m, 0), whose cost
+    does not grow with m. m must be even, and the blocks need a row."""
+    if query.m % 2:
+        raise ValueError("Monte Carlo checks need an even m")
+    noise = NoiseProfile(query.n1, query.n2, query.sigma1_sq, query.sigma2_sq)
+    root = math.sqrt(query.m)
+    return _sample((root, float(query.m) / root, 0.0), noise, trials, seed, query.setting)

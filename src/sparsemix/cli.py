@@ -53,20 +53,14 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _support_size(s: int, p: int, rows: int) -> int:
-    """s, once it lies in [1, p] and check_design_cap passes for a rows x p
-    design; that cap lies below COUNT_MAX, so it bounds p too."""
-    s = as_index(s, "s", low=1, high=as_index(p, "p", low=1))
-    check_design_cap(rows, p, s)
-    return s
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     noise = NoiseProfile(**_blocks(args))
     if args.support is not None:
         support = tuple(_list(args.support, int))
     else:
-        support = tuple(range(_support_size(args.s, args.p, noise.n)))
+        s = as_index(args.s, "s", low=1, high=as_index(args.p, "p", low=1))
+        check_design_cap(noise.n, args.p, s)  # below COUNT_MAX, so it bounds p too
+        support = tuple(range(s))
     if args.values is not None:
         values = tuple(_list(args.values, float))
     else:
@@ -205,9 +199,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         m = chernoff.m_for_error_budget(args.delta, args.s)
     else:
         raise ValueError("pass --m, or both --delta and --s")
-    setting = Setting(args.setting.title())
     query = chernoff.ChernoffQuery(
-        setting=setting, m=m, theta=args.theta, **_blocks(args)
+        setting=Setting(args.setting.title()), m=m, theta=args.theta, **_blocks(args)
     )
     out: dict = {
         "m": m,
@@ -219,18 +212,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         best = chernoff.optimal_theta_agnostic(query)
         out["optimal"] = {**best._asdict(), "bound": math.exp(best.log_bound)}
     if args.mc_trials is not None:
-        if m % 2 != 0:
-            raise ValueError("Monte Carlo checks need an even m")
-        # only the m swapped indices are sampled: shared unit ones leave the estimate as is
-        s = as_index(m if args.s is None else args.s, "s", low=m // 2, high=COUNT_MAX)
-        p = args.p if args.p is not None else s + m // 2
-        if _support_size(s, p, 1) + m // 2 > p:
-            raise ValueError(f"p must be at least s + m/2 = {s + m // 2}: {p}")
-        signal = SparseSignal(p=m, support=tuple(range(m // 2)), values=(1.0,) * (m // 2))
-        noise = NoiseProfile(**_blocks(args))
-        est = chernoff.empirical_misrank(
-            signal, noise, range(m // 2, m), args.mc_trials, args.seed, setting
-        )
+        est = chernoff.unit_misrank(query, args.mc_trials, args.seed)
         out["monte_carlo"] = {"trials": args.mc_trials, **est._asdict()}
     _emit(out)
     return 0
@@ -344,7 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bo.add_argument("--theta", type=float, default=None)
     bo.add_argument("--optimize", action="store_true")
     bo.add_argument("--mc-trials", type=int, default=None)
-    bo.add_argument("--p", type=int, default=None)
     bo.add_argument("--seed", type=int, default=0)
     bo.set_defaults(func=_cmd_bound)
 
@@ -357,10 +338,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# count flags that a run may leave unread, or that the library takes as any integer
+# (seeds), with their least values: main checks each one before the command runs
+_COUNT_FLAGS = {"gen": {"seed": 0}, "solve": {"restarts": 1, "seed": 0},
+                "bound": {"s": 1, "seed": 0}, "sweep": {"master_seed": 0}}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
+        for name, low in _COUNT_FLAGS.get(args.command, {}).items():
+            if getattr(args, name) is not None:
+                as_index(getattr(args, name), name, low=low, high=COUNT_MAX)
         return args.func(args)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

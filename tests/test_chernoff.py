@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+import sparsemix
 from sparsemix import (
     ChernoffQuery,
     NoiseProfile,
+    ResourceCapError,
     Setting,
     SparseSignal,
     chernoff,
@@ -22,6 +24,7 @@ from sparsemix import (
     m_for_error_budget,
     optimal_theta_agnostic,
     pair_coefficients,
+    unit_misrank,
     planner,
     rng,
     wilson_ci95,
@@ -478,6 +481,67 @@ def test_empirical_misrank_independent_of_batch_size(monkeypatch):
         split = empirical_misrank(sig, noise, (1, 2, 4), 3000, seed=4, setting=setting)
         monkeypatch.undo()
         assert split == whole
+
+
+def hexes(est):
+    return est.estimate.hex(), est.ci95.hex()
+
+
+@pytest.mark.parametrize("setting", [Setting.AGNOSTIC, Setting.INFORMED])
+def test_unit_misrank_is_empirical_misrank_on_the_unit_instance(setting):
+    # support range(m/2) against candidate range(m/2, m), unit values: the
+    # same floats bit for bit, across the trial batch's edge and with one
+    # block empty
+    for m in (2, 4, 6, 30, 3000):
+        sig = SparseSignal(p=m, support=tuple(range(m // 2)), values=(1.0,) * (m // 2))
+        for n1, n2 in ((3, 0), (0, 4), (2, 5)):
+            q = query(setting, n1=n1, n2=n2, s1=0.5, s2=2.0, m=m)
+            noise = NoiseProfile(n1, n2, 0.5, 2.0)
+            for trials in (1, 4095, 4097):
+                want = empirical_misrank(sig, noise, range(m // 2, m), trials, m, setting)
+                assert hexes(unit_misrank(q, trials, m)) == hexes(want)
+
+
+def test_unit_misrank_costs_nothing_in_m():
+    tracemalloc.start()
+    try:
+        est = unit_misrank(query(m=2**53), 2000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert 0.0 <= est.estimate < 1.0
+
+
+def test_misrank_batches_are_bounded_by_entries(monkeypatch):
+    # 2 n = 400 normals a trial: 655 trials a batch, not 3000, and the count
+    # is the same bit for bit however the batch is cut (1, 3 or 10 trials)
+    q = query(n1=150, n2=50, m=4)
+    tracemalloc.start()
+    try:
+        whole = unit_misrank(q, 3000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6  # one batch of all 3000 trials holds 3000 x 200 x 6 floats, 29 MB
+    for entries in (400, 1200, 4000):
+        monkeypatch.setattr(chernoff, "_ENTRIES", entries)
+        assert hexes(unit_misrank(q, 3000, 5)) == hexes(whole), entries
+
+
+def test_a_trial_past_the_design_cap_is_refused(monkeypatch):
+    # one trial holds 8 floats per row: 10 rows pass a cap of 80 entries, not 79
+    sig = SparseSignal(p=4, support=(0, 1), values=(1.0, 1.0))
+    noise = NoiseProfile(4, 6, 0.5, 2.0)
+    for cap, refused in ((80, False), (79, True)):
+        monkeypatch.setattr(sparsemix.model, "MAX_DESIGN_ENTRIES", cap)
+        for call in (lambda: unit_misrank(query(n1=4, n2=6, m=4), 10, 0),
+                     lambda: empirical_misrank(sig, noise, (2, 3), 10, 0)):
+            if refused:
+                with pytest.raises(ResourceCapError):
+                    call()
+            else:
+                call()
 
 
 def test_empirical_misrank_memory_does_not_grow_with_the_shared_support():

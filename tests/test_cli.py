@@ -132,7 +132,7 @@ def test_bound_subcommand_with_optimizer_and_mc(capsys):
         capsys, "bound", "--n1", "10", "--n2", "10",
         "--sigma1-sq", "1.0", "--sigma2-sq", "4.0",
         "--delta", "0.5", "--s", "8", "--optimize",
-        "--mc-trials", "2000", "--p", "16", "--seed", "4",
+        "--mc-trials", "2000", "--seed", "4",
     )
     assert code == 0
     res = json.loads(out)
@@ -375,16 +375,39 @@ EDGE_CASES = {
     "gen-p-past-design-cap": (3, ["gen", "--p", str(2**53), "--s", str(2**53), "--n1", "2",
                                   "--n2", "2", "--sigma1-sq", "1", "--sigma2-sq", "2",
                                   "--out", "{out}"]),
-    "bound-monte-carlo-p-past-design-cap": (3, ["bound", "--n1", "2", "--n2", "2", "--m", "2",
-                                                "--sigma1-sq", "1", "--sigma2-sq", "2",
-                                                "--mc-trials", "10", "--s", str(2**53)]),
-    "bound-monte-carlo-m-past-s": (2, ["bound", "--n1", "2", "--n2", "2", "--m", str(2**53),
+    # the Monte Carlo check samples the query's m alone, in memory that
+    # grows with neither m nor s; s is read only with --delta
+    "bound-monte-carlo-s-unread": (0, ["bound", "--n1", "2", "--n2", "2", "--m", "2",
+                                       "--sigma1-sq", "1", "--sigma2-sq", "2",
+                                       "--mc-trials", "10", "--s", str(2**53)]),
+    "bound-monte-carlo-m-past-s": (0, ["bound", "--n1", "2", "--n2", "2", "--m", str(2**53),
                                        "--sigma1-sq", "1", "--sigma2-sq", "2",
                                        "--mc-trials", "10", "--s", "1"]),
-    # the estimator's memory does not grow with the support the two share
     "bound-monte-carlo-wide": (0, ["bound", "--n1", "2", "--n2", "2", "--m", "2",
                                    "--sigma1-sq", "1", "--sigma2-sq", "2",
                                    "--mc-trials", "10", "--s", "30000"]),
+    # count flags are checked where they are left unread too
+    "bound-negative-seed": (2, ["bound", "--n1", "1", "--n2", "1", "--m", "2",
+                                "--sigma1-sq", "1", "--sigma2-sq", "2", "--seed", "-3"]),
+    "solve-negative-seed": (2, ["solve", "--data", "{data}", "--decoder", "agnostic",
+                                "--seed", "-4"]),
+    "gen-negative-seed": (2, ["gen", "--p", "10", "--s", "2", "--n1", "2", "--n2", "2",
+                              "--sigma1-sq", "1", "--sigma2-sq", "2", "--seed", "-1",
+                              "--out", "{out}"]),
+    "sweep-negative-master-seed": (2, ["sweep", "--config", "{valid}", "--out", "{out}",
+                                       "--master-seed", "-1"]),
+    "gen-s-not-the-support-length": (2, ["gen", "--p", "10", "--s", "3", "--support", "1,2",
+                                         "--n1", "2", "--n2", "2", "--sigma1-sq", "1",
+                                         "--sigma2-sq", "2", "--out", "{out}"]),
+    # a dataset without ground truth needs --s or --lam, and has no witness
+    "solve-without-truth-or-s": (2, ["solve", "--data", "{bare}"]),
+    "lasso-without-truth-or-lam": (2, ["lasso", "--data", "{bare}"]),
+    "lasso-witness-without-truth": (2, ["lasso", "--data", "{bare}", "--lam", "0.1",
+                                        "--witness"]),
+    "sweep-config-a-list": (2, ["sweep", "--config", "{list}", "--out", "{out}"]),
+    # s = 1 has no n_inf threshold, which prints as null
+    "plan-single-index": (0, ["plan", "--p", "24", "--s", "1", "--sigma1-sq", "1",
+                              "--sigma2-sq", "2"]),
     # theta is optimized for the agnostic bound only
     "informed-optimize": (2, ["bound", "--n1", "3", "--n2", "3", "--m", "2",
                               "--sigma1-sq", "1", "--sigma2-sq", "4", "--setting",
@@ -397,13 +420,19 @@ def test_edge_inputs_exit_with_a_documented_code(tmp_path, case):
     want, argv = EDGE_CASES[case]
     base = {"decoder": "AgnosticScan", "p": 8, "s": 2, "rho": 1.0,
             "sigma1_sq": 0.0, "sigma2_sq": 0.0, "grid": [[3, 3]], "trials": 1}
-    paths = {"out": str(tmp_path / "out"), "data": str(tmp_path / "data")}
-    if "{data}" in argv:
-        assert main(gen_args(paths["data"])) == 0
-    for name, grid in (("valid", [[3, 3]]), ("fractional", [[3.9, 2.2]])):
+    paths = {name: str(tmp_path / name) for name in ("out", "data", "bare")}
+    for name in ("data", "bare"):
+        if f"{{{name}}}" in argv:
+            assert main(gen_args(paths[name])) == 0
+    meta = tmp_path / "bare" / "meta.json"
+    if meta.exists():  # the same dataset without its ground truth
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), "support": None}))
+    configs = {"valid": {**base}, "fractional": {**base, "grid": [[3.9, 2.2]]},
+               "list": [base]}
+    for name, config in configs.items():
         paths[name] = str(tmp_path / f"{name}.json")
         with open(paths[name], "w", encoding="utf-8") as fh:
-            json.dump({**base, "grid": grid}, fh)
+            json.dump(config, fh)
     proc = subprocess.run(
         [sys.executable, "-m", "sparsemix.cli"] + [a.format(**paths) for a in argv],
         capture_output=True, text=True, env=child_env(),
@@ -546,6 +575,11 @@ HUGE_COUNTS = {
     "bound-m-optimize": ("m", [*BOUND, "--m", str(10**160), "--optimize"]),
     "bound-budget-s": ("s", [*BOUND, "--delta", "0.5", "--s", HUGE]),
     "bound-monte-carlo-s": ("s", [*BOUND, "--m", "2", "--mc-trials", "10", "--s", HUGE]),
+    # flags that this run leaves unread are checked all the same
+    "bound-unread-s": ("s", [*BOUND, "--m", "2", "--s", HUGE]),
+    "bound-unread-seed": ("seed", [*BOUND, "--m", "2", "--seed", HUGE]),
+    "solve-unread-restarts": ("restarts", ["solve", "--data", "{out}", "--decoder", "agnostic",
+                                           "--restarts", HUGE, "--seed", "-4"]),
     "bound-n1": ("n1", ["bound", "--n1", HUGE, "--n2", "1", "--m", "2", *VARIANCES]),
     "plan-p": ("p", ["plan", "--p", HUGE, "--s", "4", *VARIANCES]),
     "plan-n1": ("n1", [*PLAN, "--n1", HUGE, "--n2", "1"]),
@@ -570,14 +604,11 @@ DESIGN_CAP_CASES = [(10, 2, 8, 8, 160), (5, 4, 1, 0, 35)]
 
 @pytest.mark.parametrize("p, s, n1, n2, cap", DESIGN_CAP_CASES)
 def test_one_design_cap_moves_every_refusal(tmp_path, monkeypatch, capsys, p, s, n1, n2, cap):
-    # generate_dataset, ExperimentConfig, gen and bound read model's cap when called
+    # generate_dataset, ExperimentConfig and gen read model's cap when called
     signal = sparsemix.SparseSignal(p=p, support=tuple(range(s)), values=(1.0,) * s)
     noise = sparsemix.NoiseProfile(n1=n1, n2=n2, sigma1_sq=0.25, sigma2_sq=1.0)
     config = dict(decoder="LocalSearch", p=p, s=s, rho=1.0, sigma1_sq=0.25,
                   sigma2_sq=1.0, grid=[(n1, n2)], trials=1)
-    # bound checks one row of its p columns: --p n p gives it the same design size
-    bound = ["bound", "--n1", "2", "--n2", "2", "--m", "2", *VARIANCES,
-             "--mc-trials", "10", "--s", str(s), "--p", str((n1 + n2) * p)]
     for cap, refused in ((cap, False), (cap - 1, True)):
         monkeypatch.setattr(sparsemix.model, "MAX_DESIGN_ENTRIES", cap)
         for call in (lambda: sparsemix.generate_dataset(signal, noise, 0),
@@ -588,8 +619,7 @@ def test_one_design_cap_moves_every_refusal(tmp_path, monkeypatch, capsys, p, s,
             else:
                 call()
         gen = gen_args(str(tmp_path / f"gen{cap}"), p=p, s=s, n1=n1, n2=n2)
-        for argv in (gen, bound):
-            assert main(argv) == (3 if refused else 0), (argv[0], cap)
+        assert main(gen) == (3 if refused else 0), cap
     capsys.readouterr()
 
 
@@ -603,15 +633,15 @@ def limited_run(argv, limit=1_500_000_000):
 
 
 def test_supports_past_the_cap_are_refused_before_they_are_built(tmp_path):
-    # each of these would build a tuple of 10**8 ints, which a 1.5 GB
-    # address space cannot hold
+    # each of these would build a tuple of 10**8 ints, or bound's 10**8-row
+    # weights, which a 1.5 GB address space cannot hold
     config = tmp_path / "wide.json"
     config.write_text(json.dumps(
         {"decoder": "LocalSearch", "p": 10**8, "s": 10**8 - 1, "rho": 1.0,
          "sigma1_sq": 0.25, "sigma2_sq": 1.0, "grid": [[1, 0]], "trials": 1}))
     commands = [
-        ["bound", "--n1", "2", "--n2", "2", *VARIANCES, "--m", "2",
-         "--mc-trials", "10", "--s", "99999999"],
+        ["bound", "--n1", str(10**8), "--n2", "0", *VARIANCES, "--m", "2",
+         "--mc-trials", "10"],
         ["gen", "--p", str(10**8), "--s", str(10**8), "--n1", "1", "--n2", "0",
          *VARIANCES, "--out", str(tmp_path / "gen")],
         ["sweep", "--config", str(config), "--out", str(tmp_path / "sweep")],
@@ -623,15 +653,25 @@ def test_supports_past_the_cap_are_refused_before_they_are_built(tmp_path):
     assert not any(tmp_path.glob("gen*")) and not (tmp_path / "sweep").exists()
 
 
-def test_monte_carlo_bounds_sample_only_the_swapped_indices(capsys):
-    # the s - m/2 shared indices leave a unit signal's estimate as it is and
-    # are never built, and no product over the m swapped ones is formed: both
-    # commands used to end in MemoryError under 1.5 GB
+def test_monte_carlo_bounds_sample_only_the_swapped_indices():
+    # a unit signal's estimate reads m alone: no index of either support is
+    # built, so the cost grows with neither s nor m; an m/2-index instance
+    # took the third past 1.5 GB, and the last past the support cap
     base = ["bound", "--n1", "2", "--n2", "2", *VARIANCES, "--mc-trials", "10"]
-    for extra in (["--m", "2", "--s", "11428571"], ["--m", "20000"]):
+    for extra in (["--m", "2", "--s", "11428571"], ["--m", "20000"],
+                  ["--m", "22857142", "--s", "11428571"], ["--m", str(2**53)]):
         proc = limited_run(base + extra)
         assert proc.returncode == 0, (extra, proc.stderr[-2000:])
         assert json.loads(proc.stdout)["monte_carlo"]["trials"] == 10
-    # the candidate's m/2 new indices must fit past the support in p
-    assert main([*base, "--m", "4", "--s", "6", "--p", "7"]) == 2
-    assert capsys.readouterr() == ("", "error: p must be at least s + m/2 = 8: 7\n")
+
+
+def test_monte_carlo_memory_is_bounded_by_entries():
+    # one batch of every trial (as many as 4096) would hold 350 and 480 MB
+    # of normals, and twice as much again in products; batches of 2**18
+    # normals keep both within 1 GB
+    for blocks, trials in ((["--n1", "2000", "--n2", "20000"], "1000"),
+                           (["--n1", "100000", "--n2", "0"], "300")):
+        argv = ["bound", *blocks, *VARIANCES, "--m", "8", "--mc-trials", trials]
+        proc = limited_run(argv, limit=1_000_000_000)
+        assert proc.returncode == 0, (blocks, proc.stderr[-2000:])
+        assert json.loads(proc.stdout)["monte_carlo"]["trials"] == int(trials)

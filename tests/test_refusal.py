@@ -43,6 +43,7 @@ from sparsemix import (
     run_sweep,
     sample_frontier,
     snr_report,
+    unit_misrank,
     wilson_ci95,
 )
 from sparsemix import decoders, errors, model, rng
@@ -148,6 +149,10 @@ REFUSALS = [
      lambda: empirical_misrank(signal(), noise(), (2, 3, 4, 5), 0, seed=0)),
     ("chernoff.empirical_misrank", "seed",
      lambda: empirical_misrank(signal(), noise(), (2, 3, 4, 5), 100, seed=1.5)),
+    ("chernoff.unit_misrank", "trials",
+     lambda: unit_misrank(ChernoffQuery(AGNOSTIC, 3, 3, 1.0, 4.0, 2), 0, seed=0)),
+    ("chernoff.unit_misrank", "seed",
+     lambda: unit_misrank(ChernoffQuery(AGNOSTIC, 3, 3, 1.0, 4.0, 2), 10, seed=1.5)),
     ("harness.ExperimentConfig", "p", lambda: config(p=1)),
     ("harness.ExperimentConfig", "s", lambda: config(s=2.5)),
     ("harness.ExperimentConfig", "trials", lambda: config(trials=0)),
@@ -224,6 +229,8 @@ SHAPE_REFUSALS = [
      "^theta optimization applies to the agnostic setting$",
      lambda: optimal_theta_agnostic(
          ChernoffQuery(Setting.INFORMED, n1=3, n2=3, sigma1_sq=1.0, sigma2_sq=4.0, m=2))),
+    ("chernoff.unit_misrank.m", ValueError, "^Monte Carlo checks need an even m$",
+     lambda: unit_misrank(ChernoffQuery(AGNOSTIC, 3, 3, 1.0, 4.0, 3), 10, seed=0)),
     ("lasso.kkt_recovery_witness.truth", ValueError,
      "^signal dimension must match the design$",
      lambda: kkt_recovery_witness(

@@ -21,7 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparsemix import rng
+from sparsemix import ExperimentConfig, emit_outputs, rng, run_sweep, summarize
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK = (1 << 64) - 1
@@ -397,12 +397,12 @@ def test_trial_stream_tags_are_defined_once_in_rng():
     assert owners == ["rng.py"]
 
 
-def stream_corpus():
+def stream_corpus(normals=True):
     """Bytes of every rng entry point over a fixed corpus: derive with 0-4
     words (negative seeds and words, words of 64 bits and more), derive_vec
     in both argument orders and on two ints, and draws at the edges of
     2**13-pair tiles, whose sizes are literals so that the corpus does not
-    follow rng._TILE."""
+    follow rng._TILE. normals=False leaves out the normal draws."""
     edge = 2 * 2**13
     ints = (0, 1, 42, 2**63, MASK, 2**64, 2**70 + 9, -1, -12345, -(2**70) - 3)
     cases = [(s, ints[i : i + k]) for s in ints for i in range(len(ints)) for k in range(5)]
@@ -422,15 +422,50 @@ def stream_corpus():
         for seed in (0, MASK, -5, rng.derive(9, rng.X_STREAM)):
             yield rng.raw_words(seed, count).tobytes()
             yield rng.uniforms(seed, count).tobytes()
-            yield rng.normals(seed, count).tobytes()
+            yield rng.normals(seed, count).tobytes() if normals else b""
     seeds = rng.derive_vec(17, np.arange(2**13 + 3, dtype=np.uint64))
     for count, rows in ((0, 3), (1, 2**13 + 1), (2, 2**13 + 3), (1000, 17),
                         (edge, 2), (edge + 2, 2)):
         yield rng.uniforms_grid(seeds[:rows], count).tobytes()
-        yield rng.normals_grid(seeds[:rows], count).tobytes()
+        yield rng.normals_grid(seeds[:rows], count).tobytes() if normals else b""
 
 
 def test_streams_equal_their_frozen_digest():
     # computed before derive moved from numpy scalars to Python ints
     digest = hashlib.sha256(b"".join(stream_corpus())).hexdigest()
     assert digest == "537b748c8f700ae331427b949e384089291929089c9feb08aeda5a46c1ebc3a6"
+
+
+AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def host_independent_bytes(directory):
+    """The sha256 of the integer streams, then the summary.csv bytes of a
+    small Lasso sweep written to directory."""
+    config = ExperimentConfig(decoder="Lasso", p=64, s=4, rho=1.0, sigma1_sq=0.1,
+                              sigma2_sq=0.4, grid=[(12, 12), (24, 24)], trials=20)
+    records = run_sweep(config)
+    emit_outputs(summarize(config, records), records, directory)
+    with open(os.path.join(directory, "summary.csv"), "rb") as fh:
+        summary = fh.read()
+    return hashlib.sha256(b"".join(stream_corpus(normals=False))).digest() + summary
+
+
+def test_integer_streams_and_summaries_do_not_follow_simd_dispatch(tmp_path):
+    # normal draws may change in the last bit with numpy's AVX512 log; the
+    # integer streams must not, nor may the decisions a sweep takes from them
+    try:  # numpy >= 2
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__
+    if not any(__cpu_features__.get(name) for name in AVX512.split()):
+        pytest.skip("numpy dispatches to no AVX512 path on this CPU")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(rng.__file__)))
+    code = (f"import sys; sys.path[:0] = [{root!r}, {os.path.dirname(__file__)!r}]; "
+            "import test_rng; "
+            f"sys.stdout.write(test_rng.host_independent_bytes({str(tmp_path / 'off')!r}).hex())")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert bytes.fromhex(proc.stdout) == host_independent_bytes(str(tmp_path / "on"))
