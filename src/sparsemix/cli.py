@@ -18,7 +18,7 @@ import json
 import math
 import sys
 
-from . import chernoff, decoders, harness, lasso, planner
+from . import chernoff, decoders, harness, lasso, planner, rng
 from .errors import COUNT_MAX, DegenerateInstanceError, ResourceCapError, as_index
 from .model import (
     JSON_ENCODER,
@@ -230,7 +230,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.master_seed is not None:
         raw["master_seed"] = args.master_seed
     config = harness.ExperimentConfig(**raw)
-    records = harness.run_sweep(config)
+    records = harness.run_sweep(config, threads=rng._cpus())
     summary = harness.summarize(config, records)
     formats = tuple(args.formats.split(","))
     manifest = harness.emit_outputs(summary, records, args.out, formats)
@@ -341,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # count flags that a run may leave unread, or that the library takes as any integer
 # (seeds), with their least values: main checks each one before the command runs
 _COUNT_FLAGS = {"gen": {"seed": 0}, "solve": {"restarts": 1, "seed": 0},
-                "bound": {"s": 1, "seed": 0}, "sweep": {"master_seed": 0}}
+                "bound": {"s": 1, "seed": 0}}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,6 +12,7 @@ import enum
 import math
 import os
 import time
+import warnings
 from dataclasses import dataclass, fields
 
 from . import decoders, lasso, planner, rng
@@ -77,7 +78,8 @@ class ExperimentConfig:
     restarts: int = 8
 
     def __post_init__(self) -> None:
-        index_fields(self, "p", "s", "master_seed")
+        index_fields(self, "p", "s")
+        index_fields(self, "master_seed", low=0, high=COUNT_MAX)
         index_fields(self, "trials", "restarts", low=1, high=COUNT_MAX)
         try:
             grid = tuple((as_index(a, "n1"), as_index(b, "n2")) for a, b in self.grid)
@@ -213,20 +215,85 @@ def _run_one(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
     )
 
 
+def _run_part(config: ExperimentConfig, jobs: list[tuple[int, int]]) -> list[TrialRecord]:
+    return [_run_one(config, point, trial) for point, trial in jobs]
+
+
+def _run_child(conn, config: ExperimentConfig, jobs: list[tuple[int, int]]) -> None:
+    """A forked worker: send the caller its part's records, or what it raised."""
+    try:
+        result = _run_part(config, jobs)
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _received(child, conn) -> list[TrialRecord]:
+    try:
+        result = conn.recv()
+    except EOFError:  # the child died before it could send
+        child.join()
+        raise RuntimeError(
+            f"sweep worker {child.pid} exited with code {child.exitcode}"
+        ) from None
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[TrialRecord]:
-    """Run every (grid point, trial) serially in grid-then-trial order.
+    """Run every (grid point, trial) and return the records in grid-then-trial order.
 
     Each trial is seeded by derive(master_seed, point, trial), so records
-    are deterministic up to wall_ms. Solver failures mark the trial failed
-    rather than aborting the sweep. threads must be an integer >= 1 but
-    selects nothing: every trial runs in the calling thread.
+    are deterministic up to wall_ms, whatever the worker count. Solver
+    failures mark the trial failed rather than aborting the sweep.
+
+    threads (an integer >= 1) caps the workers: min(threads, usable CPUs,
+    jobs). The jobs are dealt round-robin; the caller runs part 0 and
+    forked children run the rest, each timing its own trials' wall_ms.
+    With one worker, or where the platform cannot fork, the caller runs
+    every trial and nothing is forked. Children live only inside the
+    call: an exception in a child's trial, or a child's death, is raised
+    here after every child has ended.
     """
     as_index(threads, "threads", low=1, high=COUNT_MAX)
-    return [
-        _run_one(config, point, trial)
-        for point in range(len(config.grid))
-        for trial in range(config.trials)
-    ]
+    jobs = [(point, trial) for point in range(len(config.grid)) for trial in range(config.trials)]
+    workers = min(threads, rng._cpus(), len(jobs)) if hasattr(os, "fork") else 1
+    records: list = [None] * len(jobs)
+    children = []
+    try:
+        if workers > 1:
+            import multiprocessing
+
+            context = multiprocessing.get_context("fork")
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on forking with threads alive. Ours are
+                # OpenBLAS's pool, which resets itself at fork, and rng's idle
+                # draw worker, which a child drops; a child runs only trials.
+                warnings.filterwarnings(
+                    "ignore", r"This process .* is multi-threaded", DeprecationWarning
+                )
+                for w in range(1, workers):
+                    conn, child_conn = context.Pipe(duplex=False)
+                    child = context.Process(
+                        target=_run_child, args=(child_conn, config, jobs[w::workers])
+                    )
+                    child.start()
+                    child_conn.close()
+                    children.append((child, conn))
+        records[0::workers] = _run_part(config, jobs[0::workers])
+        for w, (child, conn) in enumerate(children, start=1):
+            records[w::workers] = _received(child, conn)
+    except BaseException:
+        for child, _ in children:
+            child.kill()
+        raise
+    finally:
+        for child, conn in children:
+            child.join()
+            conn.close()
+    return records
 
 
 def summarize(config: ExperimentConfig, records: list[TrialRecord]) -> list[SummaryRow]:

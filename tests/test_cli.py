@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -185,6 +186,41 @@ def test_sweep_subcommand_writes_outputs(tmp_path, capsys):
     assert os.path.exists(os.path.join(out_dir, "summary.csv"))
     assert os.path.exists(os.path.join(out_dir, "phase.svg"))
     assert res["points"][0]["recovery_rate"] == 1.0
+
+
+def split_wall_ms(path):
+    """trials.csv rows without their wall_ms cells, and those cells."""
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()]
+    wall = rows[0].index("wall_ms")
+    return [row[:wall] + row[wall + 1:] for row in rows], [row[wall] for row in rows[1:]]
+
+
+def test_sweep_subcommand_equals_a_serial_run(tmp_path, capsys, monkeypatch):
+    # the CLI runs min(usable CPUs, jobs) workers; three CPUs fork two children,
+    # and each trial's wall_ms is stamped with the pid that ran it
+    harness, run_one = sparsemix.harness, sparsemix.harness._run_one
+    monkeypatch.setattr(sparsemix.rng, "_cpus", lambda: 3)
+    monkeypatch.setattr(harness, "_run_one", lambda *args: dataclasses.replace(
+        run_one(*args), wall_ms=float(os.getpid())))
+    cfg = {"decoder": "Lasso", "p": 24, "s": 2, "rho": 1.0, "sigma1_sq": 0.2,
+           "sigma2_sq": 0.6, "grid": [[8, 8], [20, 20]], "trials": 5, "master_seed": 4}
+    cfg_path = str(tmp_path / "sweep.json")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh)
+    cli, serial = tmp_path / "cli", tmp_path / "serial"
+    code, _ = run_cli(capsys, "sweep", "--config", cfg_path, "--out", str(cli),
+                      "--formats", "csv,svg")
+    assert code == 0
+    config = sparsemix.ExperimentConfig(**cfg)
+    records = sparsemix.run_sweep(config)
+    sparsemix.emit_outputs(sparsemix.summarize(config, records), records, str(serial),
+                           ("csv", "svg"))
+    for name in ("summary.csv", "phase.svg"):
+        assert (cli / name).read_bytes() == (serial / name).read_bytes()
+    (cli_rows, pids), (serial_rows, _) = (split_wall_ms(d / "trials.csv") for d in (cli, serial))
+    assert cli_rows == serial_rows
+    assert len(set(pids)) == 3
 
 
 def test_sweep_rejects_unknown_config_keys(tmp_path, capsys):
@@ -405,6 +441,10 @@ EDGE_CASES = {
     "lasso-witness-without-truth": (2, ["lasso", "--data", "{bare}", "--lam", "0.1",
                                         "--witness"]),
     "sweep-config-a-list": (2, ["sweep", "--config", "{list}", "--out", "{out}"]),
+    # a config's master_seed has the --master-seed flag's range
+    "sweep-config-huge-master-seed": (2, ["sweep", "--config", "{huge_seed}", "--out", "{out}"]),
+    "sweep-config-negative-master-seed": (2, ["sweep", "--config", "{negative_seed}",
+                                              "--out", "{out}"]),
     # s = 1 has no n_inf threshold, which prints as null
     "plan-single-index": (0, ["plan", "--p", "24", "--s", "1", "--sigma1-sq", "1",
                               "--sigma2-sq", "2"]),
@@ -428,7 +468,8 @@ def test_edge_inputs_exit_with_a_documented_code(tmp_path, case):
     if meta.exists():  # the same dataset without its ground truth
         meta.write_text(json.dumps({**json.loads(meta.read_text()), "support": None}))
     configs = {"valid": {**base}, "fractional": {**base, "grid": [[3.9, 2.2]]},
-               "list": [base]}
+               "list": [base], "huge_seed": {**base, "master_seed": 10**400},
+               "negative_seed": {**base, "master_seed": -5}}
     for name, config in configs.items():
         paths[name] = str(tmp_path / f"{name}.json")
         with open(paths[name], "w", encoding="utf-8") as fh:
@@ -554,6 +595,18 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_does_not_load_process_pools():
+    # run_sweep imports multiprocessing only when it forks, so import time stays put
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sparsemix; "
+         "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_bound_refuses_float_max_variances(capsys):

@@ -1,7 +1,10 @@
 """Tests for the sweep harness: seeding, aggregation, and file emission."""
 
+import dataclasses
 import math
+import multiprocessing
 import os
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -22,7 +25,7 @@ from sparsemix import (
     summarize,
     wilson_ci95,
 )
-from sparsemix import rng
+from sparsemix import harness, rng
 
 
 def tiny_config(**overrides):
@@ -200,6 +203,74 @@ def test_sweep_order_matches_grid_then_trial():
     for r in records:
         n1, n2 = cfg.grid[r.point]
         assert (r.n1, r.n2) == (n1, n2)
+
+
+def patch_run_one(monkeypatch, broken=None):
+    """Stamp each record's wall_ms with the pid that ran it; broken maps a
+    (point, trial) to what that trial calls first.
+
+    Forked workers inherit the patch. Three usable CPUs make the worker
+    count min(threads, 3, jobs) on any host.
+    """
+    real = harness._run_one
+
+    def run_one(config, point, trial):
+        (broken or {}).get((point, trial), lambda: None)()
+        return dataclasses.replace(real(config, point, trial), wall_ms=float(os.getpid()))
+
+    monkeypatch.setattr(rng, "_cpus", lambda: 3)
+    monkeypatch.setattr(harness, "_run_one", run_one)
+
+
+def raise_in_child():
+    raise RuntimeError(f"trial broke in {os.getpid()}")
+
+
+def test_jobs_are_dealt_round_robin_and_come_back_in_order(monkeypatch):
+    cfg = tiny_config()  # 10 jobs over 3 workers: parts of 4, 3 and 3
+    serial = run_sweep(cfg)
+    patch_run_one(monkeypatch)
+    records = run_sweep(cfg, threads=3)
+    assert [record_key(r) for r in records] == [record_key(r) for r in serial]
+    pids = [{r.wall_ms for r in records[w::3]} for w in range(3)]
+    assert pids[0] == {float(os.getpid())}
+    assert all(len(p) == 1 for p in pids) and len(set.union(*pids)) == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_a_trial_error_in_a_child_is_raised_by_the_caller(monkeypatch):
+    patch_run_one(monkeypatch, {(0, 1): raise_in_child})  # job 1: the child's part
+    with pytest.raises(RuntimeError, match="trial broke in") as info:
+        run_sweep(tiny_config(), threads=2)
+    assert str(os.getpid()) not in str(info.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_error_ends_the_other_children(monkeypatch):
+    # job 1 raises in the first child while the second sleeps in job 2
+    patch_run_one(monkeypatch, {(0, 1): raise_in_child, (0, 2): lambda: time.sleep(60)})
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="trial broke in"):
+        run_sweep(tiny_config(), threads=3)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_dies_is_raised_by_the_caller(monkeypatch):
+    patch_run_one(monkeypatch, {(0, 1): lambda: os._exit(3)})
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        run_sweep(tiny_config(), threads=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_one_job_runs_in_the_caller_without_forking(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    patch_run_one(monkeypatch)
+    monkeypatch.setattr(os, "fork", no_fork)
+    (record,) = run_sweep(tiny_config(grid=[(3, 3)], trials=1), threads=8)
+    assert record.wall_ms == float(os.getpid()) and record.recovered
 
 
 def test_per_trial_failures_are_recorded_not_raised():

@@ -157,6 +157,8 @@ REFUSALS = [
     ("harness.ExperimentConfig", "s", lambda: config(s=2.5)),
     ("harness.ExperimentConfig", "trials", lambda: config(trials=0)),
     ("harness.ExperimentConfig", "master_seed", lambda: config(master_seed=1.5)),
+    ("harness.ExperimentConfig-huge", "master_seed", lambda: config(master_seed=10**400)),
+    ("harness.ExperimentConfig-negative", "master_seed", lambda: config(master_seed=-5)),
     ("harness.ExperimentConfig", "restarts", lambda: config(restarts=0)),
     ("harness.run_sweep", "threads", lambda: run_sweep(config(), threads=1.5)),
 ]
