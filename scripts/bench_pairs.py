@@ -17,9 +17,12 @@ inclusive quartiles of each side, the pairs the change won, and whether
 the gap of the medians exceeds the parent's interquartile range; the
 items_per_s rows also carry the medians of the unscaled raw_items_per_s,
 the median per-pair change/parent ratio of raw_items_per_s with the pairs
-the change won on it, and the median per-pair change/parent ratio of
-reference_kernel_s, the time that scales every round. Each row ends in a
-verdict (see `verdict`).
+the change won on it, the median per-pair change/parent ratio of
+reference_kernel_s, the time that scales every round, and the median of
+the pairs' two-thread scaling probes. Each row ends in a verdict (see
+`verdict`). Before its runs, each pair times the probe (see
+`two_thread_scaling`), which shows whether a second core delivered while
+that pair ran.
 The file is written in any case; the exit code is 1 when a run, traced
 or not, failed or was not `correct`, else 0.
 """
@@ -31,9 +34,14 @@ import json
 import statistics
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
+import numpy as np
+
 PAIRS = 10
+PROBE = np.linspace(0.0, 100.0, 1 << 20)  # the probe's fixed np.cos input, 8 MB
 
 
 def simd_found() -> list[str]:
@@ -45,6 +53,32 @@ def simd_found() -> list[str]:
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     return [name for name in __cpu_dispatch__ if __cpu_features__[name]]
+
+
+def cos_probe() -> None:
+    np.cos(PROBE)
+
+
+def two_thread_scaling(work=cos_probe, repeats: int = 5) -> dict:
+    """The median of `repeats` timings of work() run twice on one thread, and
+    once on each of two threads at the same time; scaling, their ratio,
+    reads 2 where a second core delivered in full and 1 where none did."""
+    def two() -> None:
+        other = threading.Thread(target=work)
+        other.start()
+        work()
+        other.join()
+
+    def median_s(run) -> float:
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - start)
+        return statistics.median(times)
+
+    one_s, two_s = median_s(lambda: (work(), work())), median_s(two)
+    return {"one_thread_s": one_s, "two_threads_s": two_s, "scaling": one_s / two_s}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -134,6 +168,9 @@ def summarize(pairs: list[dict], declared: dict) -> list[dict]:
                 row["raw_change_won"] = sum(c > p for p, c in zip(raw["parent"], raw["change"]))
                 row["kernel_ratio_median"] = statistics.median(
                     c / p for p, c in zip(kernel["parent"], kernel["change"]))
+                if all("two_thread_scaling" in p for p in done):
+                    row["two_thread_scaling_median"] = statistics.median(
+                        p["two_thread_scaling"]["scaling"] for p in done)
             row["verdict"] = verdict(row, value["parent"], value["change"])
             rows.append(row)
     return rows
@@ -157,6 +194,7 @@ def main(argv: list[str] | None = None) -> int:
             order = ["parent", "change"] if k % 2 else ["change", "parent"]
             pair = {"workload": workload, "pair": k, "seed": k, "order": order}
             head = dict(pair)
+            pair["two_thread_scaling"] = two_thread_scaling()
             for trace in (0, 1) if k == 1 else (0,):
                 for side in order:
                     run = run_once(getattr(args, side), workload, k, seconds, trace)
@@ -181,7 +219,10 @@ def main(argv: list[str] | None = None) -> int:
             "quartiles). Pair 1 of each workload also ran each side once with --trace 1, "
             "in that pair's order; those lines are under traced. Before pair 1 "
             "both checkouts' src/ was byte-compiled (python -m compileall), so no run "
-            "compiled the package from source. " + args.note
+            "compiled the package from source. Before its runs each pair timed a fixed "
+            "np.cos workload twice on one thread and once on each of two threads "
+            "(two_thread_scaling: 2 where a second core delivered, 1 where none did). "
+            + args.note
         ).strip(),
         "command": "python3 bench/run.py --workload <w> --seed <pair> "
                    f"--seconds {seconds:g} --trace 0",

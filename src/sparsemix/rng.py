@@ -25,15 +25,17 @@ Normals are computed in cache-sized tiles of at most 2**14 pairs, written
 into one preallocated output, so a draw of millions of values builds no
 full-length temporaries. When two CPUs are usable, a draw of at least
 2**14 pairs runs in two halves on two threads, the caller's and one
-worker's, which is started on the first such draw. Every step is the
-elementwise operation of the definitions above in the same order, so the
-values equal them bit for bit whatever the tile boundaries, the split or
-the CPU count.
+worker's, which is started on the first such draw; a draw made on the
+worker thread itself fills serially, so the worker never waits on its own
+queue. Every step is the elementwise operation of the definitions above
+in the same order, so the values equal them bit for bit whatever the
+tile boundaries, the split or the CPU count.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 
@@ -74,6 +76,8 @@ _SPLIT = 1 << 13
 # The worker thread's executor under key 0, once a draw has split; a
 # forked child, which has no such thread, starts over.
 _WORKER: dict = {}
+# Its thread alone sets .worker, so that no draw it makes submits to itself.
+_THREAD = threading.local()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_WORKER.clear)
 # Row 0 holds (2j + 1) * GOLDEN and row 1 (2j + 2) * GOLDEN: the counter
@@ -184,36 +188,49 @@ def _worker():
     if pool is None:
         from concurrent.futures import ThreadPoolExecutor
 
-        pool = _WORKER.setdefault(0, ThreadPoolExecutor(max_workers=1))
+        pool = ThreadPoolExecutor(max_workers=1, initializer=setattr,
+                                  initargs=(_THREAD, "worker", True))
+        pool = _WORKER.setdefault(0, pool)
     return pool
+
+
+def _parallel() -> bool:
+    """Whether work may be shared with the worker thread: two CPUs are
+    usable, and the caller is not the worker, which would wait on itself."""
+    return _cpus() > 1 and not getattr(_THREAD, "worker", False)
+
+
+def _on_both(fn, mine: tuple, theirs: tuple) -> tuple:
+    """(fn(*mine), fn(*theirs)), the second run by the worker thread while
+    the caller runs the first. A raise in either reaches the caller once
+    both have stopped, so nothing they share is dropped while the worker
+    still writes to it."""
+    half = _worker().submit(fn, *theirs)
+    try:
+        result = fn(*mine)
+    except BaseException:
+        half.exception()  # wait for the worker's half
+        raise
+    return result, half.result()
 
 
 def _box_muller(seeds: np.ndarray, count: int) -> np.ndarray:
     """Normals 0..count-1 of each seed of 1-D uint64 seeds: (len(seeds), count).
 
-    A draw of at least 2 * _SPLIT pairs, with two CPUs usable, is cut in
-    two along its longer axis, rows or pairs; the worker thread fills one
-    half while the caller fills the other, and a raise in either half
-    reaches the caller once both have stopped writing.
+    A draw of at least 2 * _SPLIT pairs, where _parallel() allows, is cut
+    in two along its longer axis, rows or pairs, and _on_both fills the
+    halves.
     """
     rows, npairs = len(seeds), (count + 1) // 2
     out = np.empty((rows, npairs, 2))
-    if rows * npairs < 2 * _SPLIT or _cpus() < 2:
+    if rows * npairs < 2 * _SPLIT or not _parallel():
         _fill(out, seeds, 0)
+    elif rows > npairs:
+        h = rows // 2
+        _on_both(_fill, (out[:h], seeds[:h], 0), (out[h:], seeds[h:], 0))
     else:
-        if rows > npairs:
-            h = rows // 2
-            mine, theirs = (out[:h], seeds[:h], 0), (out[h:], seeds[h:], 0)
-        else:
-            h = npairs // 2
-            mine, theirs = (out[:, :h], seeds, 0), (out[:, h:], seeds, h)
-        half = _worker().submit(_fill, *theirs)
-        try:
-            _fill(*mine)
-        except BaseException:
-            half.exception()  # wait: out is dropped only once the worker is done
-            raise
-        half.result()
+        h = npairs // 2
+        _on_both(_fill, (out[:, :h], seeds, 0), (out[:, h:], seeds, h))
     return out.reshape(rows, 2 * npairs)[:, :count]
 
 

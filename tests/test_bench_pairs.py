@@ -1,7 +1,9 @@
-"""The verdict that scripts/bench_pairs.py writes for each summary row."""
+"""The verdict and the two-thread scaling probe that scripts/bench_pairs.py
+writes for each summary row."""
 
 import importlib.util
 import os
+import time
 
 import pytest
 
@@ -64,3 +66,27 @@ def test_each_summary_row_carries_its_verdict(items, setup, raw, want):
     rows = bench_pairs.summarize(pairs(items, setup, raw), DECLARED)
     assert [(r["metric"], r["verdict"]) for r in rows] == list(
         zip(("items_per_s", "setup_s"), want))
+
+
+def test_the_scaling_probe_tells_overlapping_work_from_serialized_work():
+    # sleeps overlap on two threads whatever the cores; a pure-Python loop
+    # holds the interpreter lock, so its two threads take turns
+    def spin():
+        total = 0
+        for i in range(200_000):
+            total += i
+
+    sleeps = bench_pairs.two_thread_scaling(lambda: time.sleep(0.05), repeats=3)
+    spins = bench_pairs.two_thread_scaling(spin, repeats=3)
+    assert sleeps["scaling"] > 1.5
+    assert spins["scaling"] < 1.5
+    for probe in (sleeps, spins):
+        assert probe["scaling"] == probe["one_thread_s"] / probe["two_threads_s"]
+    # the items_per_s row carries the median of the pairs' probes
+    with_probes = pairs(STEADY, (spread(1.0, 0.01), spread(1.0, 0.01)))
+    for k, pair in enumerate(with_probes):
+        pair["two_thread_scaling"] = {"scaling": 1.0 + k / 10}
+    rows = bench_pairs.summarize(with_probes, DECLARED)
+    assert rows[0]["two_thread_scaling_median"] == 1.45
+    assert "two_thread_scaling_median" not in bench_pairs.summarize(
+        pairs(STEADY, STEADY), DECLARED)[0]

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import threading
+import time
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -542,6 +544,99 @@ def test_a_trial_past_the_design_cap_is_refused(monkeypatch):
                     call()
             else:
                 call()
+
+
+def spy_grids(monkeypatch, cpus, grid=None):
+    """Pretend `cpus` CPUs are usable and route the sampler's draws through
+    grid(seeds, count), rng.normals_grid by default; return the list that
+    gets the id of the thread of every draw."""
+    grid, threads = grid or rng.normals_grid, []
+
+    def grid_spy(seeds, count):
+        threads.append(threading.get_ident())
+        return grid(seeds, count)
+
+    monkeypatch.setattr(rng, "_cpus", lambda: cpus)
+    monkeypatch.setattr(rng, "normals_grid", grid_spy)
+    return threads
+
+
+def misrank_hexes(n1, n2, trials):
+    """.hex() of empirical_misrank and unit_misrank in both settings."""
+    sig = SparseSignal(p=7, support=(0, 1, 2), values=(1.3, -0.7, 2.0))
+    noise = NoiseProfile(n1, n2, 0.5, 2.0)
+    out = []
+    for setting in (Setting.AGNOSTIC, Setting.INFORMED):
+        out += hexes(empirical_misrank(sig, noise, (1, 2, 4), trials, 3, setting))
+        out += hexes(unit_misrank(query(setting, n1=n1, n2=n2, s1=0.5, s2=2.0, m=4), trials, 3))
+    return out
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 0), (0, 16), (8, 12), (150, 50)])
+def test_misrank_is_the_same_on_one_thread_and_two(monkeypatch, n1, n2):
+    # batches dealt to the caller and the worker count what one thread counts,
+    # across the batch edges, and every batch is drawn whole on one thread
+    batch = chernoff._batch(n1 + n2)
+    assert batch * (n1 + n2) < 2 * rng._SPLIT
+    for trials in (1, batch, batch + 1, 2 * batch + 1):
+        got = {}
+        for cpus in (1, 2):
+            threads = spy_grids(monkeypatch, cpus)
+            got[cpus] = misrank_hexes(n1, n2, trials)
+            batches = -(-trials // batch)
+            assert len(threads) == 4 * batches
+            assert len(set(threads)) == 1 + (cpus == 2 and batches > 1)
+            monkeypatch.undo()
+        assert got[1] == got[2], trials
+
+
+def test_a_raise_in_a_workers_batch_reaches_the_caller_after_its_batches(monkeypatch):
+    grid, mine = rng.normals_grid, []
+
+    def failing_grid(seeds, count):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("worker batch")
+        time.sleep(0.1)  # still drawing long after the worker's batch raised
+        mine.append(len(seeds))
+        return grid(seeds, count)
+
+    spy_grids(monkeypatch, 2, failing_grid)
+    n = 20
+    batch = chernoff._batch(n)
+    with pytest.raises(FloatingPointError, match="worker batch"):
+        unit_misrank(query(n1=8, n2=12, m=4), 4 * batch, 1)
+    assert mine == [batch, batch]  # batches 0 and 2, the caller's, both drawn
+
+
+def test_a_raise_in_a_callers_batch_waits_for_the_workers_batches(monkeypatch):
+    grid, worker_done = rng.normals_grid, threading.Event()
+
+    def slow_worker_grid(seeds, count):
+        if threading.current_thread() is threading.main_thread():
+            raise FloatingPointError("caller batch")
+        time.sleep(0.2)  # still drawing long after the caller's batch raised
+        out = grid(seeds, count)
+        worker_done.set()
+        return out
+
+    spy_grids(monkeypatch, 2, slow_worker_grid)
+    with pytest.raises(FloatingPointError, match="caller batch"):
+        unit_misrank(query(n1=8, n2=12, m=4), 2 * chernoff._batch(20), 1)
+    assert worker_done.is_set()
+
+
+def test_misrank_starts_no_thread_but_the_one_worker(monkeypatch):
+    before = threading.active_count()
+    threads = spy_grids(monkeypatch, 2)
+    for _ in range(3):
+        unit_misrank(query(n1=8, n2=12, m=4), 20 * chernoff._batch(20) + 7, 5)
+    assert len(set(threads)) == 2
+    assert threading.active_count() <= before + 1
+
+
+def test_library_seeds_are_used_mod_2_64():
+    q = query(n1=8, n2=12, m=4)
+    assert hexes(unit_misrank(q, 100, -5)) == hexes(unit_misrank(q, 100, 2**64 - 5))
 
 
 def test_empirical_misrank_memory_does_not_grow_with_the_shared_support():

@@ -21,7 +21,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparsemix import ExperimentConfig, emit_outputs, rng, run_sweep, summarize
+from sparsemix import (ChernoffQuery, ExperimentConfig, chernoff, emit_outputs, rng, run_sweep,
+                       summarize, unit_misrank)
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK = (1 << 64) - 1
@@ -239,6 +240,35 @@ def test_import_starts_no_thread_and_small_draws_start_none():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:3] == ["1 False", "1 False", "2 True"]
+
+
+def test_a_draw_on_the_worker_thread_fills_serially(monkeypatch):
+    # a draw on the worker that split would wait for its own queue forever;
+    # the child runs the sampler too, whose batches reach the worker, at
+    # rows on both sides of rng's split
+    rows = (1, 16, 20, 2 * rng._SPLIT - 1, 2 * rng._SPLIT, 2 * rng._SPLIT + 1)
+    script = (
+        "import hashlib, sys\n"
+        "from sparsemix import ChernoffQuery, chernoff, rng, unit_misrank\n"
+        "rng._cpus = lambda: 2\n"
+        "draw = rng._worker().submit(rng.normals, 1, 4 * rng._SPLIT).result(timeout=60)\n"
+        "print(hashlib.sha256(draw.tobytes()).hexdigest())\n"
+        f"for n in {rows!r}:\n"
+        "    q = ChernoffQuery('Agnostic', n // 3, n - n // 3, 0.5, 2.0, 4)\n"
+        "    print(unit_misrank(q, 2 * chernoff._batch(n) + 1, n).estimate.hex())\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(rng.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=root + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setattr(rng, "_cpus", lambda: 1)
+    want = [hashlib.sha256(rng.normals(1, 4 * rng._SPLIT).tobytes()).hexdigest()]
+    for n in rows:
+        q = ChernoffQuery("Agnostic", n // 3, n - n // 3, 0.5, 2.0, 4)
+        want.append(unit_misrank(q, 2 * chernoff._batch(n) + 1, n).estimate.hex())
+    assert proc.stdout.split() == want
 
 
 def test_a_raise_in_the_workers_half_reaches_the_caller(monkeypatch):
