@@ -23,26 +23,26 @@ matrix fits the block budget). With W the row weights, G = X^T W X and
 b = X^T W Y, a support's loss is Y^T W Y + sum_S (G_ii - 2 b_i) +
 2 sum_{i<j in S} G_ij: O(s^2) per candidate instead of O(s n). Its
 rounding differs from the canonical routine's by at most a proven margin
-M (derived in _GramForm.margin: gamma_K times a bound on the sum of the
-absolute product terms, K = 3n + (s+5)^2), so only candidates whose
-Gram-form score lies within 2M of the lowest can hold the canonical
-minimum. Those alone are evaluated canonically and folded by (loss,
-support), which leaves supports, loss bits and tie-breaks as a canonical
-evaluation of every candidate would give them. This is the
-bound-and-confirm idea of leaps-and-bounds subset search (Furnival &
-Wilson 1974). M is finite only when G and every score are, and a margin
-that is not finite keeps every candidate, so overflow needs no separate
-path.
+M (derived in _GramForm.margin for any order of summing the same terms),
+so only candidates whose Gram-form score lies within 2M of the lowest
+can hold the canonical minimum. Those alone are evaluated canonically and
+folded by (loss, support), which leaves supports, loss bits and
+tie-breaks as a canonical evaluation of every candidate would give them:
+the bound-and-confirm idea of leaps-and-bounds subset search (Furnival &
+Wilson 1974). A margin that is not finite keeps every candidate, so
+overflow needs no separate path. The exhaustive scan sums a candidate's
+s(s+1)/2 Gram terms by position pairs: C(s, 2) gathers, odd s one more.
 
-Local search runs its restarts in lockstep: each step forms the Gram rows
-of every restart still descending in one call, screens each restart's
-swaps against its own lowest score, evaluates all survivors on their
-incremental residuals in row blocks and confirms the improving steps in
-one canonical batch. Restarts run in blocks sized so that one step holds
-about _CHUNK_ENTRIES values, so the restart count costs time, not memory.
-Restarts are independent and the final fold is by (loss, support), so
-supports, loss bits, tie-breaks and scanned are those of running the
-restarts one after another.
+Local search runs its restarts in lockstep: each step scores every swap-in
+of every restart still descending from Gram rows cached for the descent,
+each formed on first use, screens each restart's swaps against its own
+lowest score, evaluates all survivors on their incremental residuals in
+row blocks and confirms the improving steps in one canonical batch.
+Restarts run in blocks sized so that a step, the row cache and the
+residual blocks stay within _CHUNK_ENTRIES values, so the restart count
+costs time, not memory. Restarts are independent and the final fold is
+by (loss, support), so supports, loss bits, tie-breaks and scanned are
+those of running the restarts one after another.
 """
 
 from __future__ import annotations
@@ -90,11 +90,10 @@ class DecodeResult:
 
 
 def _row_sums(sq: np.ndarray) -> np.ndarray:
-    """Sum each row of a C-contiguous (c, n) array, panel-compensated."""
-    n = sq.shape[1]
-    total = np.zeros(sq.shape[0])
-    comp = np.zeros(sq.shape[0])
-    for start in range(0, n, _PANEL):
+    """Sum each row of a C-contiguous (c, n) array, panel-compensated; the
+    first partial starts the Kahan sum, as a step from zero leaves it."""
+    total, comp = np.add.reduce(sq[:, :_PANEL], axis=1), 0.0
+    for start in range(_PANEL, sq.shape[1], _PANEL):
         part = np.add.reduce(sq[:, start : start + _PANEL], axis=1)
         y = part - comp
         t = total + y
@@ -107,12 +106,10 @@ def _candidate_losses(resid: np.ndarray, n1: int, w1: float, w2: float) -> np.nd
     """Weighted squared-residual losses for residual rows shaped (c, n).
 
     With finite data and weights a NaN loss means the sum of squares
-    overflowed (the Kahan step meets inf - inf), so it becomes +inf.
+    overflowed (a Kahan step met inf - inf), so it becomes +inf.
     """
     sq = resid * resid
-    loss = w1 * _row_sums(sq[:, :n1]) + w2 * _row_sums(sq[:, n1:])
-    loss[np.isnan(loss)] = math.inf
-    return loss
+    return np.fmin(w1 * _row_sums(sq[:, :n1]) + w2 * _row_sums(sq[:, n1:]), math.inf)
 
 
 def _canonical_losses(
@@ -153,10 +150,9 @@ class _GramForm:
 
         C is one constant for all candidates of a ranking: Y^T W Y for the
         exhaustive scores, the current support's loss for local search.
-        Given that bound, the canonical winner S* and the Gram-form
-        minimizer S_g satisfy score(S*) <= loss(S*) - C + M
-        <= loss(S_g) - C + M <= score(S_g) + 2M, so S* survives a 2M
-        screen. Derivation, with u = 2^-53 and gamma_k = k u / (1 - k u):
+        The canonical winner S* and the Gram-form minimizer S_g then satisfy
+        score(S*) <= loss(S*) - C + M <= loss(S_g) - C + M <= score(S_g) + 2M,
+        so S* survives a 2M screen. With u = 2^-53, gamma_k = k u / (1 - k u):
         a sum of terms whose values carry relative error gamma_a, formed
         along any tree of depth d (any BLAS blocking, FMA or pairwise
         order), is within gamma_{a+d} of the exact sum times the sum of
@@ -175,13 +171,14 @@ class _GramForm:
         weight and block sum add 2: gamma_{n+2s+4} A (gamma_{n+2s+8} A).
 
         Gram form: an entry of G or b is an n_b-term dot product scaled
-        by its block weight and added across blocks, gamma_{n+2}. The
-        exhaustive score sums s(s+1)/2 entries of H (H_ii = G_ii - 2 b_i,
-        one more rounding; H_ij = 2 G_ij): gamma_{n+2+s(s+1)/2} A. The
+        by its block weight and added across blocks, gamma_{n+2}, whichever
+        call formed its row. The exhaustive score sums s(s+1)/2 entries
+        of H (H_ii = G_ii - 2 b_i, one more rounding; H_ij = 2 G_ij) in
+        any tree, such as _term_codes' pairs: gamma_{n+2+s(s+1)/2} A. The
         swap score G_ii + G_jj + 2c_i - 2c_j - 2G_ij with
         c = b - sum_{k in cur} G_k passes each term through at most s + 3
-        roundings: gamma_{n+s+5} A. Either pair of bounds adds up to at
-        most gamma_{2n+(s+3)^2} A.
+        roundings in any order: gamma_{n+s+5} A. Either pair of bounds
+        adds up to at most gamma_{2n+(s+3)^2} A.
 
         A <= wmax (||Y|| + t max_j ||X_j||)^2 = wmax R^2 (Minkowski,
         unweighted norms). Forming R^2 from computed norms takes at most
@@ -204,63 +201,65 @@ class _GramForm:
 
 def _screen(
     scores: np.ndarray, margin: float, low: float | np.ndarray = math.inf
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Indices of the candidates that can still hold the minimum.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which candidates can still hold the minimum, and the lowest scores.
 
     Candidates lie along the last axis of `scores`, each leading index
     (a local-search restart) ranked on its own. A candidate survives
     unless its Gram-form score exceeds the lowest score of its row seen
     so far, `low` included, by more than 2 * margin. A NaN score or a
-    non-finite margin fails that comparison, so those candidates
-    survive. Returns the survivors' indices, as np.nonzero gives them,
-    and the updated lowest scores.
+    non-finite margin fails that comparison, so those candidates survive.
     """
     low = np.minimum(low, scores.min(axis=-1, keepdims=True))
-    return np.nonzero(~(scores > low + 2.0 * margin)), low
+    return ~(scores > low + 2.0 * margin), low
 
 
-def _pair_scores(H: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """sum_{a <= b} H[c_a, c_b] for each sorted candidate row c."""
-    flat = H.ravel()
-    cols = np.ascontiguousarray(cands.T)  # position-major gathers are the fast ones
-    base = cols * H.shape[0]
-    scores = flat[base[0] + cols].sum(axis=0)
-    for a in range(1, cols.shape[0]):
-        scores += flat[base[a] + cols[a:]].sum(axis=0)
-    return scores
+def _term_codes(cands: np.ndarray, p: int) -> np.ndarray:
+    """Where the Gram-form terms of sorted candidate rows c lie in [H; P].
+
+    With P_ij = H_ii + H_ij + H_jj, sum_{a <= b} H[c_a, c_b] is P over the
+    pairs (c_0, c_1), (c_2, c_3), ..., the last c's diagonal for odd s, and
+    H across pairs: C(s, 2) + s % 2 terms, one row of flat indices each."""
+    s = cands.shape[1]
+    terms = [(a, a + 1, p * p) for a in range(0, s - 1, 2)] + [(s - 1, s - 1, 0)] * (s % 2)
+    terms += [(a, b, 0) for a in range(s) for b in range(a + 2 - a % 2, s)]
+    first, second, offset = np.array(terms).T
+    codes = cands.T[first]  # formed in place: a cached table's codes are its largest array
+    codes *= p
+    codes += cands.T[second]
+    codes += offset[:, None]
+    return codes
 
 
 @functools.lru_cache(maxsize=4)
-def _support_table(p: int, s: int) -> np.ndarray:
-    """Every size-s support of range(p), one row each, in lexicographic order."""
+def _support_table(p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every size-s support of range(p) in lexicographic order, and its term codes."""
     combos = itertools.chain.from_iterable(itertools.combinations(range(p), s))
     table = np.fromiter(combos, np.intp).reshape(-1, s)
-    table.flags.writeable = False
-    return table
+    codes = _term_codes(table, p)
+    table.flags.writeable = codes.flags.writeable = False
+    return table, codes
 
 
-def _support_blocks(p: int, s: int, total: int, rows: int) -> Iterator[np.ndarray]:
-    """The size-s supports of range(p) in lexicographic order, `rows` at a time.
-
-    total is their count, C(p, s). A table of at most _CHUNK_ENTRIES // 8
-    entries is built once per (p, s) and cached; a larger one is streamed,
-    so a scan holds one block of it at a time.
-    """
-    if total * s <= _CHUNK_ENTRIES // 8:
-        table = _support_table(p, s)
+def _support_blocks(p: int, s: int, total: int, rows: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The size-s supports of range(p) in lexicographic order, `rows` at a
+    time, with their term codes; total is their count, C(p, s). Up to
+    _CHUNK_ENTRIES // 8 entries (s^2 per support bounds table and codes)
+    they are cached per (p, s), and streamed a block at a time above that."""
+    if total * s * s <= _CHUNK_ENTRIES // 8:
+        table, codes = _support_table(p, s)
         for start in range(0, total, rows):
-            yield table[start : start + rows]
+            yield table[start : start + rows], codes[:, start : start + rows]
         return
     combos = itertools.chain.from_iterable(itertools.combinations(range(p), s))
     for start in range(0, total, rows):
         k = min(rows, total - start)
-        yield np.fromiter(combos, np.intp, count=k * s).reshape(k, s)
+        block = np.fromiter(combos, np.intp, count=k * s).reshape(k, s)
+        yield block, _term_codes(block, p)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def support_loss(
-    dataset: MixedDataset, support: Iterable[int], setting: Setting
-) -> float:
+def support_loss(dataset: MixedDataset, support: Iterable[int], setting: Setting) -> float:
     """Residual loss of putting a unit coefficient on each given index.
 
     Agnostic: squared norm of Y - X 1_S. Informed: same residual with
@@ -284,9 +283,7 @@ def exhaustive_candidates(p: int, s: int) -> int:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def decode_exhaustive(
-    dataset: MixedDataset, s: int, setting: Setting
-) -> DecodeResult:
+def decode_exhaustive(dataset: MixedDataset, s: int, setting: Setting) -> DecodeResult:
     """Scan every size-s support and return the loss minimizer.
 
     Candidates are visited in lexicographic order in fixed-size blocks;
@@ -297,26 +294,26 @@ def decode_exhaustive(
     lowest score so far are evaluated canonically; scanned counts every
     candidate ranked, not those evaluations. The Gram form is used where
     its p x p matrix fits the block budget (p^2 <= _CHUNK_ENTRIES);
-    elsewhere every candidate is evaluated canonically. Refuses instances with more than
-    EXHAUSTIVE_CAP candidates; use decode_local_search for those.
+    elsewhere every candidate is evaluated canonically. Refuses more
+    than EXHAUSTIVE_CAP candidates; use decode_local_search for those.
     """
     p = dataset.p
     s = as_index(s, "s", low=1, high=p)
     total = exhaustive_candidates(p, s)
     w1, w2 = dataset.noise.block_weights(setting)
-    H = None
+    HP = None
     if p * p <= _CHUNK_ENTRIES:
         gram = _GramForm(dataset, w1, w2)
-        H = 2.0 * np.triu(gram.rows(slice(None)), 1)
-        H[np.diag_indices(p)] = gram.diag - 2.0 * gram.b
+        H = 2.0 * gram.rows(slice(None))  # read above the diagonal only
+        H[np.diag_indices(p)] = d = gram.diag - 2.0 * gram.b
+        HP = np.concatenate((H, (d[:, None] + H) + d)).ravel()  # see _term_codes
         margin = gram.margin(s, s)
-    low = math.inf
-    chunk = max(16, min(4096, _CHUNK_ENTRIES // max(1, s * dataset.n)))
-    best = None
-    for cands in _support_blocks(p, s, total, chunk):
-        if H is not None:
-            (keep,), low = _screen(_pair_scores(H, cands), margin, low)
-            if keep.size == 0:
+    chunk = max(16, min(4096, _CHUNK_ENTRIES // (s * max(dataset.n, s))))
+    low, best = math.inf, None
+    for cands, codes in _support_blocks(p, s, total, chunk):
+        if HP is not None:
+            keep, low = _screen(HP[codes].sum(axis=0), margin, low)
+            if not keep.any():
                 continue
             cands = cands[keep]
         # the first minimum in scan order is the lexicographically smallest
@@ -338,14 +335,8 @@ def _random_starts(seed: int, first: int, stop: int, p: int, s: int) -> np.ndarr
     return np.sort(np.argsort(keys, axis=1, kind="stable")[:, :s], axis=1)
 
 
-def _descend(
-    dataset: MixedDataset,
-    gram: _GramForm,
-    margin: float,
-    cur: np.ndarray,
-    w1: float,
-    w2: float,
-) -> tuple[np.ndarray, int]:
+def _descend(dataset: MixedDataset, gram: _GramForm, margin: float, cur: np.ndarray,
+             w1: float, w2: float) -> tuple[np.ndarray, int]:
     """Steepest single-swap descent of every start in `cur`, in lockstep.
 
     cur holds one sorted support per row and is updated in place; a
@@ -353,56 +344,70 @@ def _descend(
     canonical losses and the number of swaps ranked.
     """
     p, s = dataset.p, cur.shape[1]
-    m = p - s  # swap-in choices per removed index
     Xt = dataset.X.T
     # survivor rows per residual block: about four n-long arrays are live
-    # per row, so a block stays within half the budget
-    rows_per_block = max(1, _CHUNK_ENTRIES // (8 * dataset.n))
+    # per row, so a block stays within a quarter of the budget
+    rows_per_block = max(1, _CHUNK_ENTRIES // (16 * dataset.n))
     loss = _canonical_losses(dataset, cur, w1, w2)
-    active = np.arange(len(cur) if m > 0 else 0)
-    ranked = 0
+    active = np.arange(len(cur) if p > s else 0)
+    # Gram rows formed so far, G_j at cache[slot[j]] where slot[j] >= 0: room for
+    # a step's rows or a quarter of the budget, emptied when new rows do not fit
+    cache = np.empty((min(p, max(s * len(cur), _CHUNK_ENTRIES // (4 * p))), p))
+    slot = np.full(p, -1)
+    filled = ranked = 0
     while active.size:
         ins = cur[active]
-        a = len(ins)
-        free = np.ones((a, p), dtype=bool)
-        free[np.arange(a)[:, None], ins] = False
-        outs = np.nonzero(free)[1].reshape(a, m)
+        on = np.arange(a := len(ins))[:, None]
+        need = np.zeros(p, dtype=bool)
+        need[ins] = True
+        new = np.flatnonzero(need & (slot < 0))
+        if filled + new.size > len(cache):
+            slot[:], filled, new = -1, 0, np.flatnonzero(need)
+        if new.size:
+            slot[new] = np.arange(filled, filled + new.size)
+            cache[filled : filled + new.size] = gram.rows(new)
+            filled += new.size
         # swap i out, j in: loss - cur_loss = G_ii + G_jj + 2c_i - 2c_j - 2G_ij
-        rows = gram.rows(ins.ravel()).reshape(a, s, p)
-        c = gram.b - rows.sum(axis=1)
-        u = gram.diag[ins] + 2.0 * np.take_along_axis(c, ins, 1)
-        v = gram.diag[outs] - 2.0 * np.take_along_axis(c, outs, 1)
-        g = np.take_along_axis(rows, outs[:, None, :], 2)
-        scores = (u[:, :, None] + v[:, None, :]) - 2.0 * g
-        # every restart keeps at least its lowest score
-        (who, k), _ = _screen(scores.reshape(a, s * m), margin)
-        ranked += a * s * m
+        # for every j; j in the support is no swap, so it is left out of
+        # the lowest score and then of the survivors (+inf alone would pass
+        # a non-finite margin). Every restart keeps its lowest score.
+        scores = cache[slot[ins]]
+        c = gram.b - scores.sum(axis=1)
+        c += c
+        u = (gram.diag + c)[on, ins]
+        scores *= -2.0
+        scores += u[:, :, None]
+        scores += (gram.diag - c)[:, None, :]
+        scores[on, :, ins] = math.inf
+        keep = _screen(scores.reshape(a, s * p), margin)[0].reshape(a, s, p)
+        keep[on, :, ins] = False
+        who, row, come = np.nonzero(keep)
+        ranked += a * s * (p - s)
         # survivors are evaluated on the incremental residual
         # (r0 + X_i) - X_j, so each step's choice is the one a full
         # evaluation of every swap on that residual would make
-        row, col = np.divmod(k, m)
-        gone, come = ins[who, row], outs[who, col]
+        gone = ins[who, row]
         resid0 = dataset.Y - np.add.reduce(Xt[ins], axis=1)
-        losses = np.empty(k.size)
-        for lo in range(0, k.size, rows_per_block):
+        losses = np.empty(who.size)
+        for lo in range(0, who.size, rows_per_block):
             sl = slice(lo, lo + rows_per_block)
             resid = (resid0[who[sl]] + Xt[gone[sl]]) - Xt[come[sl]]
             losses[sl] = _candidate_losses(resid, dataset.noise.n1, w1, w2)
-        # fold by (loss, support) per restart; survivors come grouped by
-        # restart, and a minimum that does not improve stops it
-        low = np.minimum.reduceat(losses, np.flatnonzero(np.diff(who, prepend=-1)))
+        # fold by (loss, support) per restart, survivors grouped by
+        # restart; a minimum that does not improve stops it
+        low = np.minimum.reduceat(losses, np.searchsorted(who, on[:, 0]))
         better = low < loss[active]
-        tied = np.flatnonzero(better[who] & (losses == low[who]))
-        if tied.size == 0:
+        improved = np.flatnonzero(better)
+        if improved.size == 0:
             break
+        tied = np.flatnonzero(better[who] & (losses == low[who]))
         owner = who[tied]
         step = ins[owner]
         step[np.arange(tied.size), row[tied]] = come[tied]
         step.sort(axis=1)
         # the smallest support among each restart's tied minima
         order = np.lexsort((*step.T[::-1], owner))
-        pick = order[np.flatnonzero(np.diff(owner[order], prepend=-1))]
-        moved, step = active[owner[pick]], step[pick]
+        moved, step = active[improved], step[order[np.searchsorted(owner[order], improved)]]
         # confirm each improvement on the canonical evaluation before
         # committing, so termination agrees with support_loss
         exact = _canonical_losses(dataset, step, w1, w2)
@@ -415,12 +420,7 @@ def _descend(
 
 @np.errstate(over="ignore", invalid="ignore")
 def decode_local_search(
-    dataset: MixedDataset,
-    s: int,
-    setting: Setting,
-    *,
-    restarts: int = 8,
-    seed: int = 0,
+    dataset: MixedDataset, s: int, setting: Setting, *, restarts: int = 8, seed: int = 0
 ) -> DecodeResult:
     """Steepest-descent single-swap search from random starts.
 
@@ -433,11 +433,9 @@ def decode_local_search(
     guarantee. Each step ranks its s * (p - s) swaps in Gram form and
     evaluates only those within the proven margin of the lowest score;
     scanned counts every swap ranked plus one start per restart, not the
-    canonical evaluations.
-
-    Restarts advance in lockstep (see the module docstring), in blocks
-    sized to the _CHUNK_ENTRIES budget; result and scanned are those of
-    running the restarts one after another.
+    canonical evaluations. Restarts advance in lockstep, in blocks (see
+    the module docstring); result and scanned are those of running the
+    restarts one after another.
     """
     p = dataset.p
     s = as_index(s, "s", low=1, high=p)
@@ -448,8 +446,9 @@ def decode_local_search(
     margin = gram.margin(s, s + 2)
     # half the budget goes to a block's restarts, each holding its Gram
     # rows, gathered columns and residual, swap scores and survivor
-    # indices at once; the other half to the survivor residual blocks
-    per_restart = (s + 2) * (p + dataset.n) + 10 * s * (p - s)
+    # indices at once; a quarter each to the row cache and the survivor
+    # residual blocks (_descend)
+    per_restart = (s + 2) * (p + dataset.n) + 10 * s * p
     block = max(1, _CHUNK_ENTRIES // (2 * per_restart))
     scanned = restarts  # one start per restart
     ends = []  # the (loss, support) minimum of each block of restarts

@@ -44,8 +44,6 @@ _BLOCK = 64  # pass-1 screen: coordinates per gemv, and the pass size that turns
 _U = 2.0**-53  # unit roundoff of float64
 _H = 2.0**-1074  # smallest subnormal: the absolute error unit of gradual underflow
 _GRAM_CONDITION_LIMIT = 1e12
-_STRICT_MARGIN = 1e-9  # KKT witness: each support slack must exceed this
-_EQ_TOL = 1e-9  # KKT witness: each off-support margin may fall this far below 0
 
 
 @dataclass(frozen=True)
@@ -80,15 +78,17 @@ class LassoSolution:
 
 @dataclass(frozen=True)
 class KktWitnessReport:
-    """Exact adjudication of signed-support recovery at a penalty level.
+    """Adjudication of signed-support recovery at a penalty level.
 
     on_support_slack[i] = |beta_i| - |U_i| over the support in ascending
-    index order; off_support_margin[j] = lam - |V_j| over the complement.
-    condition1 needs every slack above _STRICT_MARGIN, condition2 every
-    margin at least -_EQ_TOL; recovery is their conjunction. boundary
-    flags reports whose smallest |slack| or |margin| sits within ten times
-    its tolerance, where the verdict should not be trusted to agree with
-    a finite-precision solver.
+    index order; off_support_margin[j] = lam - |V_j| over the complement,
+    both as computed in float64, each within a proven rounding bound of its
+    exact value (E_U and E_V, derived in kkt_recovery_witness). condition1
+    holds when every slack exceeds E_U and condition2 when every margin
+    reaches E_V, so each also holds exactly; recovery is their conjunction.
+    boundary flags a slack or margin within its bound of zero: float64
+    cannot decide that condition, or decides it only by an exact equality,
+    and a condition it cannot decide is False.
     """
 
     on_support_slack: np.ndarray
@@ -301,9 +301,26 @@ def kkt_recovery_witness(
 
     where P projects onto the support columns. The Lasso recovers the
     signed support iff |U_i| < |beta_i| on the support and |V_j| <= lam
-    off it, up to the tolerances in KktWitnessReport. Factorization is by
-    SVD; a support Gram condition number above 1e12 raises
-    DegenerateInstanceError rather than certifying anything.
+    off it. Factorization is by SVD; a support Gram condition number above
+    1e12 raises DegenerateInstanceError rather than certifying anything.
+
+    Z is taken as computed; every later rounding is bounded, so that the
+    verdicts hold exactly (KktWitnessReport). With u_hat the computed U
+    and R = Z - X_S u_hat, V_j = X_j^T R / n - X_j^T X_S (U - u_hat) / n
+    and U - u_hat = -G^{-1} rho with rho = lam b - X_S^T R / n, the
+    support's stationarity residual. Each X^T R / n is computed within
+    err = gamma_{n+s+1} |X|^T (|Z| + |X_S||u_hat| + |R|) / n of its exact
+    value (Higham 2002, ch. 3; u = 2^-53), and |R| <= |Z| + |X_S||u_hat|
+    up to rounding, so doubling the first two terms and the count covers
+    it and the rounding of evaluating the bound. ||G^{-1}|| = n / sv_min^2
+    <= 2 n / sv_hat_min^2 whenever the SVD's backward error is below
+    0.29 ||X_S|| / sqrt(1e12), far above LAPACK's. Hence, with both bounds
+    doubled once more so that forming slack, margin and the comparisons
+    cannot undercut them:
+    E_U = 4 n / sv_hat_min^2 (||rho_hat|| + ||err_S||) and
+    E_V = 2 err_j + E_U |X_j|^T |X_S| 1 / n. Both scale with the data,
+    so verdicts keep under power-of-two rescaling of X, Y and lam;
+    gradual underflow is not covered.
     """
     as_real(lam, "lam")
     X, Y = dataset.X, dataset.Y
@@ -318,9 +335,9 @@ def kkt_recovery_witness(
     beta_s = np.asarray(truth.values)
     b = np.sign(beta_s)
     Xs = X[:, support]
-    Z = _residual(X, Y, truth.dense())
+    Z = Y - Xs @ beta_s  # _residual's product: the support is sorted, its values nonzero
 
-    u_fac, sv, vt = np.linalg.svd(Xs, full_matrices=False)
+    _, sv, vt = np.linalg.svd(Xs, full_matrices=False)
     if sv[-1] <= 0.0:
         raise DegenerateInstanceError("support columns are rank deficient")
     gram_condition = float((sv[0] / sv[-1]) ** 2)
@@ -330,25 +347,26 @@ def kkt_recovery_witness(
             f"{_GRAM_CONDITION_LIMIT:.0e}"
         )
 
-    # G^{-1} x = V diag(n / sv^2) V^T x
+    # G^{-1} x = V diag(n / sv^2) V^T x; beta_S + U solves the Lasso on S
     rhs = Xs.T @ Z / n - lam * b
     u_vec = vt.T @ ((n / sv**2) * (vt @ rhs))
-
-    # X_S (X_S^T X_S)^{-1} b = U diag(1/sv) V^T b
-    dual_dir = u_fac @ ((1.0 / sv) * (vt @ b))
-    resid_perp = (Z - u_fac @ (u_fac.T @ Z)) / n
-    w = lam * dual_dir + resid_perp
+    fit = Z - Xs @ u_vec  # Y - X (beta + U)
+    corr = X.T @ fit / n  # lam b on the support, V off it
     off = np.ones(p, dtype=bool)
     off[support] = False
-    v_vec = X[:, off].T @ w
+    abs_s, abs_x = np.abs(Xs), np.abs(X)
+    k = 2 * (n + s) + 8
+    gamma = 2.0 * k * _U / ((1.0 - k * _U) * n)
+    err = gamma * ((np.abs(Z) + abs_s @ np.abs(u_vec)) @ abs_x)
+    rho = lam * b - corr[support]
+    e_u = 4.0 * n / sv[-1] ** 2 * (math.sqrt(rho @ rho) + math.sqrt(err[support] @ err[support]))
+    e_v = (2.0 * err + e_u / n * (abs_s.sum(axis=1) @ abs_x))[off]
 
     slack = np.abs(beta_s) - np.abs(u_vec)
-    margin = lam - np.abs(v_vec)
-    condition1 = bool(slack.min() > _STRICT_MARGIN)
-    condition2 = bool(margin.min() >= -_EQ_TOL) if margin.size else True
-    boundary = bool(np.abs(slack).min() < 10.0 * _STRICT_MARGIN)
-    if margin.size and np.abs(margin).min() < 10.0 * _EQ_TOL:
-        boundary = True
+    margin = lam - np.abs(corr[off])
+    condition1 = bool(slack.min() > e_u)
+    condition2 = bool((margin >= e_v).all())
+    boundary = bool(np.abs(slack).min() <= e_u or (np.abs(margin) <= e_v).any())
     return KktWitnessReport(
         on_support_slack=slack,
         off_support_margin=margin,

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sparsemix import (
     MixedDataset,
@@ -389,6 +390,47 @@ def test_screened_decoders_match_the_residual_reference():
         X = rng.standard_normal((16, 12)) * 10.0 ** rng.integers(-6, 7, size=12)
         Y = X[:, [0, 3, 6]].sum(axis=1) + rng.standard_normal(16)
         assert_matches_reference(two_block(X, Y, 7, 1e-3, 10.0), 3, seed=seed)
+
+
+@st.composite
+def decoder_cases(draw):
+    """A small dataset, its support size, restarts, seed and block budget.
+
+    s runs from 1 to 6, odd and even, up to s = p. The data are standard
+    normal, small integers (every tie exact) or normal scaled near 2^512,
+    where some losses overflow; copied columns add exact ties. The budget
+    splits scan blocks and restart blocks down to one entry.
+    """
+    p = draw(st.integers(1, 9))
+    s = draw(st.integers(1, min(6, p)))
+    n = draw(st.integers(1, 12))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "integer", "huge"]))
+    if kind == "integer":
+        X = gen.integers(-2, 3, size=(n, p)).astype(float)
+        noise = gen.integers(-1, 2, size=n).astype(float)
+    else:
+        X = gen.standard_normal((n, p))
+        noise = 0.3 * gen.standard_normal(n)
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)), max_size=2)):
+        X[:, dst] = X[:, src]
+    Y = X[:, gen.choice(p, s, replace=False)].sum(axis=1) + noise
+    if kind == "huge":
+        scale = 2.0 ** draw(st.integers(480, 515))
+        X, Y = X * scale, Y * scale
+    ds = two_block(X, Y, draw(st.integers(0, n)), *draw(st.sampled_from([(0.5, 2.0), (1.0, 1.0), (0.25, 3.0)])))
+    budget = draw(st.sampled_from([1, 1 << 8, 1 << 10, decoders._CHUNK_ENTRIES]))
+    return ds, s, draw(st.sampled_from([(1,), (2, 5)])), draw(st.integers(0, 2**64 - 1)), budget
+
+
+@given(decoder_cases())
+def test_decoders_match_the_references_on_drawn_cases(case):
+    # (support, loss.hex(), scanned, exhaustive) in both settings; the
+    # references evaluate overflowing losses unguarded
+    ds, s, restarts, seed, budget = case
+    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+        patch.setattr(decoders, "_CHUNK_ENTRIES", budget)
+        assert_matches_reference(ds, s, restarts=restarts, seed=seed)
 
 
 def test_screened_scan_matches_the_reference_in_small_blocks(monkeypatch):

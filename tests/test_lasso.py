@@ -522,6 +522,58 @@ def test_witness_requires_fewer_support_columns_than_rows():
         kkt_recovery_witness(wide, big, 0.1)
 
 
+def irrepresentable_design():
+    # orthogonal support columns of squared norm n and an off-support column
+    # 0.765 (x_0 + x_1): noiseless, V_2 = 1.53 lam, so condition2 fails by
+    # 0.53 lam at every lam while the other margins read lam
+    n, p = 40, 6
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((n, p)))
+    X = math.sqrt(n) * q
+    X[:, 2] = 0.765 * (X[:, 0] + X[:, 1])
+    sig = SparseSignal(p=p, support=(0, 1), values=(1.0, 1.0))
+    return MixedDataset(X=X, Y=X[:, 0] + X[:, 1], noise=uniform_profile(n)), sig
+
+
+@pytest.mark.parametrize("lam", [1e-1, 1e-9, 1e-11])
+def test_witness_verdict_does_not_follow_the_scale_of_lam(lam):
+    ds, sig = irrepresentable_design()
+    rep = kkt_recovery_witness(ds, sig, lam)
+    assert rep.condition1 and not rep.condition2 and not rep.recovery
+    assert not rep.boundary
+    assert math.isclose(rep.off_support_margin.min(), -0.53 * lam, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [6, 27, 103, 162, 184])
+def test_witness_refuses_a_tiny_negative_margin_at_tiny_noise(seed):
+    # at sigma^2 = 1e-30 and lam = 1e-10 every margin is a few lam or less;
+    # these seeds hold one below zero (solve_lasso puts 37 nonzeros off
+    # the support), which an absolute tolerance of 1e-9 used to accept
+    sig = SparseSignal(p=40, support=(0, 1, 2), values=(1.0, 1.0, 1.0))
+    noise = NoiseProfile(n1=20, n2=20, sigma1_sq=1e-30, sigma2_sq=1e-30)
+    rep = kkt_recovery_witness(generate_dataset(sig, noise, seed=seed), sig, 1e-10)
+    assert rep.off_support_margin.min() < 0.0
+    assert not rep.condition2 and not rep.recovery and not rep.boundary
+
+
+def test_witness_verdicts_keep_under_power_of_two_rescaling():
+    # X, Y -> c X, c Y and lam -> c^2 lam leave U and slack alone and scale
+    # V and the margins by c^2; a verdict must not change with c
+    cases = [irrepresentable_design() + (0.3,)]
+    for seed in range(6):
+        ds, sig = random_dataset(30, 12, seed=seed, support=(1, 4, 7), values=(1.0, -1.0, 0.8))
+        cases.append((ds, sig, 0.25))
+    for ds, sig, lam in cases:
+        base = kkt_recovery_witness(ds, sig, lam)
+        for k in (-40, -7, 9, 60):
+            c = 2.0**k
+            scaled = MixedDataset(X=c * ds.X, Y=c * ds.Y, noise=ds.noise)
+            rep = kkt_recovery_witness(scaled, sig, c * c * lam)
+            verdict = (rep.condition1, rep.condition2, rep.recovery, rep.boundary)
+            assert verdict == (base.condition1, base.condition2, base.recovery, base.boundary)
+            assert np.allclose(rep.on_support_slack, base.on_support_slack, rtol=1e-12)
+            assert np.allclose(rep.off_support_margin, c * c * base.off_support_margin, rtol=1e-12)
+
+
 def test_witness_agrees_with_solver_verdict():
     agree = 0
     total = 0

@@ -460,13 +460,30 @@ def stream_corpus(normals=True):
         yield rng.normals_grid(seeds[:rows], count).tobytes() if normals else b""
 
 
-def test_streams_equal_their_frozen_digest():
-    # computed before derive moved from numpy scalars to Python ints
-    digest = hashlib.sha256(b"".join(stream_corpus())).hexdigest()
-    assert digest == "537b748c8f700ae331427b949e384089291929089c9feb08aeda5a46c1ebc3a6"
-
-
 AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+# normal draws follow numpy's SIMD log in the last bit, so the corpus has one
+# digest per dispatch setting: numpy's AVX512 paths on, and off as
+# NPY_DISABLE_CPU_FEATURES=AVX512 turns them (the first computed before
+# derive moved from numpy scalars to Python ints)
+FROZEN_DIGESTS = {
+    True: "537b748c8f700ae331427b949e384089291929089c9feb08aeda5a46c1ebc3a6",
+    False: "39ee091c7e4eb2f6393b8809d4341ec69ab75f0aef5dd5f3a5f948605bfc6dab",
+}
+
+
+def avx512_dispatch():
+    """Whether numpy dispatches to any of the AVX512 paths named in AVX512."""
+    try:  # numpy >= 2
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__
+    return any(__cpu_features__.get(name) for name in AVX512.split())
+
+
+def test_streams_equal_their_frozen_digest():
+    digest = hashlib.sha256(b"".join(stream_corpus())).hexdigest()
+    assert digest == FROZEN_DIGESTS[avx512_dispatch()]
 
 
 def host_independent_bytes(directory):
@@ -484,11 +501,7 @@ def host_independent_bytes(directory):
 def test_integer_streams_and_summaries_do_not_follow_simd_dispatch(tmp_path):
     # normal draws may change in the last bit with numpy's AVX512 log; the
     # integer streams must not, nor may the decisions a sweep takes from them
-    try:  # numpy >= 2
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:
-        from numpy.core._multiarray_umath import __cpu_features__
-    if not any(__cpu_features__.get(name) for name in AVX512.split()):
+    if not avx512_dispatch():
         pytest.skip("numpy dispatches to no AVX512 path on this CPU")
     root = os.path.dirname(os.path.dirname(os.path.abspath(rng.__file__)))
     code = (f"import sys; sys.path[:0] = [{root!r}, {os.path.dirname(__file__)!r}]; "
