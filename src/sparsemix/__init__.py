@@ -80,6 +80,7 @@ from .harness import (
     ExperimentConfig,
     SummaryRow,
     TrialRecord,
+    check_outputs,
     emit_outputs,
     run_sweep,
     summarize,

@@ -21,11 +21,11 @@ is lost, and a log-bound of -inf would claim a misranking probability of
 exactly 0. Where every 1 - 2 g_b is finite nothing changes.
 
 The Monte Carlo check (empirical_misrank, unit_misrank) draws its trials
-in batches, each drawn and reduced on one thread. With two CPUs usable
-the batches are dealt round-robin to the caller and rng's one worker
-thread, as long as a batch's draw stays below rng's split; trial k draws
-from derive(seed, k) wherever it runs, and the count is an integer sum,
-so the estimate does not depend on the dealing or the CPU count.
+in batches, each drawn and reduced on one thread. Two batches or more are
+dealt round-robin to the two parts of rng._on_both, which decides whether
+they run on two threads; trial k draws from derive(seed, k) wherever it
+runs, and the count is an integer sum, so the estimate does not depend
+on the dealing or the CPU count.
 """
 
 from __future__ import annotations
@@ -231,15 +231,14 @@ def optimal_theta_agnostic(query: ChernoffQuery) -> OptimalTheta:
 
 
 _BATCH = 4096  # trials per batch, at most
-_ENTRIES = 2**18  # normals per batch, at most: up to n = 32 a batch is _BATCH trials
+# normals per batch, at most, within one rng tile: up to n = 3 a batch is _BATCH trials
+_ENTRIES = 2**15 - 2
 
 
 def _batch(n: int) -> int:
-    """Trials per batch at n rows: at most _BATCH trials and _ENTRIES normals
-    but at least one trial, and, where one trial fits, fewer than rng's
-    2 * _SPLIT pairs, so that no batch's draw splits across threads."""
-    batch = min(_BATCH, max(1, _ENTRIES // (2 * n)))
-    return min(batch, (2 * rng._SPLIT - 1) // n) or batch
+    """Trials per batch at n rows: at most _BATCH trials and _ENTRIES normals,
+    but at least one trial."""
+    return min(_BATCH, max(1, _ENTRIES // (2 * n)))
 
 
 def _sample(factor: tuple[float, float, float], noise: NoiseProfile, trials: int,
@@ -247,19 +246,17 @@ def _sample(factor: tuple[float, float, float], noise: NoiseProfile, trials: int
     """The estimate of empirical_misrank from its factor (d_scale, t_from_d,
     t_resid), drawn in batches of _batch(n) trials.
 
-    Each batch is drawn and reduced on one thread. Where a trial fits below
-    rng's split, at least two batches exist and rng._parallel() allows, the
-    batches are dealt round-robin, even ones to the caller and odd ones to
-    rng's worker thread; otherwise the caller runs them all, and a draw at
-    or past the split splits itself. Trial k always draws from derive(seed,
-    k) and the count is an integer sum, so the estimate does not depend on
-    the cut or the dealing.
+    Each batch is drawn and reduced on one thread. Two batches or more are
+    dealt round-robin to rng._on_both's parts, even ones to the first and
+    odd ones to the second; a lone batch runs on the caller. Trial k always
+    draws from derive(seed, k) and the count is an integer sum, so the
+    estimate does not depend on the cut or the dealing.
     """
     trials = as_index(trials, "trials", low=1, high=COUNT_MAX)
     seed = as_index(seed, "seed")
     n = noise.n
-    # a row's floats at a batch's peak: its 2 normals, d and t, the last
-    # batch's d and t (or 2 normals, while this batch draws), w and t_own
+    # a row's floats at a batch's peak: its 2 normals, d, t's two products
+    # and their sum, w and t_own
     model.check_design_cap(n, 8, 1)
     d_scale, t_from_d, t_resid = factor
     w = np.repeat(noise.block_weights(setting), (noise.n1, noise.n2))
@@ -267,24 +264,19 @@ def _sample(factor: tuple[float, float, float], noise: NoiseProfile, trials: int
     batch = _batch(n)
     starts = range(0, trials, batch)
 
-    def count(part: range) -> int:
-        successes = 0
-        for start in part:
-            stop = min(start + batch, trials)
-            st = rng.derive_vec(seed, np.arange(start, stop, dtype=np.uint64))
-            g = rng.normals_grid(st, 2 * n)
-            g1, g2 = g[:, :n], g[:, n:]
-            # t_from_d g1 + t_own g2 and (w d) t, formed in place by the
-            # same operations in the same order, so bit for bit
-            d, t = g1 * d_scale, g1 * t_from_d
-            g2 *= t_own
-            t += g2
-            d *= w
-            d *= t
-            successes += int(np.count_nonzero(np.add.reduce(d, axis=1) <= 0.0))
-        return successes
+    def misranked(start: int) -> int:
+        """How many trials of the batch from trial start on score the candidate
+        no worse; its arrays die on return, before the next batch draws."""
+        stop = min(start + batch, trials)
+        g = rng.normals_grid(rng.derive_vec(seed, np.arange(start, stop, dtype=np.uint64)), 2 * n)
+        g1 = g[:, :n]
+        d, t = g1 * d_scale, g1 * t_from_d + g[:, n:] * t_own
+        return int(np.count_nonzero(np.add.reduce(w * d * t, axis=1) <= 0.0))
 
-    if batch * n < 2 * rng._SPLIT and len(starts) > 1 and rng._parallel():
+    def count(part: range) -> int:
+        return sum(map(misranked, part))
+
+    if len(starts) > 1:
         successes = sum(rng._on_both(count, (starts[0::2],), (starts[1::2],)))
     else:
         successes = count(starts)

@@ -230,9 +230,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.master_seed is not None:
         raw["master_seed"] = args.master_seed
     config = harness.ExperimentConfig(**raw)
+    formats = tuple(args.formats.split(","))
+    harness.check_outputs(args.out, formats)
     records = harness.run_sweep(config, threads=rng._cpus())
     summary = harness.summarize(config, records)
-    formats = tuple(args.formats.split(","))
     manifest = harness.emit_outputs(summary, records, args.out, formats)
     _emit(
         {

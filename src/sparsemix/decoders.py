@@ -18,8 +18,8 @@ whose loss is finite. Since that overflow is handled, the public entry
 points silence numpy's overflow and invalid-value warnings.
 
 Both decoders rank every candidate in Gram form first and confirm only
-the survivors canonically (the exhaustive scan wherever its p x p Gram
-matrix fits the block budget). With W the row weights, G = X^T W X and
+the survivors canonically (the exhaustive scan wherever two p x p planes
+of Gram terms fit the block budget). With W the row weights, G = X^T W X and
 b = X^T W Y, a support's loss is Y^T W Y + sum_S (G_ii - 2 b_i) +
 2 sum_{i<j in S} G_ij: O(s^2) per candidate instead of O(s n). Its
 rounding differs from the canonical routine's by at most a proven margin
@@ -141,9 +141,17 @@ class _GramForm:
         self.ynorm = math.sqrt(Y @ Y)
         self.xnorm = math.sqrt((sq1 + sq2).max())
 
-    def rows(self, idx: np.ndarray | slice) -> np.ndarray:
-        """Rows G[idx, :] of G = X^T W X."""
-        return sum(w * (Xb[:, idx].T @ Xb) for w, Xb in self.blocks)
+    def rows(self, idx: np.ndarray | slice, out: np.ndarray | None = None,
+             spare: np.ndarray | None = None) -> np.ndarray:
+        """Rows G[idx, :] of G = X^T W X, formed in out, with the second
+        block's product in spare, where they are given."""
+        (w1, X1), (w2, X2) = self.blocks
+        out = np.matmul(X1[:, idx].T, X1, out=out)
+        out *= w1
+        spare = np.matmul(X2[:, idx].T, X2, out=spare)
+        spare *= w2
+        out += spare
+        return out
 
     def margin(self, s: int, t: int) -> float:
         """Proven bound M on |Gram-form score - (canonical loss - C)|.
@@ -293,7 +301,7 @@ def decode_exhaustive(dataset: MixedDataset, s: int, setting: Setting) -> Decode
     Gram form and only the candidates within the proven margin of the
     lowest score so far are evaluated canonically; scanned counts every
     candidate ranked, not those evaluations. The Gram form is used where
-    its p x p matrix fits the block budget (p^2 <= _CHUNK_ENTRIES);
+    its two p x p planes fit the block budget (2 p^2 <= _CHUNK_ENTRIES);
     elsewhere every candidate is evaluated canonically. Refuses more
     than EXHAUSTIVE_CAP candidates; use decode_local_search for those.
     """
@@ -302,11 +310,16 @@ def decode_exhaustive(dataset: MixedDataset, s: int, setting: Setting) -> Decode
     total = exhaustive_candidates(p, s)
     w1, w2 = dataset.noise.block_weights(setting)
     HP = None
-    if p * p <= _CHUNK_ENTRIES:
+    if 2 * p * p <= _CHUNK_ENTRIES:
         gram = _GramForm(dataset, w1, w2)
-        H = 2.0 * gram.rows(slice(None))  # read above the diagonal only
+        HP = np.empty((2, p, p))  # [H; P], formed in place; see _term_codes
+        H, P = HP
+        gram.rows(slice(None), H, P)  # P is scratch until its turn
+        H *= 2.0  # read above the diagonal only
         H[np.diag_indices(p)] = d = gram.diag - 2.0 * gram.b
-        HP = np.concatenate((H, (d[:, None] + H) + d)).ravel()  # see _term_codes
+        np.add(d[:, None], H, out=P)
+        P += d
+        HP = HP.ravel()
         margin = gram.margin(s, s)
     chunk = max(16, min(4096, _CHUNK_ENTRIES // (s * max(dataset.n, s))))
     low, best = math.inf, None
@@ -365,7 +378,7 @@ def _descend(dataset: MixedDataset, gram: _GramForm, margin: float, cur: np.ndar
             slot[:], filled, new = -1, 0, np.flatnonzero(need)
         if new.size:
             slot[new] = np.arange(filled, filled + new.size)
-            cache[filled : filled + new.size] = gram.rows(new)
+            gram.rows(new, cache[filled : filled + new.size])
             filled += new.size
         # swap i out, j in: loss - cur_loss = G_ii + G_jj + 2c_i - 2c_j - 2G_ij
         # for every j; j in the support is no swap, so it is left out of

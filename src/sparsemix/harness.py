@@ -38,6 +38,7 @@ __all__ = [
     "SummaryRow",
     "run_sweep",
     "summarize",
+    "check_outputs",
     "emit_outputs",
 ]
 
@@ -61,7 +62,7 @@ class ExperimentConfig:
     decoders.exhaustive_candidates refuses a scan decoder's count or
     model.check_design_cap a grid point's design or the support, and
     InvalidConfigError when the schedule refuses a grid point (p - s < 2,
-    or zero average noise variance).
+    zero average noise variance, or a penalty that is not finite).
     """
 
     decoder: DecoderKind
@@ -409,6 +410,15 @@ def _phase_svg(summary: list[SummaryRow]) -> list[str]:
     return lines
 
 
+def check_outputs(out_dir: str, formats: tuple[str, ...]) -> None:
+    """Refuse a format emit_outputs does not write, and make out_dir; a sweep
+    calls this before its first trial, so neither fault costs a run."""
+    for f in formats:
+        if f not in ("csv", "svg"):
+            raise ValueError(f"unknown output format: {f!r}")
+    os.makedirs(out_dir, exist_ok=True)
+
+
 def emit_outputs(
     summary: list[SummaryRow],
     records: list[TrialRecord],
@@ -421,10 +431,7 @@ def emit_outputs(
     digits so emission is byte-stable given equal inputs. Returns the
     list of paths written.
     """
-    for f in formats:
-        if f not in ("csv", "svg"):
-            raise ValueError(f"unknown output format: {f!r}")
-    os.makedirs(out_dir, exist_ok=True)
+    check_outputs(out_dir, formats)
     outputs = {}
     if "csv" in formats:
         outputs["summary.csv"] = _csv_lines(SummaryRow, summary)

@@ -276,14 +276,20 @@ def lambda_schedule(
 
     Decays with n slowly enough to suppress noise yet fast enough to
     leave the smallest coefficient visible. Requires p - s >= 2 so the
-    logarithm is positive.
+    logarithm is positive. From rho = 2^511 on, 1 + s/rho^2 rounds to 1,
+    so it is taken as 1 before rho^2 can overflow; a lam that is not
+    finite (sigma_avg_sq ln(p - s) overflowing) is refused.
     """
     p, s, n = (as_index(v, k, low=1, high=COUNT_MAX) for k, v in zip("psn", (p, s, n)))
     if p - s < 2:
         raise ValueError("schedule requires p - s >= 2")
     as_real(rho, "rho", positive=True)
     as_real(sigma_avg_sq, "sigma_avg_sq", positive=True)
-    return (sigma_avg_sq * math.log(p - s) / ((1.0 + s / rho**2) * n)) ** 0.25
+    shrink = 1.0 + s / rho**2 if rho < 2.0**511 else 1.0
+    lam = (sigma_avg_sq * math.log(p - s) / (shrink * n)) ** 0.25
+    if not math.isfinite(lam):
+        raise ValueError(f"schedule lambda {lam} is not finite")
+    return lam
 
 
 def kkt_recovery_witness(

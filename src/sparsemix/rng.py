@@ -23,13 +23,13 @@ itself in the sense that derive(derive(s, a), b) == derive(s, a, b).
 
 Normals are computed in cache-sized tiles of at most 2**14 pairs, written
 into one preallocated output, so a draw of millions of values builds no
-full-length temporaries. When two CPUs are usable, a draw of at least
-2**14 pairs runs in two halves on two threads, the caller's and one
-worker's, which is started on the first such draw; a draw made on the
-worker thread itself fills serially, so the worker never waits on its own
-queue. Every step is the elementwise operation of the definitions above
-in the same order, so the values equal them bit for bit whatever the
-tile boundaries, the split or the CPU count.
+full-length temporaries. A draw of at least 2**14 pairs is filled in two
+halves by `_on_both`, the one place that decides whether work splits: on
+the caller's thread and one worker's where two CPUs are usable, else, or
+on a thread already running a part, in turn on the calling thread. Every
+step is the elementwise operation of the definitions above in the same
+order, so the values equal them bit for bit whatever the tile boundaries,
+the split or the CPU count.
 """
 
 from __future__ import annotations
@@ -70,13 +70,14 @@ SEARCH_STREAM = 4  # local-search restarts
 # Box-Muller pairs per tile: a tile's two 2 * _TILE-word buffers (512 KB)
 # stay in a core's L2 cache, where whole-draw temporaries spill to memory.
 _TILE = 1 << 14
-# A draw of at least 2 * _SPLIT pairs runs in two halves on two threads;
+# A draw of at least 2 * _SPLIT pairs is cut in two halves for _on_both;
 # on two cores, splitting a smaller draw saved nothing or lost time.
 _SPLIT = 1 << 13
-# The worker thread's executor under key 0, once a draw has split; a
+# The worker thread's executor under key 0, once work has split; a
 # forked child, which has no such thread, starts over.
 _WORKER: dict = {}
-# Its thread alone sets .worker, so that no draw it makes submits to itself.
+# .busy is set on the worker thread for good and on a caller while it runs
+# its part; _on_both called on a busy thread runs both parts there.
 _THREAD = threading.local()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_WORKER.clear)
@@ -189,41 +190,40 @@ def _worker():
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(max_workers=1, initializer=setattr,
-                                  initargs=(_THREAD, "worker", True))
+                                  initargs=(_THREAD, "busy", True))
         pool = _WORKER.setdefault(0, pool)
     return pool
 
 
-def _parallel() -> bool:
-    """Whether work may be shared with the worker thread: two CPUs are
-    usable, and the caller is not the worker, which would wait on itself."""
-    return _cpus() > 1 and not getattr(_THREAD, "worker", False)
-
-
 def _on_both(fn, mine: tuple, theirs: tuple) -> tuple:
-    """(fn(*mine), fn(*theirs)), the second run by the worker thread while
-    the caller runs the first. A raise in either reaches the caller once
-    both have stopped, so nothing they share is dropped while the worker
-    still writes to it."""
+    """(fn(*mine), fn(*theirs)), in turn on a busy thread (_THREAD) or with
+    fewer than two usable CPUs; else the worker runs the second while the
+    caller, busy meanwhile, runs the first. A raise in either reaches the
+    caller once both have stopped, so nothing they share is dropped while
+    the worker still writes to it."""
+    if _cpus() < 2 or getattr(_THREAD, "busy", False):
+        return fn(*mine), fn(*theirs)
     half = _worker().submit(fn, *theirs)
+    _THREAD.busy = True
     try:
         result = fn(*mine)
     except BaseException:
         half.exception()  # wait for the worker's half
         raise
+    finally:
+        _THREAD.busy = False
     return result, half.result()
 
 
 def _box_muller(seeds: np.ndarray, count: int) -> np.ndarray:
     """Normals 0..count-1 of each seed of 1-D uint64 seeds: (len(seeds), count).
 
-    A draw of at least 2 * _SPLIT pairs, where _parallel() allows, is cut
-    in two along its longer axis, rows or pairs, and _on_both fills the
-    halves.
+    A draw of at least 2 * _SPLIT pairs is cut in two along its longer
+    axis, rows or pairs, and _on_both fills the halves.
     """
     rows, npairs = len(seeds), (count + 1) // 2
     out = np.empty((rows, npairs, 2))
-    if rows * npairs < 2 * _SPLIT or not _parallel():
+    if rows * npairs < 2 * _SPLIT:
         _fill(out, seeds, 0)
     elif rows > npairs:
         h = rows // 2

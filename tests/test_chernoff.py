@@ -5,6 +5,7 @@ import math
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -516,7 +517,7 @@ def test_unit_misrank_costs_nothing_in_m():
 
 
 def test_misrank_batches_are_bounded_by_entries(monkeypatch):
-    # 2 n = 400 normals a trial: 655 trials a batch, not 3000, and the count
+    # 2 n = 400 normals a trial: 81 trials a batch, not 3000, and the count
     # is the same bit for bit however the batch is cut (1, 3 or 10 trials)
     q = query(n1=150, n2=50, m=4)
     tracemalloc.start()
@@ -572,20 +573,27 @@ def misrank_hexes(n1, n2, trials):
     return out
 
 
-@pytest.mark.parametrize("n1, n2", [(1, 0), (0, 16), (8, 12), (150, 50)])
+@pytest.mark.parametrize("n1, n2", [(1, 0), (0, 16), (8, 12), (150, 50), (2**14, 0), (1, 2**14)])
 def test_misrank_is_the_same_on_one_thread_and_two(monkeypatch, n1, n2):
     # batches dealt to the caller and the worker count what one thread counts,
-    # across the batch edges, and every batch is drawn whole on one thread
+    # across the batch edges, and a dealt batch is drawn whole on one thread,
+    # also where its draw reaches rng's split (n >= 2**14, a trial a batch)
     batch = chernoff._batch(n1 + n2)
-    assert batch * (n1 + n2) < 2 * rng._SPLIT
     for trials in (1, batch, batch + 1, 2 * batch + 1):
         got = {}
         for cpus in (1, 2):
+            fills, fill = [], rng._fill
+            monkeypatch.setattr(
+                rng, "_fill", lambda *a: fills.append(threading.get_ident()) or fill(*a))
             threads = spy_grids(monkeypatch, cpus)
             got[cpus] = misrank_hexes(n1, n2, trials)
             batches = -(-trials // batch)
             assert len(threads) == 4 * batches
             assert len(set(threads)) == 1 + (cpus == 2 and batches > 1)
+            if batches > 1:  # each batch fills on its own thread, in two halves past the split
+                halves = 1 + (batch * (n1 + n2) >= 2 * rng._SPLIT)
+                want = {t: halves * k for t, k in Counter(threads).items()}
+                assert Counter(fills) == want
             monkeypatch.undo()
         assert got[1] == got[2], trials
 

@@ -244,6 +244,8 @@ def test_sweep_refuses_configs_that_fail_every_trial(tmp_path, capsys):
                  grid=[[6_250_000, 1]])),
         # the Lasso schedule takes log(p - s), so it needs p - s >= 2
         (2, dict(decoder="Lasso", p=3, sigma1_sq=0.1, sigma2_sq=0.5, grid=[[4, 4]])),
+        # sigma_avg_sq ln(p - s) overflows, and lam with it
+        (2, dict(decoder="Lasso", p=64, s=4, sigma1_sq=1e308, sigma2_sq=1e308, grid=[[0, 1]])),
         # C(30, 15) candidates exceed the exhaustive cap, the exit code of `solve`
         (3, dict(decoder="AgnosticScan", p=30, s=15, sigma1_sq=0.1, sigma2_sq=0.5,
                  grid=[[4, 4]])),
@@ -258,6 +260,35 @@ def test_sweep_refuses_configs_that_fail_every_trial(tmp_path, capsys):
         assert code == want
         assert out == ""
         assert not out_dir.exists()
+
+
+def test_sweep_refuses_bad_outputs_before_any_trial(tmp_path, capsys, monkeypatch):
+    def run_sweep(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(sparsemix.harness, "run_sweep", run_sweep)
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"decoder": "AgnosticScan", "p": 8, "s": 2, "rho": 1.0,
+                                    "sigma1_sq": 0.0, "sigma2_sq": 0.0, "grid": [[3, 3]],
+                                    "trials": 2}), encoding="utf-8")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("", encoding="utf-8")
+    for want, out, formats in ((2, tmp_path / "out", "csv,png"), (4, a_file, "csv")):
+        code, printed = run_cli(capsys, "sweep", "--config", str(cfg_path), "--out", str(out),
+                                "--formats", formats)
+        assert (code, printed) == (want, "")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sweep_schedule_takes_a_rho_whose_square_overflows(tmp_path, capsys):
+    # lam is at its limit there; OverflowError ended the sweep with exit 1.
+    # The trial's own squared residual still overflows.
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"decoder": "Lasso", "p": 8, "s": 2, "rho": 1e155,
+                                    "sigma1_sq": 0.5, "sigma2_sq": 1.0, "grid": [[4, 4]],
+                                    "trials": 1}), encoding="utf-8")
+    code, _ = run_cli(capsys, "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert code == 0
 
 
 def test_master_seed_override_changes_results_deterministically(tmp_path, capsys):
@@ -720,8 +751,8 @@ def test_monte_carlo_bounds_sample_only_the_swapped_indices():
 
 def test_monte_carlo_memory_is_bounded_by_entries():
     # one batch of every trial (as many as 4096) would hold 350 and 480 MB
-    # of normals, and twice as much again in products; batches of 2**18
-    # normals keep both within 1 GB
+    # of normals, and twice as much again in products; batches of at most
+    # 2**15 - 2 normals, or one trial, keep both within 1 GB
     for blocks, trials in ((["--n1", "2000", "--n2", "20000"], "1000"),
                            (["--n1", "100000", "--n2", "0"], "300")):
         argv = ["bound", *blocks, *VARIANCES, "--m", "8", "--mc-trials", trials]

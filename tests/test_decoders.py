@@ -399,13 +399,18 @@ def decoder_cases(draw):
     s runs from 1 to 6, odd and even, up to s = p. The data are standard
     normal, small integers (every tie exact) or normal scaled near 2^512,
     where some losses overflow; copied columns add exact ties. The budget
-    splits scan blocks and restart blocks down to one entry.
+    splits scan blocks and restart blocks down to one entry. A sixth of
+    the cases send 24 restarts at p = 13 toward one planted support of 6
+    normal columns with a budget of one entry, which leaves local search a
+    row cache of s rows, emptied at nearly every step; in some descents an
+    index swapped out comes back after its row was dropped.
     """
-    p = draw(st.integers(1, 9))
-    s = draw(st.integers(1, min(6, p)))
-    n = draw(st.integers(1, 12))
+    long = draw(st.integers(0, 5)) == 0
+    p = 13 if long else draw(st.integers(1, 9))
+    s = 6 if long else draw(st.integers(1, min(6, p)))
+    n = draw(st.integers(4, 6) if long else st.integers(1, 12))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["normal", "integer", "huge"]))
+    kind = "normal" if long else draw(st.sampled_from(["normal", "integer", "huge"]))
     if kind == "integer":
         X = gen.integers(-2, 3, size=(n, p)).astype(float)
         noise = gen.integers(-1, 2, size=n).astype(float)
@@ -419,8 +424,9 @@ def decoder_cases(draw):
         scale = 2.0 ** draw(st.integers(480, 515))
         X, Y = X * scale, Y * scale
     ds = two_block(X, Y, draw(st.integers(0, n)), *draw(st.sampled_from([(0.5, 2.0), (1.0, 1.0), (0.25, 3.0)])))
-    budget = draw(st.sampled_from([1, 1 << 8, 1 << 10, decoders._CHUNK_ENTRIES]))
-    return ds, s, draw(st.sampled_from([(1,), (2, 5)])), draw(st.integers(0, 2**64 - 1)), budget
+    budget = 1 if long else draw(st.sampled_from([1, 1 << 8, 1 << 10, decoders._CHUNK_ENTRIES]))
+    restarts = (24,) if long else draw(st.sampled_from([(1,), (2, 5)]))
+    return ds, s, restarts, draw(st.integers(0, 2**64 - 1)), budget
 
 
 @given(decoder_cases())
@@ -434,7 +440,7 @@ def test_decoders_match_the_references_on_drawn_cases(case):
 
 
 def test_screened_scan_matches_the_reference_in_small_blocks(monkeypatch):
-    # 1 << 10 entries keep the Gram form (p * p <= 1024) with 16-row blocks
+    # 1 << 10 entries keep the Gram form (2 p * p <= 1024) with 16-row blocks
     # and a streamed support table; one entry turns screening off. A copied
     # column puts exact ties on both sides of block boundaries. Both budgets
     # split local search's 3 and 9 restarts into several lockstep blocks.
@@ -495,6 +501,23 @@ def test_exhaustive_scan_memory_stays_within_the_block_budget():
         tracemalloc.stop()
     assert res.scanned == math.comb(28, 6)
     assert peak < decoders._CHUNK_ENTRIES * 8
+
+
+def test_exhaustive_gram_planes_are_counted_in_the_block_budget(monkeypatch):
+    # the two p x p planes [H; P] take exactly a budget of 2 p^2 entries, and
+    # the candidate blocks' canonical checks add to them; G, 2 G and the two
+    # planes built as copies would peak at twice the budget
+    ds = binary_dataset(128, (3, 7), 10, 10, 0.5, 2.0, seed=5)
+    monkeypatch.setattr(decoders, "_CHUNK_ENTRIES", 2 * 128 * 128)
+    decode_exhaustive(ds, 2, Setting.INFORMED)  # warm the support table's cache
+    tracemalloc.start()
+    try:
+        res = decode_exhaustive(ds, 2, Setting.INFORMED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.support == (3, 7)
+    assert peak < 1.5 * decoders._CHUNK_ENTRIES * 8
 
 
 def test_local_search_restarts_that_stop_at_once_and_ones_that_descend():

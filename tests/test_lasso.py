@@ -1,6 +1,7 @@
 """Tests for the coordinate-descent solver, penalty schedule, and KKT witness."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from sparsemix import (
     DataError,
     DegenerateInstanceError,
+    ExperimentConfig,
+    InvalidConfigError,
     LassoConfig,
     MixedDataset,
     NoiseProfile,
@@ -459,6 +462,26 @@ def test_lambda_schedule_scaling_laws():
         lambda_schedule(1.0, p=5, s=4, n=500, rho=1.0)
     with pytest.raises(ValueError):
         lambda_schedule(1.0, p=100, s=4, n=500, rho=0.0)
+
+
+def test_lambda_schedule_past_the_float_range():
+    # rho^2 overflows from about 1.34e154 on; from rho = 2^511 on 1 + s/rho^2
+    # is already 1, so every rho whose square is finite keeps its lam
+    def formula(rho):
+        return (1.0 * math.log(96) / ((1.0 + 4 / rho**2) * 500)) ** 0.25
+
+    for rho in (1e150, 2.0**511, 1e154):
+        assert lambda_schedule(1.0, p=100, s=4, n=500, rho=rho) == formula(rho)
+    for rho in (1e155, 1e300, sys.float_info.max):
+        assert lambda_schedule(1.0, p=100, s=4, n=500, rho=rho) == formula(1e154)
+    # sigma_avg_sq ln(p - s) overflows: a lam of inf would fail every solve
+    with pytest.raises(ValueError, match="not finite"):
+        lambda_schedule(1e308, p=64, s=4, n=1, rho=1.0)
+    with pytest.raises(InvalidConfigError, match="not finite"):
+        ExperimentConfig(decoder="Lasso", p=64, s=4, rho=1.0, sigma1_sq=1e308,
+                         sigma2_sq=1e308, grid=((0, 1),), trials=2)
+    ExperimentConfig(decoder="Lasso", p=64, s=4, rho=1e155, sigma1_sq=0.5,
+                     sigma2_sq=1.0, grid=((4, 4),), trials=2)
 
 
 def test_schedule_counts_are_keyword_only():

@@ -42,3 +42,32 @@ def test_every_public_name_has_a_caller():
                 continue
             uncalled.append(f"{path.stem}.{name}")
     assert sorted(uncalled) == sorted(ALLOWED)
+
+
+def private_reads(path):
+    """'module._name' for each private name a module reads from a sibling module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    siblings, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    siblings[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    reads.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")):
+            reads.add(f"{siblings[node.value.id]}.{node.attr}")
+    return reads
+
+
+def test_private_names_read_across_modules_are_pinned():
+    # rng alone decides whether work splits (_on_both) and how many CPUs
+    # may run it (_cpus); no other module sizes its work around rng's split
+    reads = {p.stem: private_reads(p) for p in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in reads.items() if v} == {
+        "chernoff": {"rng._on_both"},
+        "cli": {"rng._cpus"},
+        "harness": {"rng._cpus"},
+    }

@@ -214,8 +214,10 @@ def test_split_draws_equal_serial_draws_bit_for_bit(monkeypatch, rows, count):
             draws[cpus] = rng.normals(int(seeds[0]), count)
         else:
             draws[cpus] = rng.normals_grid(seeds, count)
-        splits = cpus == 2 and rows * ((count + 1) // 2) >= 2 * rng._SPLIT
-        assert len(set(fills)) == len(fills) == 1 + splits
+        # a draw past the split fills two halves, on two threads only with two CPUs
+        halves = rows * ((count + 1) // 2) >= 2 * rng._SPLIT
+        assert len(fills) == 1 + halves
+        assert len(set(fills)) == 1 + (cpus == 2 and halves)
     assert draws[1].tobytes() == draws[2].tobytes()
     assert np.array_equal(draws[2].reshape(rows, count), box_muller_reference(seeds, count))
 
