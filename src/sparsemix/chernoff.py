@@ -23,9 +23,10 @@ exactly 0. Where every 1 - 2 g_b is finite nothing changes.
 The Monte Carlo check (empirical_misrank, unit_misrank) draws its trials
 in batches, each drawn and reduced on one thread. Two batches or more are
 dealt round-robin to the two parts of rng._on_both, which decides whether
-they run on two threads; trial k draws from derive(seed, k) wherever it
-runs, and the count is an integer sum, so the estimate does not depend
-on the dealing or the CPU count.
+they run on two threads, the second on one that ends with the call;
+trial k draws from derive(seed, k) wherever it runs, and the count is an
+integer sum, so the estimate does not depend on the dealing or the CPU
+count.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+import sys
 import time
 import warnings
 from dataclasses import dataclass, fields
@@ -42,6 +43,10 @@ __all__ = [
     "emit_outputs",
 ]
 
+# the largest size of a normal the counter stream draws (ExperimentConfig)
+_NORMAL_MAX = math.sqrt(108 * math.log(2))
+
+
 class DecoderKind(str, enum.Enum):
     AGNOSTIC_SCAN = "AgnosticScan"
     INFORMED_MLE = "InformedMLE"
@@ -62,7 +67,16 @@ class ExperimentConfig:
     decoders.exhaustive_candidates refuses a scan decoder's count or
     model.check_design_cap a grid point's design or the support, and
     InvalidConfigError when the schedule refuses a grid point (p - s < 2,
-    zero average noise variance, or a penalty that is not finite).
+    zero average noise variance, or a penalty that is not finite) or when
+    a Lasso grid point's squared response can overflow. Every normal the
+    stream draws is r cos a or r sin a with r = sqrt(-2 ln u) and
+    u >= 2**-54, so its size is at most R = sqrt(108 ln 2) ~ 8.652; then
+    |Y_i| <= R (s rho + sqrt(sigma2_sq)), as sigma1_sq <= sigma2_sq, and
+    ||Y||^2 <= n R^2 (s rho + sqrt(sigma2_sq))^2, with lambda_value or
+    without. A grid point is refused where twice that bound passes the
+    float maximum, the factor 2 covering rounding. The rule is
+    conservative: at p = 8, s = 2, n = 8 it refuses rho = 1e153, which
+    draws a finite ||Y||^2.
     """
 
     decoder: DecoderKind
@@ -110,6 +124,13 @@ class ExperimentConfig:
                     raise InvalidConfigError(
                         f"grid point {(noise.n1, noise.n2)}: {exc}; set lambda_value"
                     ) from exc
+                y_max = _NORMAL_MAX * (self.s * float(self.rho) + math.sqrt(self.sigma2_sq))
+                if y_max > math.sqrt(sys.float_info.max / (2 * noise.n)):
+                    raise InvalidConfigError(
+                        f"grid point {(noise.n1, noise.n2)}: the squared response can "
+                        "overflow, n R^2 (s rho + sqrt(sigma2_sq))^2 > float max / 2; "
+                        "lower rho or sigma2_sq"
+                    )
 
 
 @dataclass(frozen=True)
@@ -269,9 +290,9 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[TrialRecord]:
 
             context = multiprocessing.get_context("fork")
             with warnings.catch_warnings():
-                # Python >= 3.12 warns on forking with threads alive. Ours are
-                # OpenBLAS's pool, which resets itself at fork, and rng's idle
-                # draw worker, which a child drops; a child runs only trials.
+                # Python >= 3.12 warns on forking with threads alive. The only
+                # ones left here are OpenBLAS's pool, which resets itself at
+                # fork; rng's second thread ends with the draw that started it.
                 warnings.filterwarnings(
                     "ignore", r"This process .* is multi-threaded", DeprecationWarning
                 )

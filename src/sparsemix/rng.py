@@ -25,8 +25,9 @@ Normals are computed in cache-sized tiles of at most 2**14 pairs, written
 into one preallocated output, so a draw of millions of values builds no
 full-length temporaries. A draw of at least 2**14 pairs is filled in two
 halves by `_on_both`, the one place that decides whether work splits: on
-the caller's thread and one worker's where two CPUs are usable, else, or
-on a thread already running a part, in turn on the calling thread. Every
+the caller's thread and on one that lives only inside the call where two
+CPUs are usable, else, or on a thread already running a part, in turn on
+the calling thread; no call leaves a thread behind. Every
 step is the elementwise operation of the definitions above in the same
 order, so the values equal them bit for bit whatever the tile boundaries,
 the split or the CPU count.
@@ -73,14 +74,10 @@ _TILE = 1 << 14
 # A draw of at least 2 * _SPLIT pairs is cut in two halves for _on_both;
 # on two cores, splitting a smaller draw saved nothing or lost time.
 _SPLIT = 1 << 13
-# The worker thread's executor under key 0, once work has split; a
-# forked child, which has no such thread, starts over.
-_WORKER: dict = {}
-# .busy is set on the worker thread for good and on a caller while it runs
-# its part; _on_both called on a busy thread runs both parts there.
+# .busy is set on each thread while it runs a part of _on_both, the one it
+# starts for the second part and the caller; _on_both called on a busy
+# thread runs both parts there.
 _THREAD = threading.local()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_WORKER.clear)
 # Row 0 holds (2j + 1) * GOLDEN and row 1 (2j + 2) * GOLDEN: the counter
 # offsets of pair j's radius and angle words, each row contiguous.
 _PAIR_OFFSETS = (
@@ -179,40 +176,35 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker():
-    """The one worker thread's executor, created on first use.
-
-    setdefault is atomic, so callers racing here share one executor; a
-    losing one was never submitted to and so never started a thread.
-    """
-    pool = _WORKER.get(0)
-    if pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=1, initializer=setattr,
-                                  initargs=(_THREAD, "busy", True))
-        pool = _WORKER.setdefault(0, pool)
-    return pool
-
-
 def _on_both(fn, mine: tuple, theirs: tuple) -> tuple:
     """(fn(*mine), fn(*theirs)), in turn on a busy thread (_THREAD) or with
-    fewer than two usable CPUs; else the worker runs the second while the
-    caller, busy meanwhile, runs the first. A raise in either reaches the
-    caller once both have stopped, so nothing they share is dropped while
-    the worker still writes to it."""
+    fewer than two usable CPUs; else a thread started here runs the second
+    while the caller runs the first, both busy meanwhile, and it is joined
+    before this returns. A raise in either reaches the caller once both
+    have stopped, so nothing they share is dropped while the other still
+    writes to it."""
     if _cpus() < 2 or getattr(_THREAD, "busy", False):
         return fn(*mine), fn(*theirs)
-    half = _worker().submit(fn, *theirs)
+    half: list = [None, None]  # the second part's result, or what it raised
+
+    def second():
+        _THREAD.busy = True
+        try:
+            half[0] = fn(*theirs)
+        except BaseException as exc:
+            half[1] = exc
+
+    thread = threading.Thread(target=second)
+    thread.start()
     _THREAD.busy = True
     try:
         result = fn(*mine)
-    except BaseException:
-        half.exception()  # wait for the worker's half
-        raise
     finally:
         _THREAD.busy = False
-    return result, half.result()
+        thread.join()
+    if half[1] is not None:
+        raise half[1]
+    return result, half[0]
 
 
 def _box_muller(seeds: np.ndarray, count: int) -> np.ndarray:

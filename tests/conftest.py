@@ -1,4 +1,5 @@
-"""Shared test settings: the one hypothesis profile every property test runs under.
+"""Shared test settings: the one hypothesis profile every property test runs
+under, and a check that no test leaves a thread or a child process behind.
 
 Examples are derived from each test's name, not drawn at random, and no
 example database is kept, so a run is reproducible. Hypothesis still caches
@@ -7,7 +8,9 @@ the working directory by default; that goes to the system temporary
 directory instead, so a run writes nothing into the repository.
 """
 
+import multiprocessing
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -20,6 +23,17 @@ settings.register_profile(
 )
 settings.load_profile("sparsemix")
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "sparsemix-hypothesis")
+
+# threads alive before any test module imports sparsemix
+THREADS_AT_START = threading.active_count()
+
+
+@pytest.fixture(autouse=True)
+def leaves_no_thread_or_child():
+    # every parallel part of sparsemix lives only inside the call that starts it
+    yield
+    assert threading.active_count() <= THREADS_AT_START, threading.enumerate()
+    assert not multiprocessing.active_children()
 
 
 @pytest.hookimpl(tryfirst=True)

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from collections import Counter
 from decimal import Decimal, localcontext
+from functools import partial
 
 import numpy as np
 import pytest
@@ -562,23 +563,24 @@ def spy_grids(monkeypatch, cpus, grid=None):
     return threads
 
 
-def misrank_hexes(n1, n2, trials):
-    """.hex() of empirical_misrank and unit_misrank in both settings."""
+def misrank_calls(n1, n2, trials):
+    """empirical_misrank and unit_misrank in both settings, as calls."""
     sig = SparseSignal(p=7, support=(0, 1, 2), values=(1.3, -0.7, 2.0))
     noise = NoiseProfile(n1, n2, 0.5, 2.0)
-    out = []
     for setting in (Setting.AGNOSTIC, Setting.INFORMED):
-        out += hexes(empirical_misrank(sig, noise, (1, 2, 4), trials, 3, setting))
-        out += hexes(unit_misrank(query(setting, n1=n1, n2=n2, s1=0.5, s2=2.0, m=4), trials, 3))
-    return out
+        yield partial(empirical_misrank, sig, noise, (1, 2, 4), trials, 3, setting)
+        yield partial(unit_misrank, query(setting, n1=n1, n2=n2, s1=0.5, s2=2.0, m=4), trials, 3)
 
 
 @pytest.mark.parametrize("n1, n2", [(1, 0), (0, 16), (8, 12), (150, 50), (2**14, 0), (1, 2**14)])
 def test_misrank_is_the_same_on_one_thread_and_two(monkeypatch, n1, n2):
-    # batches dealt to the caller and the worker count what one thread counts,
-    # across the batch edges, and a dealt batch is drawn whole on one thread,
-    # also where its draw reaches rng's split (n >= 2**14, a trial a batch)
+    # batches dealt to the caller and a second thread count what one thread
+    # counts, across the batch edges, and a dealt batch is drawn whole on one
+    # thread, also where its draw reaches rng's split (n >= 2**14, a trial a
+    # batch); each call's draws run on the caller and at most one thread more,
+    # which ends with the call
     batch = chernoff._batch(n1 + n2)
+    before = threading.active_count()
     for trials in (1, batch, batch + 1, 2 * batch + 1):
         got = {}
         for cpus in (1, 2):
@@ -586,14 +588,20 @@ def test_misrank_is_the_same_on_one_thread_and_two(monkeypatch, n1, n2):
             monkeypatch.setattr(
                 rng, "_fill", lambda *a: fills.append(threading.get_ident()) or fill(*a))
             threads = spy_grids(monkeypatch, cpus)
-            got[cpus] = misrank_hexes(n1, n2, trials)
+            got[cpus] = []
             batches = -(-trials // batch)
-            assert len(threads) == 4 * batches
-            assert len(set(threads)) == 1 + (cpus == 2 and batches > 1)
-            if batches > 1:  # each batch fills on its own thread, in two halves past the split
-                halves = 1 + (batch * (n1 + n2) >= 2 * rng._SPLIT)
-                want = {t: halves * k for t, k in Counter(threads).items()}
-                assert Counter(fills) == want
+            for call in misrank_calls(n1, n2, trials):
+                fills.clear()
+                threads.clear()
+                got[cpus] += hexes(call())
+                assert len(threads) == batches
+                assert threading.get_ident() in threads
+                assert len(set(threads)) == 1 + (cpus == 2 and batches > 1)
+                assert threading.active_count() == before
+                if batches > 1:  # each batch fills on its own thread, in two halves past the split
+                    halves = 1 + (batch * (n1 + n2) >= 2 * rng._SPLIT)
+                    want = {t: halves * k for t, k in Counter(threads).items()}
+                    assert Counter(fills) == want
             monkeypatch.undo()
         assert got[1] == got[2], trials
 
@@ -634,12 +642,15 @@ def test_a_raise_in_a_callers_batch_waits_for_the_workers_batches(monkeypatch):
 
 
 def test_misrank_starts_no_thread_but_the_one_worker(monkeypatch):
+    # each call draws on the caller and one thread more, which ends with it
     before = threading.active_count()
     threads = spy_grids(monkeypatch, 2)
     for _ in range(3):
+        threads.clear()
         unit_misrank(query(n1=8, n2=12, m=4), 20 * chernoff._batch(20) + 7, 5)
-    assert len(set(threads)) == 2
-    assert threading.active_count() <= before + 1
+        assert threading.get_ident() in threads
+        assert len(set(threads)) == 2
+        assert threading.active_count() == before
 
 
 def test_library_seeds_are_used_mod_2_64():

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import ast
+import csv
 import dataclasses
 import json
 import math
@@ -279,16 +280,24 @@ def test_sweep_refuses_bad_outputs_before_any_trial(tmp_path, capsys, monkeypatc
         assert (code, printed) == (want, "")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_sweep_schedule_takes_a_rho_whose_square_overflows(tmp_path, capsys):
-    # lam is at its limit there; OverflowError ended the sweep with exit 1.
-    # The trial's own squared residual still overflows.
+    # lam is at its limit there (OverflowError once ended the sweep with exit
+    # 1), but the trial's squared response would overflow, so the sweep is
+    # refused before any trial; below the response rule's edge it runs clean
+    assert math.isfinite(sparsemix.lambda_schedule(0.75, p=8, s=2, n=8, rho=1e155))
     cfg_path = tmp_path / "sweep.json"
-    cfg_path.write_text(json.dumps({"decoder": "Lasso", "p": 8, "s": 2, "rho": 1e155,
-                                    "sigma1_sq": 0.5, "sigma2_sq": 1.0, "grid": [[4, 4]],
-                                    "trials": 1}), encoding="utf-8")
-    code, _ = run_cli(capsys, "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
-    assert code == 0
+    for rho, want in ((1e155, 2), (2e152, 2), (1e152, 0)):
+        cfg_path.write_text(json.dumps({"decoder": "Lasso", "p": 8, "s": 2, "rho": rho,
+                                        "sigma1_sq": 0.5, "sigma2_sq": 1.0, "grid": [[4, 4]],
+                                        "trials": 1}), encoding="utf-8")
+        out_dir = tmp_path / f"out{rho}"
+        code, _ = run_cli(capsys, "sweep", "--config", str(cfg_path), "--out", str(out_dir))
+        assert code == want, rho
+        assert out_dir.exists() == (want == 0)
+    with open(out_dir / "trials.csv", encoding="utf-8") as fh:
+        assert [row["failed"] for row in csv.DictReader(fh)] == ["0"]
+    sparsemix.ExperimentConfig(decoder="Lasso", p=8, s=2, rho=1.9e152, sigma1_sq=0.5,
+                               sigma2_sq=1.0, grid=((4, 4),), trials=1)
 
 
 def test_master_seed_override_changes_results_deterministically(tmp_path, capsys):

@@ -480,8 +480,11 @@ def test_lambda_schedule_past_the_float_range():
     with pytest.raises(InvalidConfigError, match="not finite"):
         ExperimentConfig(decoder="Lasso", p=64, s=4, rho=1.0, sigma1_sq=1e308,
                          sigma2_sq=1e308, grid=((0, 1),), trials=2)
-    ExperimentConfig(decoder="Lasso", p=64, s=4, rho=1e155, sigma1_sq=0.5,
-                     sigma2_sq=1.0, grid=((4, 4),), trials=2)
+    # the schedule takes rho = 1e155, but the config's squared response could
+    # overflow, so the config is refused all the same
+    with pytest.raises(InvalidConfigError, match="squared response can overflow"):
+        ExperimentConfig(decoder="Lasso", p=64, s=4, rho=1e155, sigma1_sq=0.5,
+                         sigma2_sq=1.0, grid=((4, 4),), trials=2)
 
 
 def test_schedule_counts_are_keyword_only():

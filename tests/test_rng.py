@@ -17,6 +17,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -241,36 +242,32 @@ def test_import_starts_no_thread_and_small_draws_start_none():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["1 False", "1 False", "2 True"]
+    # a split draw's second thread ends with the draw
+    assert proc.stdout.split("\n")[:3] == ["1 False", "1 False", "1 False"]
 
 
 def test_a_draw_on_the_worker_thread_fills_serially(monkeypatch):
-    # a draw on the worker that split would wait for its own queue forever;
-    # the child runs the sampler too, whose batches reach the worker, at
-    # rows on both sides of rng's split
+    # both parts of a split run busy, so a draw inside either, past the split
+    # itself, and the sampler's batches at rows on both sides of rng's split
+    # fill on that part's thread alone, to the serial values
     rows = (1, 16, 20, 2 * rng._SPLIT - 1, 2 * rng._SPLIT, 2 * rng._SPLIT + 1)
-    script = (
-        "import hashlib, sys\n"
-        "from sparsemix import ChernoffQuery, chernoff, rng, unit_misrank\n"
-        "rng._cpus = lambda: 2\n"
-        "draw = rng._worker().submit(rng.normals, 1, 4 * rng._SPLIT).result(timeout=60)\n"
-        "print(hashlib.sha256(draw.tobytes()).hexdigest())\n"
-        f"for n in {rows!r}:\n"
-        "    q = ChernoffQuery('Agnostic', n // 3, n - n // 3, 0.5, 2.0, 4)\n"
-        "    print(unit_misrank(q, 2 * chernoff._batch(n) + 1, n).estimate.hex())\n"
-    )
-    root = os.path.dirname(os.path.dirname(os.path.abspath(rng.__file__)))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=root + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    monkeypatch.setattr(rng, "_cpus", lambda: 1)
-    want = [hashlib.sha256(rng.normals(1, 4 * rng._SPLIT).tobytes()).hexdigest()]
-    for n in rows:
-        q = ChernoffQuery("Agnostic", n // 3, n - n // 3, 0.5, 2.0, 4)
-        want.append(unit_misrank(q, 2 * chernoff._batch(n) + 1, n).estimate.hex())
-    assert proc.stdout.split() == want
+
+    def draws():
+        out = [hashlib.sha256(rng.normals(1, 4 * rng._SPLIT).tobytes()).hexdigest()]
+        for n in rows:
+            q = ChernoffQuery("Agnostic", n // 3, n - n // 3, 0.5, 2.0, 4)
+            out.append(unit_misrank(q, 2 * chernoff._batch(n) + 1, n).estimate.hex())
+        return threading.get_ident(), out
+
+    fills = spy_fills(monkeypatch, 1)
+    _, want = draws()
+    serial_fills = len(fills)
+    fills.clear()
+    monkeypatch.setattr(rng, "_cpus", lambda: 2)
+    (mine, got_mine), (theirs, got_theirs) = rng._on_both(draws, (), ())
+    assert got_mine == got_theirs == want
+    assert mine != theirs
+    assert Counter(fills) == {mine: serial_fills, theirs: serial_fills}
 
 
 def test_a_raise_in_the_workers_half_reaches_the_caller(monkeypatch):
@@ -340,7 +337,7 @@ def test_a_forked_child_draws_again(monkeypatch):
 
 
 def test_concurrent_callers_get_the_serial_values(monkeypatch):
-    # more callers than cores, all sharing the one worker
+    # more callers than cores, each split starting its own second thread
     seeds = [rng.derive(31, i) for i in range(4)]
     counts = (SPLIT_EDGE + 1, 3 * SPLIT_EDGE, 1001)
     monkeypatch.setattr(rng, "_cpus", lambda: 1)
